@@ -18,7 +18,6 @@ from .charfn import (
     charfn_delta_numeric,
     charfn_grid,
     charfn_kms,
-    charfn_vacuum,
     default_k_max,
     sample_charfn,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "charfn_delta_numeric",
     "charfn_grid",
     "charfn_kms",
-    "charfn_vacuum",
     "conjugate_w_grid",
     "continuum_convergence",
     "crooks_check",

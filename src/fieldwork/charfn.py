@@ -1,27 +1,31 @@
 """Work characteristic functions for localized unitaries on thermal fields.
 
+Every perturbative quantity in this package is one radial integral,
+lambda^2 Int_0^inf dk a(k) g(w_k), over the spectral weight
+
+    a(k) = (1 / 4 pi^2) * (k^2 / w_k) * |chi~(w_k)|^2 * |F~(k)|^2
+
+(`_spectral_weight`); only the real factor g changes, and `_radial_integral`
+is the one evaluator.  The angular reduction Int d^3k -> 4 pi Int k^2 dk is
+applied in a(k), once; its prefactor 4 pi / ((2 pi)^3 * 2) = 1/(4 pi^2) is the
+single point of truth for the 2-pi bookkeeping in this package.
+
 Perturbative regime (smooth switching, coupling lambda small), thermal state
-of inverse temperature beta:
+of inverse temperature beta, n_k = 1 / (e^{beta w_k} - 1) (0 for the vacuum):
 
     P~(mu) = 1 + lambda^2 Int_0^inf dk a(k) *
              [ (1 + n_k) (e^{+i mu w_k} - 1) + n_k (e^{-i mu w_k} - 1) ]
 
-    a(k)  = (1 / 4 pi^2) * (k^2 / w_k) * |chi~(w_k)|^2 * |F~(k)|^2
-    n_k   = 1 / (e^{beta w_k} - 1)         (0 for the vacuum)
-
 The bracket equals coth(beta w/2)(cos(mu w) - 1) + i sin(mu w) for real mu;
 the (1+n)/n split is kept because it stays numerically exact on the imaginary
 axis, where the Jarzynski evaluation P~(i beta) = 1 relies on the cancellation
-(1+n)(e^{-bw}-1) + n(e^{bw}-1) = 0.
+(1+n)(e^{-bw}-1) + n(e^{bw}-1) = 0.  Its real and imaginary parts are
+integrated as two real factors g.
 
-The angular reduction Int d^3k -> 4 pi Int k^2 dk is applied here, once; the
-resulting prefactor 4 pi / ((2 pi)^3 * 2) = 1/(4 pi^2) is the single point of
-truth for the 2-pi bookkeeping in this package.
-
-Non-perturbative regime (instantaneous switching chi = delta, vacuum field):
+Non-perturbative regime (instantaneous switching chi = delta, vacuum field),
+with a_F(k) the weight a(k) without |chi~|^2:
 
     P~(mu) = exp[ lambda^2 Int_0^inf dk a_F(k) (e^{i mu w_k} - 1) ],
-    a_F(k) = (1 / 4 pi^2) * (k^2 / w_k) * |F~(k)|^2,
 
 with a closed form in terms of the Dawson integral for a massless field and
 Gaussian smearing.
@@ -49,7 +53,6 @@ from .special_math import CharFnGrid, QuadratureSpec, dawson, integrate_radial
 __all__ = [
     "Scenario",
     "charfn_kms",
-    "charfn_vacuum",
     "charfn_correction",
     "charfn_delta_numeric",
     "charfn_delta_closed",
@@ -102,14 +105,27 @@ class Scenario:
         }
 
 
-def _radial_weight(s: Scenario, k, include_switching: bool = True):
-    """a(k) without the coupling^2 factor; k may be an array with k > 0."""
-    k = np.asarray(k, dtype=float)
-    w = dispersion(k, s.field.mass)
+def _spectral_weight(s: Scenario, k, w, include_switching: bool = True):
+    """a(k) without the coupling^2 factor, at k > 0 with w = w_k (scalars or arrays)."""
     out = (k * k / w) * smearing_ft(s.smearing, k) ** 2 / _FOUR_PI_SQ
     if include_switching:
         out = out * np.abs(switching_ft(s.switching, w)) ** 2
     return out
+
+
+def _radial_integral(s: Scenario, g, include_switching: bool = True) -> float:
+    """Int_0^k_max a(k) g(w_k) dk for a real g, by adaptive quadrature.
+
+    The coupling^2 factor is left to the caller, so the quadrature tolerances
+    apply on the same scale for every quantity.
+    """
+    mass = s.field.mass
+
+    def integrand(k):
+        w = dispersion(k, mass)
+        return float(_spectral_weight(s, k, w, include_switching) * g(w))
+
+    return integrate_radial(integrand, s.quadrature)
 
 
 def _cexpm1(z):
@@ -156,21 +172,11 @@ def _check_mu(mu, beta):
     return mu_c
 
 
-def _correction_quad(s: Scenario, mu, beta) -> complex:
-    """lambda^2 integral term of the perturbative P~, by adaptive quadrature."""
-    lam = s.field.coupling
-    if lam == 0.0:
-        return 0.0 + 0.0j
-
-    def integrand_re(k):
-        return float(np.real(_radial_weight(s, k) * _bracket(mu, dispersion(k, s.field.mass), beta)))
-
-    def integrand_im(k):
-        return float(np.imag(_radial_weight(s, k) * _bracket(mu, dispersion(k, s.field.mass), beta)))
-
-    re = integrate_radial(integrand_re, s.quadrature)
-    im = integrate_radial(integrand_im, s.quadrature)
-    return lam * lam * (re + 1j * im)
+def _bracket_integral(s: Scenario, mu, beta, include_switching: bool = True) -> complex:
+    """Int a(k) * bracket(mu, w_k) dk, its real and imaginary parts integrated apart."""
+    re = _radial_integral(s, lambda w: _bracket(mu, w, beta).real, include_switching)
+    im = _radial_integral(s, lambda w: _bracket(mu, w, beta).imag, include_switching)
+    return re + 1j * im
 
 
 def charfn_correction(s: Scenario, mu) -> complex:
@@ -182,24 +188,15 @@ def charfn_correction(s: Scenario, mu) -> complex:
     if s.switching.is_delta:
         raise RegimeError("perturbative characteristic function requires a smooth switching")
     mu_c = _check_mu(mu, s.field.beta)
-    return _correction_quad(s, mu_c, s.field.beta)
+    lam = s.field.coupling
+    if lam == 0.0:
+        return 0.0 + 0.0j
+    return lam * lam * _bracket_integral(s, mu_c, s.field.beta)
 
 
 def charfn_kms(s: Scenario, mu) -> complex:
     """Perturbative characteristic function for the thermal (KMS) state."""
     return 1.0 + charfn_correction(s, mu)
-
-
-def charfn_vacuum(s: Scenario, mu) -> complex:
-    """Perturbative characteristic function with the state forced to the vacuum.
-
-    Uses Bose factor 0 and coth factor 1 regardless of s.field.beta; equal to
-    the beta -> inf limit of charfn_kms.
-    """
-    if s.switching.is_delta:
-        raise RegimeError("perturbative characteristic function requires a smooth switching")
-    mu_c = _check_mu(mu, math.inf)
-    return 1.0 + _correction_quad(s, mu_c, math.inf)
 
 
 def charfn_delta_numeric(s: Scenario, mu) -> complex:
@@ -210,19 +207,7 @@ def charfn_delta_numeric(s: Scenario, mu) -> complex:
         raise RegimeError("the instantaneous coupling is treated on the vacuum only (beta = inf)")
     mu_c = _check_mu(mu, 0.0)
     lam = s.field.coupling
-
-    def integrand_re(k):
-        w = dispersion(k, s.field.mass)
-        return float(np.real(_radial_weight(s, k, include_switching=False) * _bracket(mu_c, w, math.inf)))
-
-    def integrand_im(k):
-        w = dispersion(k, s.field.mass)
-        return float(np.imag(_radial_weight(s, k, include_switching=False) * _bracket(mu_c, w, math.inf)))
-
-    exponent = lam * lam * (
-        integrate_radial(integrand_re, s.quadrature)
-        + 1j * integrate_radial(integrand_im, s.quadrature)
-    )
+    exponent = lam * lam * _bracket_integral(s, mu_c, math.inf, include_switching=False)
     return complex(np.exp(exponent))
 
 
@@ -266,7 +251,7 @@ _MU_CHUNK = 256
 
 def _batch_k_grid(s: Scenario, mu_max: float, include_switching: bool):
     probe = np.linspace(0.0, s.quadrature.k_max, 4096)[1:]
-    g = _radial_weight(s, probe, include_switching=include_switching)
+    g = _spectral_weight(s, probe, dispersion(probe, s.field.mass), include_switching)
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
         return None
@@ -286,7 +271,7 @@ def _batch_exponent(s: Scenario, mu_abs: np.ndarray, include_switching: bool) ->
         return out
     kk = k[1:]  # integrand vanishes at k = 0
     w = dispersion(kk, s.field.mass)
-    a = _radial_weight(s, kk, include_switching=include_switching)
+    a = _spectral_weight(s, kk, w, include_switching)
     trap = np.full(kk.size, k[1] - k[0])
     trap[-1] *= 0.5
     if math.isinf(s.field.beta):

@@ -41,7 +41,6 @@ from .ramsey import ModeSet, continuum_convergence, simulate_delta_ramsey, tomog
 from .special_math import QuadratureSpec
 from .workdist import (
     crooks_check,
-    delta_weight,
     distribution_from_charfn,
     localization_sweep,
     moments,
@@ -69,7 +68,6 @@ _SCHEMA = {
         "mode_counts",
         "mode_k_max",
         "widths",
-        "center_ratio",
     },
     "output": {"path"},
 }

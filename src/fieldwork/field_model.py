@@ -76,8 +76,8 @@ class SwitchingProfile:
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "SwitchingProfile":
-        if not width > 0:
-            raise InvalidArgumentError("gaussian switching: width must be > 0")
+        if not (math.isfinite(center) and math.isfinite(width) and width > 0):
+            raise InvalidArgumentError("gaussian switching: need finite center, finite width > 0")
         return cls(kind="gaussian", center=center, width=width)
 
     @classmethod
@@ -110,8 +110,8 @@ class SmearingProfile:
 
     @classmethod
     def gaussian_spherical(cls, sigma: float) -> "SmearingProfile":
-        if not sigma > 0:
-            raise InvalidArgumentError("gaussian smearing: sigma must be > 0")
+        if not (sigma > 0 and math.isfinite(sigma)):
+            raise InvalidArgumentError("gaussian smearing: sigma must be finite and > 0")
         return cls(kind="gaussian_spherical", sigma=sigma)
 
     @classmethod

@@ -15,7 +15,7 @@ inverse transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
@@ -30,10 +30,10 @@ __all__ = [
     "integrate_radial",
     "invert_charfn",
     "conjugate_w_grid",
-    "forward_transform",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_GRID_CHECK_TOL = 1e-6  # P~(0) = 1 and Hermitian symmetry of a sampled CharFnGrid
 
 # Rybicki sampling step; truncation error of the method is O(exp(-(pi/2h)^2)),
 # ~7e-18 for h = 0.25.
@@ -123,8 +123,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise InvalidArgumentError("QuadratureSpec: tolerances must be > 0")
-        if not self.k_max > 0:
-            raise InvalidArgumentError("QuadratureSpec: k_max must be > 0")
+        if not (self.k_max > 0 and math.isfinite(self.k_max)):
+            raise InvalidArgumentError("QuadratureSpec: k_max must be finite and > 0")
         if self.max_subdivisions < 1:
             raise InvalidArgumentError("QuadratureSpec: max_subdivisions >= 1")
 
@@ -173,7 +173,6 @@ class CharFnGrid:
 
     mu: np.ndarray
     values: np.ndarray
-    check_tol: float = field(default=1e-6)
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -188,12 +187,12 @@ class CharFnGrid:
             raise InvalidArgumentError("CharFnGrid: mu grid must be uniform")
         if abs(self.mu[n // 2]) > 1e-12 * d[0]:
             raise InvalidArgumentError("CharFnGrid: mu grid must contain 0 at index N/2")
-        if abs(self.values[n // 2] - 1.0) > self.check_tol:
+        if abs(self.values[n // 2] - 1.0) > _GRID_CHECK_TOL:
             raise InvalidArgumentError("CharFnGrid: P~(0) must equal 1")
         # Hermitian symmetry P~(-mu) = conj P~(mu); left endpoint has no partner
         v = self.values
         mirrored = np.conj(v[1:][::-1])
-        if np.max(np.abs(v[1:] - mirrored)) > self.check_tol:
+        if np.max(np.abs(v[1:] - mirrored)) > _GRID_CHECK_TOL:
             raise InvalidArgumentError("CharFnGrid: P~(-mu) != conj P~(mu)")
 
     @property
@@ -272,11 +271,3 @@ def invert_charfn(grid: CharFnGrid, w_grid: np.ndarray) -> WorkDistribution:
             "max_abs_imag_density": max_imag,
         },
     )
-
-
-def forward_transform(dist: WorkDistribution, mu) -> np.ndarray:
-    """Discrete forward transform of a WorkDistribution: atom + trapezoid FT of the density."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    phases = np.exp(1j * np.outer(mu, dist.w_grid))
-    vals = dist.atom_weight + np.trapezoid(phases * dist.density, dist.w_grid, axis=1)
-    return vals

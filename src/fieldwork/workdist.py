@@ -1,17 +1,26 @@
 """Work probability distributions, moments and fluctuation-theorem checks.
 
-For a massless field and spherically symmetric smearing the perturbative
-characteristic function inverts in closed form to a mixed distribution
+With the spectral weight a(k) and the Bose factor n = 1/(e^{beta w} - 1) of
+`charfn`, the perturbative characteristic function inverts to a mixed
+distribution
 
     P(W) = (1 - p) delta(W) + rho(W),
-    rho(W) = (lambda^2 / 4 pi^2) |chi~(|W|)|^2 |F~(|W|)|^2 * W / (1 - e^{-beta W}),
+    rho(W) = lambda^2 a(|W|) (1 + n(|W|))    for W > 0,
+    rho(W) = lambda^2 a(|W|) n(|W|)          for W < 0,
 
-valid for both signs of W (the two Heaviside branches of the thermal factor
-are the same analytic function W / (1 - e^{-beta W})); the vacuum limit sets
-rho = 0 for W < 0.  Detailed balance rho(W)/rho(-W) = e^{beta W} is an
-algebraic identity of this expression, which is why Crooks checks use the
-analytic density (tolerance 1e-10) while comparisons against the inverted
-density carry the looser grid-resolution tolerance.
+written here for a massless field, where w_k = k and a(|W|) is a(k) at
+k = |W|.  The vacuum sets n = 0, so rho = 0 for W < 0.  Detailed balance
+rho(W)/rho(-W) = (1 + n)/n = e^{beta W} is an algebraic identity of this
+expression, which is why Crooks checks use the analytic density (tolerance
+1e-10) while comparisons against the inverted density carry the looser
+grid-resolution tolerance.
+
+The moments of rho are radial integrals over the same weight, for any mass:
+
+    Int W^j rho(W) dW = lambda^2 Int a(k) w_k^j [(1 + n) + (-1)^j n] dk,
+
+where the bracket is coth(beta w/2) for even j and 1 for odd j.  The density
+mass p is the j = 0 case.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from .charfn import (
     DEFAULT_MU_MAX,
     DEFAULT_MU_POINTS,
     Scenario,
+    _radial_integral,
+    _spectral_weight,
     charfn_correction,
     charfn_grid,
     charfn_kms,
@@ -34,8 +45,8 @@ from .charfn import (
 )
 from .distribution import WorkDistribution
 from .errors import InconsistencyError, InvalidArgumentError, RegimeError
-from .field_model import smearing_ft, switching_ft, thermal_weight
-from .special_math import QuadratureSpec, integrate_radial, invert_charfn
+from .field_model import thermal_weight
+from .special_math import conjugate_w_grid, invert_charfn
 
 __all__ = [
     "WorkDistribution",
@@ -49,24 +60,12 @@ __all__ = [
     "localization_sweep",
 ]
 
-_FOUR_PI_SQ = 4.0 * math.pi**2
-
 
 def _check_analytic_regime(s: Scenario):
     if s.switching.is_delta:
         raise RegimeError("the closed-form density applies to the perturbative regime only")
     if s.field.mass != 0.0:
         raise RegimeError("the closed-form density requires a massless field")
-
-
-def _density_prefactor(s: Scenario, w_abs):
-    """(lambda^2 / 4 pi^2) |chi~(w)|^2 |F~(w)|^2 evaluated at w = |W| (massless)."""
-    lam = s.field.coupling
-    return (
-        (lam * lam / _FOUR_PI_SQ)
-        * np.abs(switching_ft(s.switching, w_abs)) ** 2
-        * smearing_ft(s.smearing, w_abs) ** 2
-    )
 
 
 def work_density_analytic(s: Scenario, w):
@@ -79,34 +78,29 @@ def work_density_analytic(s: Scenario, w):
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr == 0.0) or not np.all(np.isfinite(w_arr)):
         raise InvalidArgumentError("work_density_analytic: W must be finite and nonzero")
-    pref = _density_prefactor(s, np.abs(w_arr))
-    beta = s.field.beta
-    if math.isinf(beta):
-        thermal = np.where(w_arr > 0.0, w_arr, 0.0)
-    else:
-        thermal = w_arr / (-np.expm1(-beta * w_arr))
-    out = pref * thermal
+    w_abs = np.abs(w_arr)
+    _, bose = thermal_weight(w_abs, s.field.beta)
+    lam = s.field.coupling
+    out = lam * lam * _spectral_weight(s, w_abs, w_abs) * np.where(w_arr > 0.0, 1.0 + bose, bose)
     return float(out) if np.ndim(w) == 0 else out
 
 
-def _density_mass(s: Scenario) -> float:
-    """p = Int_{W != 0} rho(W) dW = Int a(k) coth(beta w_k / 2) dk."""
+def _density_moment(s: Scenario, power: int) -> float:
+    """Int W^power rho(W) dW = lambda^2 Int a(k) w^power [(1 + n) + (-1)^power n] dk."""
     beta = s.field.beta
+    thermal = power % 2 == 0 and not s.field.is_vacuum
 
-    def integrand(k):
-        pref = float(_density_prefactor(s, k)) * k
-        if math.isinf(beta):
-            return pref
-        coth, _ = thermal_weight(k, beta)
-        return pref * coth
+    def g(w):
+        return w**power * thermal_weight(w, beta)[0] if thermal else w**power
 
-    return integrate_radial(integrand, s.quadrature)
+    lam = s.field.coupling
+    return lam * lam * _radial_integral(s, g)
 
 
 def delta_weight(s: Scenario) -> float:
     """Probability mass (1 - p) remaining at W = 0."""
     _check_analytic_regime(s)
-    p = _density_mass(s)
+    p = _density_moment(s, 0)
     if p > 1.0:
         raise RegimeError(
             f"perturbative breakdown: density mass p = {p:.3g} > 1; reduce the coupling"
@@ -121,10 +115,7 @@ def distribution_from_charfn(
 ) -> WorkDistribution:
     """Sample P~ on the default mu grid, invert, and assemble the distribution."""
     grid = charfn_grid(s, mu_points=mu_points, mu_max=mu_max)
-    w_grid = np.asarray(
-        (np.arange(mu_points) - mu_points // 2) * (2.0 * math.pi / (mu_points * grid.spacing))
-    )
-    dist = invert_charfn(grid, w_grid)
+    dist = invert_charfn(grid, conjugate_w_grid(grid.mu))
     dist.metadata.update(s.fingerprint())
     return dist
 
@@ -138,29 +129,6 @@ class MomentReport:
     variance: float
     jarzynski_value: float
     partition_ratio: float
-
-
-def _moment_quadrature(s: Scenario, power: int, thermal: bool) -> float:
-    """(lambda^2/4 pi^2) Int k^2 w^{power-1} [coth] |chi~|^2 |F~|^2 dk."""
-    lam = s.field.coupling
-    mass = s.field.mass
-    beta = s.field.beta
-
-    def integrand(k):
-        w = math.hypot(k, mass)
-        val = (
-            (k * k)
-            * w ** (power - 1)
-            * abs(switching_ft(s.switching, w)) ** 2
-            * smearing_ft(s.smearing, k) ** 2
-            / _FOUR_PI_SQ
-        )
-        if thermal and not math.isinf(beta):
-            coth, _ = thermal_weight(w, beta)
-            val *= coth
-        return val
-
-    return lam * lam * integrate_radial(integrand, s.quadrature)
 
 
 _FD_STEP = 0.1
@@ -200,8 +168,8 @@ def moments(s: Scenario) -> MomentReport:
     if s.switching.is_delta:
         raise RegimeError("moments: use the characteristic-function derivative path "
                           "for the delta coupling")
-    mean = _moment_quadrature(s, power=1, thermal=False)
-    second = _moment_quadrature(s, power=2, thermal=True)
+    mean = _density_moment(s, 1)
+    second = _density_moment(s, 2)
     w_scale = second / mean if mean > 0 else 1.0
     fd_mean, fd_second = _moments_finite_difference(s, w_scale)
     scale_1 = max(abs(mean), 1e-300)
@@ -294,12 +262,7 @@ def localization_sweep(base: Scenario, widths) -> list[SweepRow]:
             base,
             switching=switching,
             smearing=smearing,
-            quadrature=QuadratureSpec(
-                abs_tol=base.quadrature.abs_tol,
-                rel_tol=base.quadrature.rel_tol,
-                k_max=default_k_max(switching, smearing),
-                max_subdivisions=base.quadrature.max_subdivisions,
-            ),
+            quadrature=replace(base.quadrature, k_max=default_k_max(switching, smearing)),
         )
         rep = moments(scen)
         std = math.sqrt(max(rep.variance, 0.0))

@@ -1,0 +1,75 @@
+"""The public API surface.
+
+Every name a module lists in ``__all__`` must resolve, and the package's
+export list is pinned so that the public-name count changes only on purpose.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import fieldwork
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(fieldwork.__path__))
+
+PUBLIC_NAMES = [
+    "CharFnGrid",
+    "ConfigError",
+    "ConvergenceError",
+    "ConvergenceReport",
+    "CrooksRow",
+    "DEFAULT_MU_MAX",
+    "DEFAULT_MU_POINTS",
+    "FieldSpec",
+    "FieldworkError",
+    "InconsistencyError",
+    "InvalidArgumentError",
+    "ModeSet",
+    "MomentReport",
+    "QuadratureSpec",
+    "QubitState",
+    "RegimeError",
+    "Scenario",
+    "SmearingProfile",
+    "SweepRow",
+    "SwitchingProfile",
+    "WorkDistribution",
+    "charfn_correction",
+    "charfn_delta_closed",
+    "charfn_delta_numeric",
+    "charfn_grid",
+    "charfn_kms",
+    "conjugate_w_grid",
+    "continuum_convergence",
+    "crooks_check",
+    "dawson",
+    "default_k_max",
+    "delta_weight",
+    "dispersion",
+    "distribution_from_charfn",
+    "first_order_qubit_correction",
+    "integrate_radial",
+    "invert_charfn",
+    "localization_sweep",
+    "moments",
+    "sample_charfn",
+    "simulate_delta_ramsey",
+    "simulate_perturbative_ramsey",
+    "smearing_ft",
+    "switching_ft",
+    "thermal_weight",
+    "tomography",
+    "work_density_analytic",
+]
+
+
+@pytest.mark.parametrize("name", ["fieldwork"] + [f"fieldwork.{m}" for m in MODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_exports_are_pinned():
+    assert sorted(fieldwork.__all__) == PUBLIC_NAMES

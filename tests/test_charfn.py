@@ -22,7 +22,6 @@ from fieldwork import (
     charfn_delta_numeric,
     charfn_grid,
     charfn_kms,
-    charfn_vacuum,
     sample_charfn,
     thermal_weight,
 )
@@ -73,20 +72,6 @@ def test_real_part_at_most_one():
     s = make_scenario(beta=1.0)
     for mu in np.linspace(-10.0, 10.0, 41):
         assert charfn_kms(s, float(mu)).real <= 1.0 + 1e-15
-
-
-def test_vacuum_equals_kms_at_infinite_beta():
-    s = make_scenario(beta=math.inf)
-    for mu in (0.5, 1.0, 3.0):
-        assert charfn_vacuum(s, mu) == pytest.approx(charfn_kms(s, mu), abs=1e-16)
-
-
-def test_vacuum_ignores_finite_beta_field():
-    thermal = make_scenario(beta=1.0)
-    vacuum = make_scenario(beta=math.inf)
-    assert charfn_vacuum(thermal, 1.0) == pytest.approx(
-        charfn_kms(vacuum, 1.0), abs=1e-16
-    )
 
 
 def test_kms_crossing_relation():

@@ -112,6 +112,20 @@ class TestConfigHandling:
     def test_malformed_set_rejected(self, vacuum_config):
         assert main(["moments", "--config", vacuum_config, "--set", "coupling=2"]) == 2
 
+    @pytest.mark.parametrize("command", ["charfn", "pdf", "moments"])
+    @pytest.mark.parametrize(
+        "override",
+        ["switching.center=nan", "switching.center=inf", "switching.width=inf",
+         "smearing.sigma=inf"],
+    )
+    def test_non_finite_gaussian_parameter_rejected(self, vacuum_config, command, override):
+        assert main([command, "--config", vacuum_config, "--set", override]) == 2
+
+    @pytest.mark.parametrize("command", ["charfn", "moments"])
+    def test_infinite_k_max_rejected(self, vacuum_config, command, capsys):
+        assert main([command, "--config", vacuum_config, "--set", "quadrature.k_max=inf"]) == 2
+        assert "k_max" in capsys.readouterr().err  # rejected by the config, not mid-quadrature
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

@@ -87,6 +87,9 @@ class TestSwitching:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             SwitchingProfile.gaussian(center=0.0, width=0.0)
+        for center, width in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
+            with pytest.raises(InvalidArgumentError):
+                SwitchingProfile.gaussian(center=center, width=width)
         with pytest.raises(InvalidArgumentError):
             SwitchingProfile.tabulated([0.0, 1.0], [1.0])
         with pytest.raises(InvalidArgumentError):
@@ -117,6 +120,8 @@ class TestSmearing:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             SmearingProfile.gaussian_spherical(sigma=0.0)
+        with pytest.raises(InvalidArgumentError):
+            SmearingProfile.gaussian_spherical(sigma=math.inf)
         with pytest.raises(InvalidArgumentError):
             SmearingProfile.tabulated_radial([-1.0, 0.0], [1.0, 1.0])
 

@@ -65,6 +65,8 @@ def test_quadrature_spec_validation():
     with pytest.raises(InvalidArgumentError):
         QuadratureSpec(k_max=-1.0)
     with pytest.raises(InvalidArgumentError):
+        QuadratureSpec(k_max=math.inf)
+    with pytest.raises(InvalidArgumentError):
         QuadratureSpec(max_subdivisions=0)
 
 

@@ -208,6 +208,32 @@ class TestLocalizationSweep:
         assert som[1] == pytest.approx(som[0], rel=1e-9)
         assert som[2] == pytest.approx(som[0], rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "scales, trend",
+        [
+            (((1.0, 1.0), (0.5, 0.5), (0.25, 0.25)), 0),  # joint: ratio constant
+            (((1.0, 1.0), (0.5, 1.0), (0.25, 1.0)), 1),  # switching only: ratio rises
+            (((1.0, 1.0), (1.0, 0.5), (1.0, 0.25)), -1),  # smearing only: ratio falls
+        ],
+    )
+    def test_moments_follow_the_closed_form_localization_law(self, scales, trend):
+        # Vacuum, Gaussian profiles, a = s^2 + sigma^2:
+        #   <W>   = lambda^2 s^2 / (8 sqrt(pi) a^{3/2})
+        #   <W^2> = lambda^2 s^2 / (4 pi a^2)
+        pairs = [(cs * SWITCH_WIDTH, cg * SIGMA) for cs, cg in scales]
+        rows = localization_sweep(self._base(), pairs)
+        for (s, sigma), row in zip(pairs, rows):
+            a = s * s + sigma * sigma
+            mean = LAM**2 * s**2 / (8.0 * math.sqrt(math.pi) * a**1.5)
+            second = LAM**2 * s**2 / (4.0 * math.pi * a**2)
+            ratio = 4.0 * math.sqrt(a) / (LAM * s) * math.sqrt(1.0 - LAM**2 * s**2 / (16.0 * a))
+            assert row.mean == pytest.approx(mean, rel=1e-10)
+            assert row.std**2 + row.mean**2 == pytest.approx(second, rel=1e-10)
+            assert row.std_over_mean == pytest.approx(ratio, rel=1e-10)
+        if trend:
+            ratios = [r.std_over_mean for r in rows]
+            assert all(trend * (y - x) > 0.0 for x, y in zip(ratios, ratios[1:]))
+
     def test_regime_guards(self):
         pairs = [(SWITCH_WIDTH, SIGMA)]
         with pytest.raises(RegimeError):
