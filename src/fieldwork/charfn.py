@@ -128,35 +128,14 @@ def _radial_integral(s: Scenario, g, include_switching: bool = True) -> float:
     return integrate_radial(integrand, s.quadrature)
 
 
-def _cexpm1(z):
-    """expm1 for complex arguments without cancellation.
-
-    expm1(x+iy) = expm1(x) cos(y) - 2 sin^2(y/2) + i e^x sin(y).
-    """
-    z = np.asarray(z, dtype=complex)
-    x, y = z.real, z.imag
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
-
-
 def _bracket(mu, omega, beta):
-    """Thermal phase bracket (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1)."""
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(mu, complex) and mu.imag != 0.0:
-        z = 1j * mu * omega
-        e_plus = _cexpm1(z)
-        e_minus = _cexpm1(-z)
-    else:
-        mu_r = float(np.real(mu))
-        theta = mu_r * omega
-        # e^{i theta} - 1 = -2 sin^2(theta/2) + i sin(theta): no cancellation
-        re = -2.0 * np.sin(0.5 * theta) ** 2
-        im = np.sin(theta)
-        e_plus = re + 1j * im
-        e_minus = re - 1j * im
+    """Thermal phase bracket (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1), real or complex mu."""
+    z = 1j * mu * np.asarray(omega, dtype=float)
+    e_plus = np.expm1(z)
     if math.isinf(beta):
         return e_plus
     _, bose = thermal_weight(omega, beta)
-    return (1.0 + bose) * e_plus + bose * e_minus
+    return (1.0 + bose) * e_plus + bose * np.expm1(-z)
 
 
 def _check_mu(mu, beta):
@@ -264,7 +243,7 @@ def _batch_k_grid(s: Scenario, mu_max: float, include_switching: bool):
 
 def _batch_exponent(s: Scenario, mu_abs: np.ndarray, include_switching: bool) -> np.ndarray:
     """Int a(k) * bracket(mu, w_k) dk for an array of nonnegative mu (trapezoid)."""
-    mu_max = float(mu_abs[-1]) if mu_abs.size else 0.0
+    mu_max = float(mu_abs.max()) if mu_abs.size else 0.0
     k = _batch_k_grid(s, mu_max, include_switching)
     out = np.zeros(mu_abs.size, dtype=complex)
     if k is None:
@@ -295,21 +274,14 @@ def sample_charfn(s: Scenario, mu: np.ndarray) -> np.ndarray:
     """Vectorized P~ on an arbitrary real mu array (regime chosen from the scenario)."""
     mu = np.asarray(mu, dtype=float)
     lam = s.field.coupling
-    order = np.argsort(np.abs(mu))
-    mu_abs_sorted = np.abs(mu)[order]
+    mu_abs = np.abs(mu)
     if s.switching.is_delta:
         if not s.field.is_vacuum:
             raise RegimeError("delta switching is treated on the vacuum only (beta = inf)")
-        expo = _batch_exponent(s, mu_abs_sorted, include_switching=False)
-        vals_sorted = np.exp(lam * lam * expo)
+        vals = np.exp(lam * lam * _batch_exponent(s, mu_abs, include_switching=False))
     else:
-        expo = _batch_exponent(s, mu_abs_sorted, include_switching=True)
-        vals_sorted = 1.0 + lam * lam * expo
-    vals = np.empty(mu.size, dtype=complex)
-    vals[order] = vals_sorted
-    neg = mu < 0
-    vals[neg] = np.conj(vals[neg])
-    return vals
+        vals = 1.0 + lam * lam * _batch_exponent(s, mu_abs, include_switching=True)
+    return np.where(mu < 0, np.conj(vals), vals)
 
 
 DEFAULT_MU_POINTS = 2**14
@@ -332,11 +304,9 @@ def charfn_grid(
         raise InvalidArgumentError("charfn_grid: mu_points must be even and >= 8")
     dmu = 2.0 * mu_max / n
     mu = (np.arange(n) - n // 2) * dmu
-    half = mu[n // 2 :]  # 0 .. mu_max - dmu
-    vals_half = sample_charfn(s, half)
+    # 0 .. mu_max - dmu, then mu_max for the left endpoint, which has no mirror
+    vals_half = sample_charfn(s, np.append(mu[n // 2 :], mu_max))
     vals = np.empty(n, dtype=complex)
-    vals[n // 2 :] = vals_half
-    vals[1 : n // 2] = np.conj(vals_half[1:][::-1])
-    # left endpoint -mu_max has no mirror sample; evaluate it directly
-    vals[0] = np.conj(sample_charfn(s, np.array([mu_max]))[0])
+    vals[n // 2 :] = vals_half[:-1]
+    vals[: n // 2] = np.conj(vals_half[1:][::-1])
     return CharFnGrid(mu=mu, values=vals)

@@ -28,6 +28,7 @@ from .charfn import (
     Scenario,
     charfn_delta_closed,
     charfn_kms,
+    default_k_max,
     sample_charfn,
 )
 from .errors import (
@@ -71,17 +72,6 @@ _SCHEMA = {
     },
     "output": {"path"},
 }
-
-_COMMANDS = (
-    "charfn",
-    "pdf",
-    "moments",
-    "check-crooks",
-    "check-jarzynski",
-    "ramsey",
-    "sweep",
-)
-
 
 @dataclass
 class RunConfig:
@@ -179,7 +169,7 @@ def _build_scenario(raw: dict) -> Scenario:
     quadrature = None
     if "quadrature" in raw:
         qd = raw["quadrature"]
-        defaults = QuadratureSpec()
+        defaults = QuadratureSpec(k_max=default_k_max(switching, smearing))
         quadrature = QuadratureSpec(
             abs_tol=_parse_float("quadrature", "abs_tol", qd.get("abs_tol", repr(defaults.abs_tol))),
             rel_tol=_parse_float("quadrature", "rel_tol", qd.get("rel_tol", repr(defaults.rel_tol))),
@@ -297,13 +287,7 @@ def _cmd_check_jarzynski(cfg: RunConfig) -> int:
     if not math.isfinite(beta):
         raise RegimeError("check-jarzynski requires a finite beta")
     value = charfn_kms(cfg.scenario, 1j * beta)
-    deviation = abs(value - 1.0)
-    line = f"jarzynski_deviation = {_fmt(deviation)}\n"
-    if cfg.output_path is None:
-        sys.stdout.write(line)
-    else:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(line)
+    _write_csv(cfg.output_path, f"jarzynski_deviation = {_fmt(abs(value - 1.0))}", ())
     return 0
 
 
@@ -314,9 +298,11 @@ def _cmd_ramsey(cfg: RunConfig) -> int:
             "ramsey comparison needs the instantaneous coupling on the vacuum "
             "(switching kind = delta, beta = inf)"
         )
+    if scenario.field.mass != 0.0:
+        raise RegimeError("ramsey comparison uses the massless closed form; set field.mass = 0")
     n_modes = cfg.grids.get("modes", 128)
     k_max = cfg.grids.get("mode_k_max", 10.0)
-    modes = ModeSet.uniform_radial(n_modes, k_max, mass=scenario.field.mass)
+    modes = ModeSet.uniform_radial(n_modes, k_max)
     mu = _mu_grid(cfg.grids)
     lam = scenario.field.coupling
     rows = []
@@ -380,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Work distributions of localized unitaries on a thermal scalar field.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         cmd = sub.add_parser(name, help=f"run the {name} computation")
         cmd.add_argument("--config", help="INI scenario file")
         cmd.add_argument(

@@ -182,32 +182,17 @@ def smearing_ft(p: SmearingProfile, k):
 
 
 def thermal_weight(omega, beta):
-    """Stable thermal factors ((e^{bw}+1)/(e^{bw}-1), 1/(e^{bw}-1)).
+    """Thermal factors (coth(bw/2), 1/(e^{bw}-1)) = (1 + 2n, n).
 
-    beta = inf returns (1, 0) exactly.  Small b*w uses the Laurent series to
-    avoid cancellation; large b*w avoids expm1 overflow.
+    beta = inf returns (1, 0) exactly; expm1 keeps small b*w free of
+    cancellation, and its overflow at large b*w gives n = 0.
     """
     omega_arr = np.asarray(omega, dtype=float)
-    scalar = omega_arr.ndim == 0
-    omega_arr = np.atleast_1d(omega_arr)
     if np.any(omega_arr <= 0.0):
         raise InvalidArgumentError("thermal_weight: omega must be > 0")
-    if math.isinf(beta):
-        coth = np.ones_like(omega_arr)
-        bose = np.zeros_like(omega_arr)
-    else:
-        x = beta * omega_arr
-        bose = np.empty_like(x)
-        small = x < 1e-4
-        big = x > 700.0
-        mid = ~(small | big)
-        xs = x[small]
-        # 1/(e^x - 1) = 1/x - 1/2 + x/12 - x^3/720 + ...
-        bose[small] = 1.0 / xs - 0.5 + xs / 12.0 - xs**3 / 720.0
-        bose[mid] = 1.0 / np.expm1(x[mid])
-        xb = x[big]
-        bose[big] = np.exp(-xb) * (1.0 + np.exp(-xb))
-        coth = 1.0 + 2.0 * bose
-    if scalar:
-        return float(coth[0]), float(bose[0])
+    with np.errstate(over="ignore"):
+        bose = 1.0 / np.expm1(beta * omega_arr)
+    coth = 1.0 + 2.0 * bose
+    if omega_arr.ndim == 0:
+        return float(coth), float(bose)
     return coth, bose

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.special
 
 from .distribution import WorkDistribution
 from .errors import ConvergenceError, InvalidArgumentError
@@ -32,78 +33,19 @@ __all__ = [
     "conjugate_w_grid",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
 _GRID_CHECK_TOL = 1e-6  # P~(0) = 1 and Hermitian symmetry of a sampled CharFnGrid
-
-# Rybicki sampling step; truncation error of the method is O(exp(-(pi/2h)^2)),
-# ~7e-18 for h = 0.25.
-_RYBICKI_H = 0.25
-_RYBICKI_TERMS = 35  # covers offsets up to ~8.75 in x, exp(-64) tail
-
-
-def _dawson_series(x):
-    """Maclaurin series, adequate for |x| < 0.5."""
-    x = np.asarray(x, dtype=float)
-    x2 = x * x
-    term = x.copy()
-    total = x.copy()
-    for n in range(60):
-        term = term * (-2.0) * x2 / (2 * n + 3.0)
-        total = total + term
-        if np.all(np.abs(term) < 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    return total
-
-
-def _dawson_rybicki(x):
-    """Sampling-theorem evaluation (Rybicki): D(x) = pi^{-1/2} sum_{n odd} e^{-(x-nh)^2}/n."""
-    x = np.asarray(x, dtype=float)
-    h = _RYBICKI_H
-    n0 = 2.0 * np.rint(x / (2.0 * h))  # nearest even integer to x/h
-    xp = x - n0 * h
-    j = np.arange(-_RYBICKI_TERMS, _RYBICKI_TERMS + 1, 2.0)  # odd offsets
-    # n0 even + odd offset is never zero
-    num = np.exp(-((xp[..., None] - j * h) ** 2))
-    den = n0[..., None] + j
-    return (num / den).sum(axis=-1) / _SQRT_PI
-
-
-def _dawson_asymptotic(x):
-    """Asymptotic series D(x) ~ (1/2x) sum (2n-1)!!/(2x^2)^n, |x| >= 6."""
-    x = np.asarray(x, dtype=float)
-    inv2x2 = 1.0 / (2.0 * x * x)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for n in range(1, 60):
-        term = term * (2 * n - 1) * inv2x2
-        if np.all(np.abs(term) < 1e-18):
-            break
-        total = total + term
-    return total / (2.0 * x)
 
 
 def dawson(x):
-    """Dawson integral D(x) = exp(-x^2) * Int_0^x exp(y^2) dy.
+    """Dawson integral D(x) = exp(-x^2) * Int_0^x exp(y^2) dy (scipy.special.dawsn).
 
-    Accepts a float or an array; absolute error below 1e-13 for |x| <= 50.
+    Accepts a float or an array; relative error near machine precision.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("dawson: input must be finite")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-
-    small = np.abs(arr) < 0.5
-    large = np.abs(arr) >= 6.0
-    mid = ~(small | large)
-    if small.any():
-        out[small] = _dawson_series(arr[small])
-    if mid.any():
-        out[mid] = _dawson_rybicki(arr[mid])
-    if large.any():
-        out[large] = _dawson_asymptotic(arr[large])
-    return float(out[0]) if scalar else out
+    out = scipy.special.dawsn(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -240,11 +182,9 @@ def invert_charfn(grid: CharFnGrid, w_grid: np.ndarray) -> WorkDistribution:
     atom = float(np.mean(grid.values[outer].real))
 
     f = grid.values - atom
-    # S(w_m) = sum_n f_n exp(-i mu_n w_m) with DFT-layout grids reduces to a
-    # plain FFT after (-1)^n / (-1)^m checkerboard factors.
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    phase0 = np.exp(-1j * math.pi * (n // 2))  # exp(-i pi N/2), unity for N % 4 == 0
-    spectrum = phase0 * signs * np.fft.fft(f * signs)
+    # S(w_m) = sum_n f_n exp(-i mu_n w_m): both grids are centred on index N/2,
+    # so the shifts move mu = 0 and W = 0 to index 0 and back.
+    spectrum = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f)))
     density = (dmu / (2.0 * math.pi)) * spectrum
     max_imag = float(np.max(np.abs(density.imag)))
     density = density.real.copy()

@@ -97,15 +97,20 @@ def _density_moment(s: Scenario, power: int) -> float:
     return lam * lam * _radial_integral(s, g)
 
 
-def delta_weight(s: Scenario) -> float:
-    """Probability mass (1 - p) remaining at W = 0."""
-    _check_analytic_regime(s)
+def _perturbative_mass(s: Scenario) -> float:
+    """Density mass p of a perturbative scenario; p > 1 means the expansion broke down."""
     p = _density_moment(s, 0)
     if p > 1.0:
         raise RegimeError(
             f"perturbative breakdown: density mass p = {p:.3g} > 1; reduce the coupling"
         )
-    return 1.0 - p
+    return p
+
+
+def delta_weight(s: Scenario) -> float:
+    """Probability mass (1 - p) remaining at W = 0."""
+    _check_analytic_regime(s)
+    return 1.0 - _perturbative_mass(s)
 
 
 def distribution_from_charfn(
@@ -114,6 +119,8 @@ def distribution_from_charfn(
     mu_max: float = DEFAULT_MU_MAX,
 ) -> WorkDistribution:
     """Sample P~ on the default mu grid, invert, and assemble the distribution."""
+    if not s.switching.is_delta:  # the delta coupling is exact at any strength
+        _perturbative_mass(s)
     grid = charfn_grid(s, mu_points=mu_points, mu_max=mu_max)
     dist = invert_charfn(grid, conjugate_w_grid(grid.mu))
     dist.metadata.update(s.fingerprint())
@@ -163,11 +170,13 @@ def moments(s: Scenario) -> MomentReport:
     (the first moment is temperature independent; the second carries the
     thermal coth factor) and cross-checked against central finite differences
     of the characteristic function at mu = 0; disagreement beyond 1e-5
-    relative raises InconsistencyError.
+    relative raises InconsistencyError, and a density mass p > 1 raises
+    RegimeError (perturbative breakdown).
     """
     if s.switching.is_delta:
         raise RegimeError("moments: use the characteristic-function derivative path "
                           "for the delta coupling")
+    _perturbative_mass(s)
     mean = _density_moment(s, 1)
     second = _density_moment(s, 2)
     w_scale = second / mean if mean > 0 else 1.0

@@ -2,10 +2,13 @@
 
 Every name a module lists in ``__all__`` must resolve, and the package's
 export list is pinned so that the public-name count changes only on purpose.
+Every module-level private name must be used somewhere in the package.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +76,27 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_are_pinned():
     assert sorted(fieldwork.__all__) == PUBLIC_NAMES
+
+
+def _module_level_private_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_used():
+    trees = [ast.parse(p.read_text()) for p in Path(fieldwork.__file__).parent.glob("*.py")]
+    defined = set().union(*map(_module_level_private_names, trees))
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used) == []

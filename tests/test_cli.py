@@ -126,6 +126,17 @@ class TestConfigHandling:
         assert main([command, "--config", vacuum_config, "--set", "quadrature.k_max=inf"]) == 2
         assert "k_max" in capsys.readouterr().err  # rejected by the config, not mid-quadrature
 
+    def test_quadrature_section_keeps_the_default_k_max(self, vacuum_config, tmp_path):
+        # narrow profiles need k_max = 20/width = 2400, far above QuadratureSpec's 100
+        narrow = ["--set", "switching.width=0.008333333333333333",
+                  "--set", "switching.center=0.05", "--set", "smearing.sigma=0.01"]
+        plain = tmp_path / "plain.csv"
+        tol = tmp_path / "tol.csv"
+        assert main(["moments", "--config", vacuum_config, *narrow, "--output", str(plain)]) == 0
+        assert main(["moments", "--config", vacuum_config, *narrow,
+                     "--set", "quadrature.rel_tol=1e-10", "--output", str(tol)]) == 0
+        assert tol.read_bytes() == plain.read_bytes()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -194,6 +205,16 @@ class TestCommands:
 
     def test_ramsey_rejects_smooth_switching(self, vacuum_config):
         assert main(["ramsey", "--config", vacuum_config]) == 3
+
+    def test_ramsey_rejects_a_massive_field(self, delta_config, capsys):
+        assert main(["ramsey", "--config", delta_config, "--set", "field.mass=1"]) == 3
+        assert "mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, coupling", [("moments", "50"), ("pdf", "1e3")])
+    def test_perturbative_breakdown_exit_code(self, vacuum_config, command, coupling, capsys):
+        code = main([command, "--config", vacuum_config, "--set", f"field.coupling={coupling}"])
+        assert code == 3
+        assert "perturbative breakdown" in capsys.readouterr().err
 
     def test_sweep_table(self, vacuum_config, tmp_path):
         out = tmp_path / "sweep.csv"

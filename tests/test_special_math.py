@@ -2,10 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
 
 from fieldwork import (
     CharFnGrid,
@@ -39,9 +39,16 @@ def test_dawson_against_defining_integral():
         assert dawson(-x) == pytest.approx(-ref, rel=5e-14, abs=1e-15)
 
 
-def test_dawson_matches_scipy_everywhere():
-    x = np.linspace(-50.0, 50.0, 20011)  # crosses both branch boundaries
-    assert np.max(np.abs(dawson(x) - scipy.special.dawsn(x))) < 1e-13
+def test_dawson_matches_mpmath_to_machine_precision():
+    # x = 6.0: a truncated asymptotic expansion of D(x) loses the most digits near there
+    x = np.append(np.linspace(0.01, 50.0, 500), 6.0)
+    with mpmath.workdps(50):
+        ref = np.array(
+            [float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-(v * v)) * mpmath.erfi(v))
+             for v in map(mpmath.mpf, x)]
+        )
+    assert np.max(np.abs(dawson(x) / ref - 1.0)) <= 1e-14
+    assert np.array_equal(dawson(-x), -dawson(x))
 
 
 def test_dawson_small_argument_series_limit():

@@ -111,6 +111,22 @@ class TestDistributionFromCharfn:
         assert "beta" in dist.metadata
         assert dist.metadata["beta"] == 1.0
 
+    @pytest.mark.parametrize("state", ["thermal", "vacuum", "delta"])
+    def test_inversion_leaves_no_imaginary_part(self, state):
+        if state == "delta":
+            # coupling 10 puts the perturbative density mass above 1; the delta
+            # coupling is exact there and must not be rejected as a breakdown
+            s = Scenario(
+                field=FieldSpec(coupling=10.0),
+                switching=SwitchingProfile.delta(),
+                smearing=SmearingProfile.gaussian_spherical(SIGMA),
+            )
+        else:
+            s = make_scenario(beta=1.0 if state == "thermal" else math.inf)
+        dist = distribution_from_charfn(s)
+        peak = float(np.max(dist.density))
+        assert dist.metadata["max_abs_imag_density"] <= 1e-14 * peak
+
     def test_vacuum_negative_side_is_empty(self):
         dist = distribution_from_charfn(make_scenario(beta=math.inf))
         assert abs(dist.negative_mass()) <= 1e-9
