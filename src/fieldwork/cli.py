@@ -205,6 +205,8 @@ def _grid_values(raw: dict) -> dict:
                 raise ConfigError(f"[grids] {key} = {value!r}: not a number list") from None
         else:
             grids[key] = _parse_float("grids", key, value)
+            if not math.isfinite(grids[key]):
+                raise ConfigError(f"[grids] {key} = {value!r}: must be finite")
     return grids
 
 

@@ -6,6 +6,7 @@ every 2-pi power in the analytic implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fieldwork import (
     sample_charfn,
     thermal_weight,
 )
+from fieldwork.charfn import _MU_CHUNK, _batch_k_grid
 
 SWITCH_WIDTH = 1.0 / 12.0
 SWITCH_CENTER = 0.5
@@ -200,3 +202,66 @@ def test_charfn_grid_layout_and_symmetry():
     assert grid.values[n // 2] == 1.0 + 0.0j
     v = grid.values
     assert np.max(np.abs(v[1:] - np.conj(v[1:][::-1]))) < 1e-12
+
+
+def _massive_scenario():
+    return Scenario(
+        field=FieldSpec(mass=0.6, beta=1.0, coupling=LAM),
+        switching=SwitchingProfile.gaussian(center=SWITCH_CENTER, width=SWITCH_WIDTH),
+        smearing=SmearingProfile.gaussian_spherical(SIGMA),
+    )
+
+
+_DFT_HALF = np.append(np.arange(2**13) * (2.0 * 1536.0 / 2**14), 1536.0)  # charfn_grid's samples
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [np.linspace(-10.0, 10.0, 201), np.linspace(-3.0, 10.0, 131),
+     0.05 + 0.1 * np.arange(100), _DFT_HALF],
+    ids=["symmetric", "asymmetric", "zero-free", "dft-half"],
+)
+def test_uniform_grid_matches_the_per_point_sum(mu):
+    """A uniform grid takes the factorised baby-step/giant-step sums; the same
+    points shuffled are not uniform and take one trig row per point."""
+    order = np.random.default_rng(7).permutation(mu.size)
+    for s in (make_scenario(1.0), make_scenario(math.inf), delta_scenario(1.0),
+              _massive_scenario()):
+        grid = sample_charfn(s, mu)
+        per_point = np.empty_like(grid)
+        per_point[order] = sample_charfn(s, mu[order])
+        scale = np.max(np.abs(grid - 1.0))
+        assert np.max(np.abs(grid - per_point)) <= 1e-13 * scale
+        if 0.0 in mu:
+            assert grid[mu == 0.0][0] == 1.0 + 0.0j
+        if mu[0] == -mu[-1]:
+            assert np.max(np.abs(grid[::-1] - np.conj(grid))) <= 1e-13 * scale
+
+
+def test_sample_charfn_rejects_non_finite_mu():
+    s = make_scenario(beta=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError):
+            sample_charfn(s, [0.0, bad, 1.0])
+
+
+def test_grid_aliasing_of_the_massless_kink():
+    # The W = 0 kink of the delta density decays as 1/mu^2, so its trapezoid
+    # images reach the window edge at ~5e-10 but stay far from small |mu|.
+    s = delta_scenario(coupling=1.0)
+    grid = charfn_grid(s)
+    err = np.abs(grid.values - charfn_delta_closed(1.0, SIGMA, grid.mu))
+    assert np.max(err) <= 1e-9
+    assert np.max(err[np.abs(grid.mu) <= 10.0]) <= 1e-13
+
+
+def test_grid_memory_stays_within_two_and_a_half_chunks():
+    s = make_scenario(beta=1.0)
+    n_k = _batch_k_grid(s, 12288.0, True).size
+    tracemalloc.start()
+    try:
+        charfn_grid(s, mu_points=2**17, mu_max=12288.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * _MU_CHUNK * n_k * 8

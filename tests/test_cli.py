@@ -126,6 +126,20 @@ class TestConfigHandling:
         assert main([command, "--config", vacuum_config, "--set", "quadrature.k_max=inf"]) == 2
         assert "k_max" in capsys.readouterr().err  # rejected by the config, not mid-quadrature
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [("charfn", "grids.mu_max=inf"), ("charfn", "grids.mu_min=-inf"),
+         ("pdf", "grids.fft_mu_max=inf")],
+    )
+    def test_non_finite_mu_window_rejected(self, vacuum_config, command, override, capsys):
+        assert main([command, "--config", vacuum_config, "--set", override]) == 2
+        assert override.split("=")[0].split(".")[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("charfn", "mu_max"), ("pdf", "fft_mu_max")])
+    def test_huge_mu_window_rejected_before_allocating(self, vacuum_config, command, key, capsys):
+        assert main([command, "--config", vacuum_config, "--set", f"grids.{key}=1e300"]) == 2
+        assert "mu_max" in capsys.readouterr().err
+
     def test_quadrature_section_keeps_the_default_k_max(self, vacuum_config, tmp_path):
         # narrow profiles need k_max = 20/width = 2400, far above QuadratureSpec's 100
         narrow = ["--set", "switching.width=0.008333333333333333",
