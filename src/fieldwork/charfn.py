@@ -66,13 +66,14 @@ _FOUR_PI_SQ = 4.0 * math.pi**2
 
 def default_k_max(switching: SwitchingProfile, smearing: SmearingProfile) -> float:
     """Quadrature cutoff: both Gaussian transforms decay like Gaussians, so
-    20 inverse widths leave a tail far below 1e-12 of the integral."""
+    20 inverse widths leave a tail far below 1e-12 of the integral.  A
+    tabulated profile resolves no k above the Nyquist limit pi / max(dr) of
+    its samples, so that limit is its cutoff."""
     cutoffs = []
     if smearing.kind == "gaussian_spherical":
         cutoffs.append(20.0 / smearing.sigma)
     elif smearing.kind == "tabulated_radial":
-        r = np.asarray(smearing.r_samples)
-        cutoffs.append(40.0 / max(r[-1], 1e-12))
+        cutoffs.append(math.pi / float(np.max(np.diff(smearing.r_samples))))
     if switching.kind == "gaussian":
         cutoffs.append(20.0 / switching.width)
     return max(cutoffs) if cutoffs else 100.0
@@ -123,7 +124,7 @@ def _radial_integral(s: Scenario, g, include_switching: bool = True) -> float:
 
     def integrand(k):
         w = dispersion(k, mass)
-        return float(_spectral_weight(s, k, w, include_switching) * g(w))
+        return _spectral_weight(s, k, w, include_switching) * g(w)
 
     return integrate_radial(integrand, s.quadrature)
 

@@ -227,6 +227,8 @@ def _mu_grid(grids: dict) -> np.ndarray:
     count = grids.get("mu_count", 201)
     if count < 2 or not hi > lo:
         raise ConfigError("[grids] need mu_max > mu_min and mu_count >= 2")
+    if not math.isfinite(hi - lo):
+        raise ConfigError("[grids] mu_max - mu_min overflows; narrow the mu window")
     return np.linspace(lo, hi, count)
 
 

@@ -265,3 +265,18 @@ def test_grid_memory_stays_within_two_and_a_half_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * _MU_CHUNK * n_k * 8
+
+
+def test_tabulated_smearing_cutoff_resolves_the_profile():
+    # sigma = 0.1 Gaussian tabulated on [0, 10]: its transform exp(-(sigma k)^2 / 2)
+    # is still 0.92 at the old 40 / r_max = 4 cutoff; the sample spacing gives pi / 0.01
+    sigma = 0.1
+    r = np.linspace(0.0, 10.0, 1001)
+    profile = (2.0 * math.pi * sigma**2) ** -1.5 * np.exp(-0.5 * (r / sigma) ** 2)
+    s = Scenario(
+        field=FieldSpec(mass=0.0, beta=math.inf, coupling=1.0),
+        switching=SwitchingProfile.delta(),
+        smearing=SmearingProfile.tabulated_radial(r, profile),
+    )
+    got = charfn_delta_numeric(s, 0.5)
+    assert got == pytest.approx(charfn_delta_closed(1.0, sigma, 0.5), rel=0.0, abs=1e-10)

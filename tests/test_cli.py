@@ -1,6 +1,7 @@
 """Tests for the batch command-line front end."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,15 @@ class TestConfigHandling:
     def test_huge_mu_window_rejected_before_allocating(self, vacuum_config, command, key, capsys):
         assert main([command, "--config", vacuum_config, "--set", f"grids.{key}=1e300"]) == 2
         assert "mu_max" in capsys.readouterr().err
+
+    def test_overflowing_mu_span_rejected_without_numpy_warnings(self, vacuum_config, capsys):
+        span = ["--set", "grids.mu_min=-1.7e308", "--set", "grids.mu_max=1.7e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would escape main
+            assert main(["charfn", "--config", vacuum_config, *span]) == 2
+        err = capsys.readouterr().err
+        assert "mu_min" in err and "mu_max" in err
+        assert "RuntimeWarning" not in err
 
     def test_quadrature_section_keeps_the_default_k_max(self, vacuum_config, tmp_path):
         # narrow profiles need k_max = 20/width = 2400, far above QuadratureSpec's 100

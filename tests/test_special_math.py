@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import fieldwork.charfn
 from fieldwork import (
     CharFnGrid,
     ConvergenceError,
+    FieldSpec,
     InvalidArgumentError,
     QuadratureSpec,
+    Scenario,
+    SmearingProfile,
+    SwitchingProfile,
+    charfn_kms,
     conjugate_w_grid,
     dawson,
     integrate_radial,
@@ -80,14 +86,14 @@ def test_quadrature_spec_validation():
 def test_integrate_radial_gaussian_moment():
     # Int_0^inf k^2 e^{-k^2} dk = sqrt(pi)/4
     spec = QuadratureSpec(k_max=40.0)
-    value = integrate_radial(lambda k: k * k * math.exp(-k * k), spec)
+    value = integrate_radial(lambda k: k * k * np.exp(-k * k), spec)
     assert value == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-12)
 
 
 def test_integrate_radial_reports_error_bound():
     spec = QuadratureSpec(k_max=40.0)
     value, bound = integrate_radial(
-        lambda k: math.exp(-k), spec, return_error=True
+        lambda k: np.exp(-k), spec, return_error=True
     )
     assert value == pytest.approx(1.0, rel=1e-12)
     assert 0.0 <= bound < 1e-8
@@ -97,9 +103,49 @@ def test_integrate_radial_convergence_failure_carries_estimate():
     # A rapidly oscillating integrand with a starved subdivision budget.
     spec = QuadratureSpec(k_max=100.0, max_subdivisions=2)
     with pytest.raises(ConvergenceError) as excinfo:
-        integrate_radial(lambda k: math.cos(50.0 * k) * math.exp(-0.01 * k), spec)
+        integrate_radial(lambda k: np.cos(50.0 * k) * np.exp(-0.01 * k), spec)
     assert excinfo.value.estimate is not None
     assert excinfo.value.error_bound is not None
+
+
+@pytest.mark.parametrize("mu", [0.1, 5.0, 17.0, 40.0])
+def test_integrate_radial_error_bound_covers_the_dawson_closed_form(mu):
+    # Int_0^inf k e^{-k^2} cos(mu k) dk = 1/2 - mu D(mu/2) / 2; the tail past 40 is e^{-1600}
+    spec = QuadratureSpec(k_max=40.0)
+    value, bound = integrate_radial(
+        lambda k: k * np.exp(-k * k) * np.cos(mu * k), spec, return_error=True
+    )
+    ref = 0.5 - mu * dawson(mu / 2.0) / 2.0
+    assert abs(value - ref) <= bound
+    assert bound <= max(spec.abs_tol, spec.rel_tol * abs(ref))
+
+
+def test_integrate_radial_rejects_a_nan_integrand():
+    with pytest.raises(ConvergenceError):
+        integrate_radial(lambda k: np.where(k > 3.0, np.nan, 1.0), QuadratureSpec(k_max=10.0))
+
+
+def test_charfn_kms_integrand_is_called_on_node_batches(monkeypatch):
+    # one call per refinement level, never one per node
+    s = Scenario(
+        field=FieldSpec(mass=0.0, beta=1.0, coupling=0.01),
+        switching=SwitchingProfile.gaussian(center=0.5, width=1.0 / 12.0),
+        smearing=SmearingProfile.gaussian_spherical(1.0),
+    )
+    sizes = []
+
+    def counting(f, spec, **kwargs):
+        def counted(k):
+            assert isinstance(k, np.ndarray)
+            sizes.append(k.size)
+            return f(k)
+
+        return integrate_radial(counted, spec, **kwargs)
+
+    monkeypatch.setattr(fieldwork.charfn, "integrate_radial", counting)
+    charfn_kms(s, 40.0)
+    assert 0 < len(sizes) <= 16
+    assert min(sizes) >= 21
 
 
 def _dft_mu_grid(n, mu_max):
