@@ -222,12 +222,22 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 #
 # The k spacing dk puts the aliasing images of the transform at multiples of
 # P = 2 pi / dk >= mu_max + _ALIAS_MARGIN in mu; the trapezoid rule is
-# spectrally accurate because the integrand vanishes at both ends.
+# spectrally accurate because the integrand vanishes at both ends.  Every path
+# below sums the same k nodes with the same weights; the path is chosen from
+# the field and the mu array (mu_z is the grid point nearest 0, at index z):
 #
-# On a uniform mu grid, mu_j = mu_z + j dmu with j = r + b g, the phase splits
-# as (r dmu + mu_z + b g dmu) w, and the angle-addition formulas turn the
-# N_mu x N_k cos/sin table into a b x N_k baby table times an N_k x c giant
-# table: b + c trig rows and two real GEMMs, with the same k nodes and weights.
+# - massless field (w_k = k_n = n dk) on a uniform mu grid: the phases
+#   mu_j k_n = mu_z k_n + alpha J n, alpha = dmu dk, J = j - z, make the sums
+#   a chirp z-transform.  With J n = (J^2 + n^2 - (J - n)^2) / 2 it becomes a
+#   pre-chirp, one convolution with e^{-i alpha m^2 / 2} by FFT and a
+#   post-chirp (Bluestein): O((N_k + N_mu) log) in place of O(N_k N_mu).
+# - massive field on a uniform mu grid (w_k is not uniform in k): the phase of
+#   mu_j = mu_z + (r + b g) dmu splits as (r dmu + mu_z + b g dmu) w, and the
+#   angle-addition formulas turn the N_mu x N_k cos/sin table into a b x N_k
+#   baby table times an N_k x c giant table: b + c trig rows and two real
+#   GEMMs.
+# - any other mu array: one trig row per point, through the same GEMMs.
+# The exponent at mu = 0 is set to 0 exactly, so that P~(0) = 1 + 0j.
 # ---------------------------------------------------------------------------
 
 # Images at P >= mu_max + _ALIAS_MARGIN.  For a smooth work density (thermal,
@@ -259,29 +269,41 @@ def _batch_k_grid(s: Scenario, mu_max: float, include_switching: bool):
     return np.linspace(0.0, k_hi, n_k)
 
 
-def _mu_split(mu: np.ndarray):
+def _uniform_step(mu: np.ndarray):
+    """The step dmu of a grid of >= 4 points uniform to a few ulp, else None."""
+    n = mu.size
+    if n < 4:
+        return None
+    dmu = (mu[-1] - mu[0]) / (n - 1)
+    drift = np.max(np.abs(mu - (mu[0] + np.arange(n) * dmu)))
+    if dmu != 0.0 and drift <= 8.0 * np.finfo(float).eps * np.max(np.abs(mu)):
+        return dmu
+    return None
+
+
+def _mu_split(mu: np.ndarray, dmu: float):
     """(baby, giant, offset) with mu[i] = (giant[:, None] + baby).ravel()[offset + i].
 
-    A grid uniform to a few ulp gets b baby steps r dmu and at most
+    A uniform grid of step dmu gets b baby steps r dmu and at most
     _MU_CHUNK // 4 giant steps mu_z + b g dmu, anchored at the point mu_z
-    nearest 0 so that a mu = 0 sample is 0 + 0 exactly.  Any other array is
-    returned as (mu, [0], 0): one row per point.
+    nearest 0 so that a mu = 0 sample is 0 + 0 exactly.
     """
     n = mu.size
-    if n >= 4:
-        dmu = (mu[-1] - mu[0]) / (n - 1)
-        drift = np.max(np.abs(mu - (mu[0] + np.arange(n) * dmu)))
-        if dmu != 0.0 and drift <= 8.0 * np.finfo(float).eps * np.max(np.abs(mu)):
-            z = int(np.argmin(np.abs(mu)))
-            b = -(-n // min(math.isqrt(n - 1) + 1, _MU_CHUNK // 4 - 1))
-            g_lo, g_hi = -z // b, (n - 1 - z) // b
-            giant = mu[z] + np.arange(g_lo, g_hi + 1) * (b * dmu)
-            return np.arange(b) * dmu, giant, -z - b * g_lo
-    return mu, np.zeros(1), 0
+    z = int(np.argmin(np.abs(mu)))
+    b = -(-n // min(math.isqrt(n - 1) + 1, _MU_CHUNK // 4 - 1))
+    g_lo, g_hi = -z // b, (n - 1 - z) // b
+    giant = mu[z] + np.arange(g_lo, g_hi + 1) * (b * dmu)
+    return np.arange(b) * dmu, giant, -z - b * g_lo
 
 
 def _batch_exponent(s: Scenario, mu: np.ndarray, include_switching: bool) -> np.ndarray:
-    """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid)."""
+    """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid).
+
+    A massless field on a uniform mu grid takes the chirp z-transform
+    (`_chirp_sums`); a massive field on a uniform grid takes the factorised
+    baby-step/giant-step GEMMs (`_phase_sums`); any other mu array takes one
+    trig row per point.  The exponent at mu = 0 is 0 exactly on every path.
+    """
     mu_max = float(np.abs(mu).max()) if mu.size else 0.0
     k = _batch_k_grid(s, mu_max, include_switching)
     if k is None:
@@ -297,13 +319,71 @@ def _batch_exponent(s: Scenario, mu: np.ndarray, include_switching: bool) -> np.
     else:
         coth, _ = thermal_weight(w, s.field.beta)
         a_coth = a * coth * trap
-    const = a_coth.sum()
 
-    baby, giant, offset = _mu_split(mu)
-    c = giant.size
-    sums = _phase_sums(w, a_coth, a_trap, baby, giant)
-    flat = (sums[:, :c] - const + 1j * sums[:, c:]).T.ravel()
-    return flat[offset : offset + mu.size]
+    dmu = _uniform_step(mu)
+    if dmu is not None and s.field.mass == 0.0:
+        cos_sum, sin_sum = _chirp_sums(k[1] - k[0], a_coth, a_trap, mu, dmu)
+    else:
+        baby, giant, offset = (mu, np.zeros(1), 0) if dmu is None else _mu_split(mu, dmu)
+        c = giant.size
+        sums = _phase_sums(w, a_coth, a_trap, baby, giant)
+        cos_sum = sums[:, :c].T.ravel()[offset : offset + mu.size]
+        sin_sum = sums[:, c:].T.ravel()[offset : offset + mu.size]
+    out = cos_sum - a_coth.sum() + 1j * sin_sum
+    out[mu == 0.0] = 0.0
+    return out
+
+
+def _smooth_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: an FFT length that pocketfft handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp(c: float, m: np.ndarray) -> np.ndarray:
+    """e^{i c m^2} for integer-valued m, to a few ulp however large c m^2 is.
+
+    c = h + l with h cut to so few bits that h m^2 is exact: the large phase
+    is then rounded only inside the argument reduction of cos and sin, and
+    l m^2 is small.
+    """
+    m2 = m * m
+    bits = 53 - int(m2.max()).bit_length()
+    e = math.frexp(c)[1]
+    h = math.ldexp(round(math.ldexp(c, bits - e)), e - bits)
+    return np.exp(1j * (h * m2)) * np.exp(1j * ((c - h) * m2))
+
+
+def _chirp_sums(dk, a_coth, a_trap, mu, dmu):
+    """(Sum_n a_coth_n cos(mu_j k_n), Sum_n a_trap_n sin(mu_j k_n)) for k_n = n dk,
+    n = 1 .. N_k, on the uniform grid mu_j = mu_z + (j - z) dmu.
+
+    Bluestein's chirp z-transform, anchored at the point mu_z nearest 0:
+    with alpha = dmu dk and J = j - z, Sum_n x_n e^{i alpha J n} is
+    e^{i alpha J^2/2} times the convolution of x_n e^{i alpha n^2/2} with
+    e^{-i alpha m^2/2}, taken for both weight rows in one 2-row FFT.
+    """
+    n_k, n_mu = a_coth.size, mu.size
+    z = int(np.argmin(np.abs(mu)))
+    half_alpha = 0.5 * dmu * dk
+    n = np.arange(1, n_k + 1, dtype=float)
+    size = _smooth_len(n_k + n_mu - 1)
+    pre = np.exp(1j * (mu[z] * dk * n)) * _chirp(half_alpha, n)
+    x = np.zeros((2, size), dtype=complex)
+    np.multiply(a_coth, pre, out=x[0, :n_k])
+    np.multiply(a_trap, pre, out=x[1, :n_k])
+    m = np.arange(-z - n_k, n_mu - z - 1, dtype=float)  # every J - n
+    kernel = np.fft.fft(_chirp(-half_alpha, m), size)
+    conv = np.fft.ifft(np.fft.fft(x, axis=1) * kernel, axis=1)[:, n_k - 1 : n_k - 1 + n_mu]
+    conv *= _chirp(half_alpha, np.arange(-z, n_mu - z, dtype=float))
+    return conv[0].real, conv[1].imag
 
 
 def _phase_sums(w, a_coth, a_trap, baby, giant) -> np.ndarray:
@@ -371,7 +451,7 @@ def charfn_grid(
     dmu = 2.0 * mu_max / n
     mu = (np.arange(n) - n // 2) * dmu
     # 0 .. mu_max - dmu, then mu_max for the left endpoint, which has no mirror;
-    # the samples stay one uniform grid, so they take the factorised sums
+    # the samples stay one uniform grid, so they take the chirp or factorised sums
     vals_half = sample_charfn(s, np.append(mu[n // 2 :], mu_max))
     vals = np.empty(n, dtype=complex)
     vals[n // 2 :] = vals_half[:-1]

@@ -50,6 +50,9 @@ from .workdist import (
 __all__ = ["RunConfig", "main"]
 
 _FMT = "%.17g"
+# mu_count and fft_points size arrays of about that many points; above this
+# bound they are rejected before anything is allocated
+_MAX_GRID_POINTS = 2**22
 
 _SCHEMA = {
     "field": {"mass", "beta", "coupling"},
@@ -194,6 +197,10 @@ def _grid_values(raw: dict) -> dict:
     for key, value in raw.get("grids", {}).items():
         if key in ("mu_count", "fft_points", "w_count", "modes"):
             grids[key] = _parse_int("grids", key, value)
+            if key in ("mu_count", "fft_points") and grids[key] > _MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"[grids] {key} = {grids[key]}: more than {_MAX_GRID_POINTS} points"
+                )
         elif key in ("mode_counts", "widths"):
             try:
                 parts = [p for p in value.replace(",", " ").split() if p]

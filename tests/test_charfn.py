@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from fieldwork import (
     FieldSpec,
@@ -26,7 +27,7 @@ from fieldwork import (
     sample_charfn,
     thermal_weight,
 )
-from fieldwork.charfn import _MU_CHUNK, _batch_k_grid
+from fieldwork.charfn import _MU_CHUNK, _batch_exponent, _batch_k_grid
 
 SWITCH_WIDTH = 1.0 / 12.0
 SWITCH_CENTER = 0.5
@@ -222,8 +223,9 @@ _DFT_HALF = np.append(np.arange(2**13) * (2.0 * 1536.0 / 2**14), 1536.0)  # char
     ids=["symmetric", "asymmetric", "zero-free", "dft-half"],
 )
 def test_uniform_grid_matches_the_per_point_sum(mu):
-    """A uniform grid takes the factorised baby-step/giant-step sums; the same
-    points shuffled are not uniform and take one trig row per point."""
+    """A uniform grid takes the chirp z-transform for a massless field and the
+    factorised baby-step/giant-step sums for a massive one; the same points
+    shuffled are not uniform and take one trig row per point."""
     order = np.random.default_rng(7).permutation(mu.size)
     for s in (make_scenario(1.0), make_scenario(math.inf), delta_scenario(1.0),
               _massive_scenario()):
@@ -236,6 +238,63 @@ def test_uniform_grid_matches_the_per_point_sum(mu):
             assert grid[mu == 0.0][0] == 1.0 + 0.0j
         if mu[0] == -mu[-1]:
             assert np.max(np.abs(grid[::-1] - np.conj(grid))) <= 1e-13 * scale
+
+
+@st.composite
+def _uniform_mu_grids(draw):
+    """(kind, mu): a uniform grid of 4 to 600 points, increasing."""
+    n = draw(st.integers(4, 600))
+    dmu = draw(st.floats(1e-3, 2.0))
+    kind = draw(st.sampled_from(["offset", "through-zero", "zero-free", "negative", "symmetric"]))
+    steps = np.arange(n, dtype=float)
+    if kind == "offset":
+        mu = draw(st.floats(-60.0, 60.0)) + steps * dmu
+    elif kind == "through-zero":
+        mu = (steps - draw(st.integers(0, n - 1))) * dmu
+    elif kind == "zero-free":
+        mu = draw(st.floats(1e-3, 60.0)) + steps * dmu
+    elif kind == "negative":
+        mu = -(draw(st.floats(1e-3, 60.0)) + steps[::-1] * dmu)
+    else:
+        mu = (steps - (n - 1) / 2) * dmu  # mu[i] == -mu[-1 - i] exactly
+    return kind, mu
+
+
+_SCALE_MU = np.linspace(-50.0, 50.0, 101)
+_PROPERTY_STATES = {"thermal": make_scenario(1.0), "vacuum": make_scenario(math.inf),
+                    "delta": delta_scenario(1.0), "massive": _massive_scenario()}
+
+
+@seed(20191018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_uniform_mu_grids(), st.sampled_from(sorted(_PROPERTY_STATES)),
+       st.randoms(use_true_random=False))
+def test_uniform_grid_properties(grid_case, state, rng):
+    """Any uniform grid, whichever sum it takes, agrees with the same points
+    shuffled (one trig row each), is 1 at mu = 0 exactly, is Hermitian on a
+    symmetric grid and stays in the unit disc at the reference couplings.
+
+    The sums are compared on the exponent B of P~ = 1 + lambda^2 B (of
+    P~ = exp(lambda^2 B) for delta), relative to max |B| over the grid and
+    over |mu| <= 50.  P~ itself would not do: near mu = 0, 1e-13 of |P~ - 1|
+    is below one ulp of P~.  Nor would the grid alone: on a window
+    |mu| < 0.1 every path, the per-point one included, loses digits to the
+    cancellation Sum a cos(mu k) - Sum a.
+    """
+    kind, mu = grid_case
+    s = _PROPERTY_STATES[state]
+    order = np.array(rng.sample(range(mu.size), mu.size))
+    smooth = not s.switching.is_delta
+    grid = _batch_exponent(s, mu, smooth)
+    per_point = np.empty_like(grid)
+    per_point[order] = _batch_exponent(s, mu[order], smooth)
+    scale = max(np.max(np.abs(grid)), np.max(np.abs(_batch_exponent(s, _SCALE_MU, smooth))))
+    assert np.max(np.abs(grid - per_point)) <= 1e-13 * scale
+    if kind == "symmetric":
+        assert np.max(np.abs(grid[::-1] - np.conj(grid))) <= 1e-13 * scale
+    values = sample_charfn(s, mu)
+    assert np.all(values[mu == 0.0] == 1.0 + 0.0j)
+    assert np.all(np.abs(values) <= 1.0)
 
 
 def test_sample_charfn_rejects_non_finite_mu():
@@ -256,15 +315,16 @@ def test_grid_aliasing_of_the_massless_kink():
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():
-    s = make_scenario(beta=1.0)
-    n_k = _batch_k_grid(s, 12288.0, True).size
-    tracemalloc.start()
-    try:
-        charfn_grid(s, mu_points=2**17, mu_max=12288.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * _MU_CHUNK * n_k * 8
+    # thermal takes the chirp z-transform, massive the chunked trig GEMMs
+    for s in (make_scenario(beta=1.0), _massive_scenario()):
+        n_k = _batch_k_grid(s, 12288.0, True).size
+        tracemalloc.start()
+        try:
+            charfn_grid(s, mu_points=2**17, mu_max=12288.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * _MU_CHUNK * n_k * 8
 
 
 def test_tabulated_smearing_cutoff_resolves_the_profile():

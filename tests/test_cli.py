@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fieldwork import cli
 from fieldwork.cli import main
 
 VACUUM_INI = """\
@@ -149,6 +150,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "mu_min" in err and "mu_max" in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("command, key", [("charfn", "mu_count"), ("pdf", "fft_points")])
+    def test_oversized_grid_count_rejected_before_the_command_runs(
+        self, vacuum_config, capsys, monkeypatch, command, key
+    ):
+        def reached(cfg):
+            raise AssertionError(f"{key} = {cfg.grids[key]} reached the {command} command")
+
+        monkeypatch.setitem(cli._DISPATCH, command, reached)
+        assert main([command, "--config", vacuum_config, "--set", f"grids.{key}=1000000000"]) == 2
+        assert key in capsys.readouterr().err
 
     def test_quadrature_section_keeps_the_default_k_max(self, vacuum_config, tmp_path):
         # narrow profiles need k_max = 20/width = 2400, far above QuadratureSpec's 100
