@@ -52,7 +52,6 @@ from .ramsey import (
 from .special_math import (
     CharFnGrid,
     QuadratureSpec,
-    conjugate_w_grid,
     dawson,
     integrate_radial,
     invert_charfn,
@@ -98,7 +97,6 @@ __all__ = [
     "charfn_delta_numeric",
     "charfn_grid",
     "charfn_kms",
-    "conjugate_w_grid",
     "continuum_convergence",
     "crooks_check",
     "dawson",

@@ -106,15 +106,16 @@ class Scenario:
         }
 
 
-def _spectral_weight(s: Scenario, k, w, include_switching: bool = True):
-    """a(k) without the coupling^2 factor, at k > 0 with w = w_k (scalars or arrays)."""
+def _spectral_weight(s: Scenario, k, w):
+    """a(k) without the coupling^2 factor, at k > 0 with w = w_k (scalars or arrays).
+    A delta switching has chi~ = 1, so it contributes no |chi~|^2 factor: a_F(k)."""
     out = (k * k / w) * smearing_ft(s.smearing, k) ** 2 / _FOUR_PI_SQ
-    if include_switching:
+    if not s.switching.is_delta:
         out = out * np.abs(switching_ft(s.switching, w)) ** 2
     return out
 
 
-def _radial_integral(s: Scenario, g, include_switching: bool = True) -> float:
+def _radial_integral(s: Scenario, g) -> float:
     """Int_0^k_max a(k) g(w_k) dk for a real g, by adaptive quadrature.
 
     The coupling^2 factor is left to the caller, so the quadrature tolerances
@@ -124,7 +125,7 @@ def _radial_integral(s: Scenario, g, include_switching: bool = True) -> float:
 
     def integrand(k):
         w = dispersion(k, mass)
-        return _spectral_weight(s, k, w, include_switching) * g(w)
+        return _spectral_weight(s, k, w) * g(w)
 
     return integrate_radial(integrand, s.quadrature)
 
@@ -152,10 +153,10 @@ def _check_mu(mu, beta):
     return mu_c
 
 
-def _bracket_integral(s: Scenario, mu, beta, include_switching: bool = True) -> complex:
+def _bracket_integral(s: Scenario, mu) -> complex:
     """Int a(k) * bracket(mu, w_k) dk, its real and imaginary parts integrated apart."""
-    re = _radial_integral(s, lambda w: _bracket(mu, w, beta).real, include_switching)
-    im = _radial_integral(s, lambda w: _bracket(mu, w, beta).imag, include_switching)
+    re = _radial_integral(s, lambda w: _bracket(mu, w, s.field.beta).real)
+    im = _radial_integral(s, lambda w: _bracket(mu, w, s.field.beta).imag)
     return re + 1j * im
 
 
@@ -171,11 +172,12 @@ def charfn_correction(s: Scenario, mu) -> complex:
     lam = s.field.coupling
     if lam == 0.0:
         return 0.0 + 0.0j
-    return lam * lam * _bracket_integral(s, mu_c, s.field.beta)
+    return lam * lam * _bracket_integral(s, mu_c)
 
 
 def charfn_kms(s: Scenario, mu) -> complex:
-    """Perturbative characteristic function for the thermal (KMS) state."""
+    """Perturbative characteristic function for the thermal (KMS) state.
+    The second-order 1 + lambda^2 B is unguarded: at strong coupling |P~| can exceed 1."""
     return 1.0 + charfn_correction(s, mu)
 
 
@@ -187,7 +189,7 @@ def charfn_delta_numeric(s: Scenario, mu) -> complex:
         raise RegimeError("the instantaneous coupling is treated on the vacuum only (beta = inf)")
     mu_c = _check_mu(mu, 0.0)
     lam = s.field.coupling
-    exponent = lam * lam * _bracket_integral(s, mu_c, math.inf, include_switching=False)
+    exponent = lam * lam * _bracket_integral(s, mu_c)
     return complex(np.exp(exponent))
 
 
@@ -251,9 +253,9 @@ _MU_CHUNK = 256
 _MAX_K_NODES = 2**20  # one chunk of the trig table is then already 2 GiB
 
 
-def _batch_k_grid(s: Scenario, mu_max: float, include_switching: bool):
+def _batch_k_grid(s: Scenario, mu_max: float):
     probe = np.linspace(0.0, s.quadrature.k_max, 4096)[1:]
-    g = _spectral_weight(s, probe, dispersion(probe, s.field.mass), include_switching)
+    g = _spectral_weight(s, probe, dispersion(probe, s.field.mass))
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
         return None
@@ -296,7 +298,7 @@ def _mu_split(mu: np.ndarray, dmu: float):
     return np.arange(b) * dmu, giant, -z - b * g_lo
 
 
-def _batch_exponent(s: Scenario, mu: np.ndarray, include_switching: bool) -> np.ndarray:
+def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
     """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid).
 
     A massless field on a uniform mu grid takes the chirp z-transform
@@ -305,12 +307,12 @@ def _batch_exponent(s: Scenario, mu: np.ndarray, include_switching: bool) -> np.
     trig row per point.  The exponent at mu = 0 is 0 exactly on every path.
     """
     mu_max = float(np.abs(mu).max()) if mu.size else 0.0
-    k = _batch_k_grid(s, mu_max, include_switching)
+    k = _batch_k_grid(s, mu_max)
     if k is None:
         return np.zeros(mu.size, dtype=complex)
     kk = k[1:]  # integrand vanishes at k = 0
     w = dispersion(kk, s.field.mass)
-    a = _spectral_weight(s, kk, w, include_switching)
+    a = _spectral_weight(s, kk, w)
     trap = np.full(kk.size, k[1] - k[0])
     trap[-1] *= 0.5
     a_trap = a * trap
@@ -418,7 +420,8 @@ def _phase_sums(w, a_coth, a_trap, baby, giant) -> np.ndarray:
 
 
 def sample_charfn(s: Scenario, mu: np.ndarray) -> np.ndarray:
-    """Vectorized P~ on an arbitrary real mu array (regime chosen from the scenario)."""
+    """Vectorized P~ on an arbitrary real mu array (regime chosen from the scenario).
+    Smooth switching gives 1 + lambda^2 B, unguarded: at strong coupling |P~| can exceed 1."""
     mu = np.asarray(mu, dtype=float)
     if not np.all(np.isfinite(mu)):
         raise InvalidArgumentError("sample_charfn: mu must be finite")
@@ -426,8 +429,8 @@ def sample_charfn(s: Scenario, mu: np.ndarray) -> np.ndarray:
     if s.switching.is_delta:
         if not s.field.is_vacuum:
             raise RegimeError("delta switching is treated on the vacuum only (beta = inf)")
-        return np.exp(lam * lam * _batch_exponent(s, mu, include_switching=False))
-    return 1.0 + lam * lam * _batch_exponent(s, mu, include_switching=True)
+        return np.exp(lam * lam * _batch_exponent(s, mu))
+    return 1.0 + lam * lam * _batch_exponent(s, mu)
 
 
 DEFAULT_MU_POINTS = 2**14

@@ -18,7 +18,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +50,8 @@ from .workdist import (
 __all__ = ["RunConfig", "main"]
 
 _FMT = "%.17g"
-# mu_count and fft_points size arrays of about that many points; above this
-# bound they are rejected before anything is allocated
+# grid counts (mu_count, fft_points, w_count, modes, each mode_counts entry)
+# above this bound are rejected before anything is allocated
 _MAX_GRID_POINTS = 2**22
 
 _SCHEMA = {
@@ -173,15 +173,12 @@ def _build_scenario(raw: dict) -> Scenario:
     if "quadrature" in raw:
         qd = raw["quadrature"]
         defaults = QuadratureSpec(k_max=default_k_max(switching, smearing))
-        quadrature = QuadratureSpec(
-            abs_tol=_parse_float("quadrature", "abs_tol", qd.get("abs_tol", repr(defaults.abs_tol))),
-            rel_tol=_parse_float("quadrature", "rel_tol", qd.get("rel_tol", repr(defaults.rel_tol))),
-            k_max=_parse_float("quadrature", "k_max", qd.get("k_max", repr(defaults.k_max))),
-            max_subdivisions=_parse_int(
-                "quadrature", "max_subdivisions",
-                qd.get("max_subdivisions", repr(defaults.max_subdivisions)),
-            ),
-        )
+        given = {}
+        for key in ("abs_tol", "rel_tol", "k_max", "max_subdivisions"):
+            if key in qd:
+                parse = _parse_int if key == "max_subdivisions" else _parse_float
+                given[key] = parse("quadrature", key, qd[key])
+        quadrature = replace(defaults, **given)
     try:
         return Scenario(
             field=field, switching=switching, smearing=smearing, quadrature=quadrature
@@ -197,7 +194,7 @@ def _grid_values(raw: dict) -> dict:
     for key, value in raw.get("grids", {}).items():
         if key in ("mu_count", "fft_points", "w_count", "modes"):
             grids[key] = _parse_int("grids", key, value)
-            if key in ("mu_count", "fft_points") and grids[key] > _MAX_GRID_POINTS:
+            if grids[key] > _MAX_GRID_POINTS:
                 raise ConfigError(
                     f"[grids] {key} = {grids[key]}: more than {_MAX_GRID_POINTS} points"
                 )
@@ -210,6 +207,10 @@ def _grid_values(raw: dict) -> dict:
                 )
             except ValueError:
                 raise ConfigError(f"[grids] {key} = {value!r}: not a number list") from None
+            if key == "mode_counts" and max(grids[key], default=0) > _MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"[grids] {key} = {value!r}: an entry above {_MAX_GRID_POINTS} modes"
+                )
         else:
             grids[key] = _parse_float("grids", key, value)
             if not math.isfinite(grids[key]):

@@ -29,7 +29,6 @@ __all__ = [
     "dawson",
     "integrate_radial",
     "invert_charfn",
-    "conjugate_w_grid",
 ]
 
 _GRID_CHECK_TOL = 1e-6  # P~(0) = 1 and Hermitian symmetry of a sampled CharFnGrid
@@ -211,40 +210,24 @@ class CharFnGrid:
         return float(self.mu[1] - self.mu[0])
 
 
-def conjugate_w_grid(mu: np.ndarray) -> np.ndarray:
-    """The W grid conjugate to a DFT-layout mu grid: w_m = (m - N/2) * 2pi/(N dmu)."""
-    mu = np.asarray(mu, dtype=float)
-    n = mu.size
-    dw = 2.0 * math.pi / (n * (mu[1] - mu[0]))
-    return (np.arange(n) - n // 2) * dw
-
-
 # Negative density samples smaller than this fraction of the density peak are
 # attributed to finite-window ringing and clamped to zero; larger violations
 # set the `negative_floor_violation` diagnostic instead of being hidden.
 CLAMP_REL_FLOOR = 1e-6
 
 
-def invert_charfn(grid: CharFnGrid, w_grid: np.ndarray) -> WorkDistribution:
+def invert_charfn(grid: CharFnGrid) -> WorkDistribution:
     """Inverse Fourier transform of a sampled characteristic function.
 
-    The atom at W = 0 is the non-decaying level of P~, estimated by averaging
-    the samples with |mu| >= 0.9 * mu_max; it is subtracted before the DFT so
-    the returned density is purely the absolutely continuous part.
+    The density is returned on the W grid conjugate to the mu grid,
+    w_m = (m - N/2) * 2 pi / (N dmu) for m = 0..N-1, so W = 0 sits at index
+    N/2.  The atom at W = 0 is the non-decaying level of P~, estimated by
+    averaging the samples with |mu| >= 0.9 * mu_max; it is subtracted before
+    the DFT so the returned density is purely the absolutely continuous part.
     """
-    w_grid = np.asarray(w_grid, dtype=float)
     n = grid.mu.size
-    if w_grid.size != n:
-        raise InvalidArgumentError("invert_charfn: w grid size must match mu grid size")
-    dw = w_grid[1] - w_grid[0]
     dmu = grid.spacing
-    if abs(dw * dmu * n - 2.0 * math.pi) > 1e-8 * 2.0 * math.pi:
-        raise InvalidArgumentError(
-            "invert_charfn: w grid spacing is not conjugate to the mu grid "
-            f"(dw*dmu*N = {dw * dmu * n:.6g}, expected 2*pi)"
-        )
-    if not np.allclose(w_grid, conjugate_w_grid(grid.mu), rtol=0.0, atol=1e-9 * abs(dw)):
-        raise InvalidArgumentError("invert_charfn: w grid is not aligned with the conjugate grid")
+    w_grid = (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu))
 
     mu_max = abs(grid.mu[0])
     outer = np.abs(grid.mu) >= 0.9 * mu_max

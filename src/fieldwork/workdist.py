@@ -36,9 +36,9 @@ from .charfn import (
     DEFAULT_MU_MAX,
     DEFAULT_MU_POINTS,
     Scenario,
+    _bracket,
     _radial_integral,
     _spectral_weight,
-    charfn_correction,
     charfn_grid,
     charfn_kms,
     default_k_max,
@@ -46,7 +46,7 @@ from .charfn import (
 from .distribution import WorkDistribution
 from .errors import InconsistencyError, InvalidArgumentError, RegimeError
 from .field_model import thermal_weight
-from .special_math import conjugate_w_grid, invert_charfn
+from .special_math import invert_charfn
 
 __all__ = [
     "WorkDistribution",
@@ -122,7 +122,7 @@ def distribution_from_charfn(
     if not s.switching.is_delta:  # the delta coupling is exact at any strength
         _perturbative_mass(s)
     grid = charfn_grid(s, mu_points=mu_points, mu_max=mu_max)
-    dist = invert_charfn(grid, conjugate_w_grid(grid.mu))
+    dist = invert_charfn(grid)
     dist.metadata.update(s.fingerprint())
     return dist
 
@@ -145,17 +145,25 @@ _FD_TOL = 1e-5
 def _moments_finite_difference(s: Scenario, w_scale: float) -> tuple[float, float]:
     """<W> and <W^2> from Richardson-extrapolated central differences of P~ at 0.
 
-    Operates on charfn_correction (= P~ - 1) so the derivative extraction does
-    not lose precision to the subtraction from 1.  The step is measured in
-    units of the typical work value `w_scale`, keeping the truncation error
-    scale invariant when the localization widths shrink.
+    The differences are taken on P~ - 1 = lambda^2 Int a(k) bracket(h, w_k) dk
+    without forming the 1, so they lose no precision to the subtraction; <W>
+    reads only Im P~ and <W^2> only Re P~, so only that part is integrated.
+    Going through the bracket keeps the check independent of the w^j moment
+    integrals it is compared with.  The step is measured in units of the
+    typical work value `w_scale`, keeping the truncation error scale
+    invariant when the localization widths shrink.
     """
+    beta = s.field.beta
+    lam = s.field.coupling
+
+    def correction(h, part):
+        return lam * lam * _radial_integral(s, lambda w: part(_bracket(h, w, beta)))
 
     def d1(h):
-        return charfn_correction(s, h).imag / h
+        return correction(h, np.imag) / h
 
     def d2(h):
-        return -2.0 * charfn_correction(s, h).real / (h * h)
+        return -2.0 * correction(h, np.real) / (h * h)
 
     h = _FD_STEP / max(w_scale, 1e-300)
     mean = (4.0 * d1(h / 2) - d1(h)) / 3.0

@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "charfn_delta_numeric",
     "charfn_grid",
     "charfn_kms",
-    "conjugate_w_grid",
     "continuum_convergence",
     "crooks_check",
     "dawson",

@@ -284,11 +284,10 @@ def test_uniform_grid_properties(grid_case, state, rng):
     kind, mu = grid_case
     s = _PROPERTY_STATES[state]
     order = np.array(rng.sample(range(mu.size), mu.size))
-    smooth = not s.switching.is_delta
-    grid = _batch_exponent(s, mu, smooth)
+    grid = _batch_exponent(s, mu)
     per_point = np.empty_like(grid)
-    per_point[order] = _batch_exponent(s, mu[order], smooth)
-    scale = max(np.max(np.abs(grid)), np.max(np.abs(_batch_exponent(s, _SCALE_MU, smooth))))
+    per_point[order] = _batch_exponent(s, mu[order])
+    scale = max(np.max(np.abs(grid)), np.max(np.abs(_batch_exponent(s, _SCALE_MU))))
     assert np.max(np.abs(grid - per_point)) <= 1e-13 * scale
     if kind == "symmetric":
         assert np.max(np.abs(grid[::-1] - np.conj(grid))) <= 1e-13 * scale
@@ -317,7 +316,7 @@ def test_grid_aliasing_of_the_massless_kink():
 def test_grid_memory_stays_within_two_and_a_half_chunks():
     # thermal takes the chirp z-transform, massive the chunked trig GEMMs
     for s in (make_scenario(beta=1.0), _massive_scenario()):
-        n_k = _batch_k_grid(s, 12288.0, True).size
+        n_k = _batch_k_grid(s, 12288.0).size
         tracemalloc.start()
         try:
             charfn_grid(s, mu_points=2**17, mu_max=12288.0)

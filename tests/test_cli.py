@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +152,11 @@ class TestConfigHandling:
         assert "mu_min" in err and "mu_max" in err
         assert "RuntimeWarning" not in err
 
-    @pytest.mark.parametrize("command, key", [("charfn", "mu_count"), ("pdf", "fft_points")])
+    @pytest.mark.parametrize(
+        "command, key",
+        [("charfn", "mu_count"), ("pdf", "fft_points"), ("check-crooks", "w_count"),
+         ("ramsey", "modes"), ("ramsey", "mode_counts")],
+    )
     def test_oversized_grid_count_rejected_before_the_command_runs(
         self, vacuum_config, capsys, monkeypatch, command, key
     ):
@@ -159,7 +164,8 @@ class TestConfigHandling:
             raise AssertionError(f"{key} = {cfg.grids[key]} reached the {command} command")
 
         monkeypatch.setitem(cli._DISPATCH, command, reached)
-        assert main([command, "--config", vacuum_config, "--set", f"grids.{key}=1000000000"]) == 2
+        value = "16,1000000000" if key == "mode_counts" else "1000000000"  # every entry counts
+        assert main([command, "--config", vacuum_config, "--set", f"grids.{key}={value}"]) == 2
         assert key in capsys.readouterr().err
 
     def test_quadrature_section_keeps_the_default_k_max(self, vacuum_config, tmp_path):
@@ -279,3 +285,41 @@ class TestDeterminism:
             assert main(["pdf", "--config", vacuum_config, "--output", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert b"\r" not in out1.read_bytes()  # LF line endings
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_RAMSEY_REGIME = (
+    "regime error: ramsey comparison needs the instantaneous coupling on the vacuum "
+    "(switching kind = delta, beta = inf)"
+)
+# (command, shipped config) -> first stderr line of the exit-3 pairs; every
+# other pair exits 0
+_SHIPPED_REGIME_ERRORS = {
+    ("moments", "delta_coupling.ini"):
+        "regime error: moments: use the characteristic-function derivative path "
+        "for the delta coupling",
+    ("check-crooks", "delta_coupling.ini"):
+        "regime error: the closed-form density applies to the perturbative regime only",
+    ("check-crooks", "vacuum.ini"): "regime error: crooks_check requires a finite temperature",
+    ("check-jarzynski", "delta_coupling.ini"):
+        "regime error: check-jarzynski requires a finite beta",
+    ("check-jarzynski", "vacuum.ini"): "regime error: check-jarzynski requires a finite beta",
+    ("ramsey", "thermal_beta1.ini"): _RAMSEY_REGIME,
+    ("ramsey", "vacuum.ini"): _RAMSEY_REGIME,
+    ("sweep", "delta_coupling.ini"):
+        "regime error: sweep requires Gaussian switching and smearing profiles",
+    ("sweep", "thermal_beta1.ini"):
+        "regime error: localization_sweep is defined for the vacuum field",
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
+@pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+def test_every_command_on_every_shipped_config(command, config, capsys):
+    code = main([command, "--config", str(CONFIGS / config)])
+    err = capsys.readouterr().err
+    expected = _SHIPPED_REGIME_ERRORS.get((command, config))
+    assert code == (0 if expected is None else 3)
+    if expected is not None:
+        assert err.splitlines()[0] == expected
+    assert "Traceback" not in err

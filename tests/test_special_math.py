@@ -18,7 +18,6 @@ from fieldwork import (
     SmearingProfile,
     SwitchingProfile,
     charfn_kms,
-    conjugate_w_grid,
     dawson,
     integrate_radial,
     invert_charfn,
@@ -171,7 +170,9 @@ def test_charfn_grid_validation():
 def test_invert_constant_charfn_is_pure_atom():
     mu = _dft_mu_grid(256, 64.0)
     grid = CharFnGrid(mu=mu, values=np.ones(mu.size, dtype=complex))
-    dist = invert_charfn(grid, conjugate_w_grid(mu))
+    dist = invert_charfn(grid)
+    n, dmu = mu.size, mu[1] - mu[0]
+    assert np.array_equal(dist.w_grid, (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu)))
     assert dist.atom_weight == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(dist.density)) < 1e-14
 
@@ -186,8 +187,8 @@ def test_invert_pure_phase_is_shifted_peak():
     eps = 0.05
     values = np.exp(1j * mu * w0 - 0.5 * (eps * mu) ** 2)
     grid = CharFnGrid(mu=mu, values=values)
-    w = conjugate_w_grid(mu)
-    dist = invert_charfn(grid, w)
+    dist = invert_charfn(grid)
+    w = dist.w_grid
     assert abs(dist.atom_weight) < 1e-8
     assert abs(w[np.argmax(dist.density)] - w0) <= 2.0 * (w[1] - w[0])
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-8)
@@ -200,8 +201,8 @@ def test_invert_then_forward_roundtrip():
     atom = 0.7
     values = atom + 0.3 * np.exp(1j * mu * 0.8 - 0.5 * (0.2 * mu) ** 2)
     grid = CharFnGrid(mu=mu, values=values)
-    w = conjugate_w_grid(mu)
-    dist = invert_charfn(grid, w)
+    dist = invert_charfn(grid)
+    w = dist.w_grid
     # Discrete forward transform of the output plus the atom contribution.
     probe = mu[(np.abs(mu) < 20.0)]
     kernel = np.exp(1j * np.multiply.outer(probe, w))
@@ -210,20 +211,11 @@ def test_invert_then_forward_roundtrip():
     assert np.max(np.abs(forward - original)) < 1e-8
 
 
-def test_invert_rejects_misaligned_w_grid():
-    mu = _dft_mu_grid(64, 32.0)
-    grid = CharFnGrid(mu=mu, values=np.ones(64, dtype=complex))
-    with pytest.raises(InvalidArgumentError):
-        invert_charfn(grid, conjugate_w_grid(mu) * 1.5)
-    with pytest.raises(InvalidArgumentError):
-        invert_charfn(grid, conjugate_w_grid(mu)[:32])
-
-
 def test_invert_clamps_small_ringing_and_reports_diagnostics():
     n, mu_max = 4096, 256.0
     mu = _dft_mu_grid(n, mu_max)
     values = 0.5 + 0.5 * np.exp(1j * mu * 0.8 - 0.5 * (0.2 * mu) ** 2)
-    dist = invert_charfn(CharFnGrid(mu=mu, values=values), conjugate_w_grid(mu))
+    dist = invert_charfn(CharFnGrid(mu=mu, values=values))
     assert np.all(dist.density >= 0.0)
     assert "clamped_points" in dist.metadata
     assert dist.metadata["negative_floor_violation"] is False

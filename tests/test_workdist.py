@@ -13,6 +13,7 @@ from fieldwork import (
     Scenario,
     SmearingProfile,
     SwitchingProfile,
+    charfn_correction,
     crooks_check,
     delta_weight,
     distribution_from_charfn,
@@ -22,6 +23,7 @@ from fieldwork import (
     switching_ft,
     work_density_analytic,
 )
+from fieldwork.workdist import _FD_STEP, _moments_finite_difference
 
 SWITCH_WIDTH = 1.0 / 12.0
 SWITCH_CENTER = 0.5
@@ -175,6 +177,23 @@ class TestMoments:
         )
         with pytest.raises(RegimeError):
             moments(delta)
+
+    @pytest.mark.parametrize("beta, mass", [(1.0, 0.0), (math.inf, 0.0), (1.0, 0.6)])
+    def test_finite_differences_are_the_richardson_values_of_the_correction(self, beta, mass):
+        # integrating only the part of P~ - 1 that each difference reads
+        # must leave every bit of the Richardson values unchanged
+        s = make_scenario(beta=beta, mass=mass)
+        w_scale = 1.7
+        h = _FD_STEP / w_scale
+
+        def d1(x):
+            return charfn_correction(s, x).imag / x
+
+        def d2(x):
+            return -2.0 * charfn_correction(s, x).real / (x * x)
+
+        expected = ((4.0 * d1(h / 2) - d1(h)) / 3.0, (4.0 * d2(h / 2) - d2(h)) / 3.0)
+        assert _moments_finite_difference(s, w_scale) == expected
 
     def test_second_moment_consistent_with_distribution(self):
         s = make_scenario(beta=1.0)
