@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RegimeError
+from .errors import ConvergenceError, InvalidArgumentError, RegimeError
 from .field_model import (
     FieldSpec,
     SmearingProfile,
@@ -203,8 +203,8 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 
     Accepts scalar or array real mu.
     """
-    if not sigma > 0:
-        raise InvalidArgumentError("charfn_delta_closed: sigma must be > 0")
+    if not 1e-100 <= sigma <= 1e100:  # the Python float sigma^3 below must not under/overflow
+        raise InvalidArgumentError("charfn_delta_closed: sigma must lie in [1e-100, 1e100]")
     mu_arr = np.asarray(mu, dtype=float)
     if not np.all(np.isfinite(mu_arr)):
         raise InvalidArgumentError("charfn_delta_closed: mu must be finite and real")
@@ -256,6 +256,10 @@ _MAX_K_NODES = 2**20  # one chunk of the trig table is then already 2 GiB
 def _batch_k_grid(s: Scenario, mu_max: float):
     probe = np.linspace(0.0, s.quadrature.k_max, 4096)[1:]
     g = _spectral_weight(s, probe, dispersion(probe, s.field.mass))
+    if not np.all(np.isfinite(g)):  # k^2 overflows from k_max of about 1e155
+        raise ConvergenceError(
+            f"sample_charfn: below k_max = {s.quadrature.k_max:g} the integrand is not finite"
+        )
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
         return None

@@ -54,27 +54,81 @@ _FMT = "%.17g"
 # above this bound are rejected before anything is allocated
 _MAX_GRID_POINTS = 2**22
 
+
+def _convert(where: str, text: str, convert, what: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{where} = {text!r}: not {what}") from None
+
+
+def _number(where: str, text: str) -> float:
+    return _convert(where, text, float, "a number")
+
+
+def _integer(where: str, text: str) -> int:
+    return _convert(where, text, int, "an integer")
+
+
+def _finite(where: str, text: str) -> float:
+    value = _number(where, text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} = {text!r}: must be finite")
+    return value
+
+
+def _count(where: str, text: str) -> int:
+    value = _integer(where, text)
+    if value > _MAX_GRID_POINTS:
+        raise ConfigError(f"{where} = {value}: more than {_MAX_GRID_POINTS} points")
+    return value
+
+
+def _numbers(where: str, text: str, convert=float) -> list:
+    return _convert(
+        where, text, lambda t: [convert(p) for p in t.replace(",", " ").split()], "a number list"
+    )
+
+
+def _counts(where: str, text: str) -> list[int]:
+    values = _numbers(where, text, int)
+    if max(values, default=0) > _MAX_GRID_POINTS:
+        raise ConfigError(f"{where} = {text!r}: an entry above {_MAX_GRID_POINTS} modes")
+    return values
+
+
+def _word(*choices: str):
+    def parse(where: str, text: str) -> str:
+        word = text.strip().lower()
+        if word not in choices:
+            raise ConfigError(f"{where} = {word!r}: expected {' or '.join(choices)}")
+        return word
+
+    return parse
+
+
+def _path(where: str, text: str) -> str:
+    return text
+
+
+# section -> key -> parser(where, text); any other section or key is rejected
 _SCHEMA = {
-    "field": {"mass", "beta", "coupling"},
-    "switching": {"kind", "center", "width"},
-    "smearing": {"kind", "sigma"},
-    "quadrature": {"abs_tol", "rel_tol", "k_max", "max_subdivisions"},
-    "grids": {
-        "mu_min",
-        "mu_max",
-        "mu_count",
-        "fft_points",
-        "fft_mu_max",
-        "w_min",
-        "w_max",
-        "w_count",
-        "modes",
-        "mode_counts",
-        "mode_k_max",
-        "widths",
+    "field": {"mass": _number, "beta": _number, "coupling": _number},
+    "switching": {"kind": _word("gaussian", "delta"), "center": _number, "width": _number},
+    "smearing": {"kind": _word("gaussian"), "sigma": _number},
+    "quadrature": {
+        "abs_tol": _number, "rel_tol": _number, "k_max": _number, "max_subdivisions": _integer,
     },
-    "output": {"path"},
+    "grids": {  # grouped by the commands that read them, as in the README
+        "mu_min": _finite, "mu_max": _finite, "mu_count": _count,
+        "fft_points": _count, "fft_mu_max": _finite,
+        "w_min": _finite, "w_max": _finite, "w_count": _count,
+        "modes": _count, "mode_counts": _counts, "mode_k_max": _finite,
+        "widths": _numbers,
+    },
+    "output": {"path": _path},
 }
+
 
 @dataclass
 class RunConfig:
@@ -85,27 +139,8 @@ class RunConfig:
     output_path: str | None
 
 
-def _fmt(x) -> str:
-    return _FMT % float(x)
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    text = raw.strip().lower()
-    try:
-        return math.inf if text in ("inf", "infinity") else float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: not a number") from None
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: not an integer") from None
-
-
 def _load_ini(path: str | None, overrides) -> dict:
-    """Read the INI file plus --set overrides into {section: {key: raw string}}."""
+    """Read the INI file plus --set overrides into {section: {key: parsed value}}."""
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#",), interpolation=None
     )
@@ -126,107 +161,62 @@ def _load_ini(path: str | None, overrides) -> dict:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key.strip(), value.strip())
-    raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    for section, keys in raw.items():
+    if not parser.sections():
+        raise ConfigError("empty configuration: no sections found")
+    config = {}
+    for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in keys:
+        config[section] = {}
+        for key, text in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    if not raw:
-        raise ConfigError("empty configuration: no sections found")
-    return raw
+            config[section][key] = _SCHEMA[section][key](f"[{section}] {key}", text)
+    return config
 
 
-def _build_scenario(raw: dict) -> Scenario:
-    fld = raw.get("field", {})
+def _build_scenario(config: dict) -> Scenario:
+    fld = config.get("field", {})
     field = FieldSpec(
-        mass=_parse_float("field", "mass", fld.get("mass", "0")),
-        beta=_parse_float("field", "beta", fld.get("beta", "inf")),
-        coupling=_parse_float("field", "coupling", fld.get("coupling", "0.01")),
+        mass=fld.get("mass", 0.0),
+        beta=fld.get("beta", math.inf),
+        coupling=fld.get("coupling", 0.01),
     )
 
-    sw = raw.get("switching", {})
-    kind = sw.get("kind", "gaussian").strip().lower()
-    if kind == "gaussian":
+    sw = config.get("switching", {})
+    if sw.get("kind", "gaussian") == "gaussian":
         switching = SwitchingProfile.gaussian(
-            center=_parse_float("switching", "center", sw.get("center", "0")),
-            width=_parse_float("switching", "width", sw.get("width", "1")),
+            center=sw.get("center", 0.0), width=sw.get("width", 1.0)
         )
-    elif kind == "delta":
+    else:
         for key in ("center", "width"):
             if key in sw:
                 raise ConfigError(f"[switching] {key} is meaningless for kind = delta")
         switching = SwitchingProfile.delta()
-    else:
-        raise ConfigError(f"[switching] kind = {kind!r}: expected gaussian or delta")
 
-    sm = raw.get("smearing", {})
-    smkind = sm.get("kind", "gaussian").strip().lower()
-    if smkind != "gaussian":
-        raise ConfigError(f"[smearing] kind = {smkind!r}: expected gaussian")
     smearing = SmearingProfile.gaussian_spherical(
-        sigma=_parse_float("smearing", "sigma", sm.get("sigma", "1"))
+        sigma=config.get("smearing", {}).get("sigma", 1.0)
     )
 
     quadrature = None
-    if "quadrature" in raw:
-        qd = raw["quadrature"]
+    if "quadrature" in config:
         defaults = QuadratureSpec(k_max=default_k_max(switching, smearing))
-        given = {}
-        for key in ("abs_tol", "rel_tol", "k_max", "max_subdivisions"):
-            if key in qd:
-                parse = _parse_int if key == "max_subdivisions" else _parse_float
-                given[key] = parse("quadrature", key, qd[key])
-        quadrature = replace(defaults, **given)
-    try:
-        return Scenario(
-            field=field, switching=switching, smearing=smearing, quadrature=quadrature
-        )
-    except FieldworkError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _grid_values(raw: dict) -> dict:
-    grids = {}
-    for key, value in raw.get("grids", {}).items():
-        if key in ("mu_count", "fft_points", "w_count", "modes"):
-            grids[key] = _parse_int("grids", key, value)
-            if grids[key] > _MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"[grids] {key} = {grids[key]}: more than {_MAX_GRID_POINTS} points"
-                )
-        elif key in ("mode_counts", "widths"):
-            try:
-                parts = [p for p in value.replace(",", " ").split() if p]
-                grids[key] = (
-                    [int(p) for p in parts] if key == "mode_counts"
-                    else [float(p) for p in parts]
-                )
-            except ValueError:
-                raise ConfigError(f"[grids] {key} = {value!r}: not a number list") from None
-            if key == "mode_counts" and max(grids[key], default=0) > _MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"[grids] {key} = {value!r}: an entry above {_MAX_GRID_POINTS} modes"
-                )
-        else:
-            grids[key] = _parse_float("grids", key, value)
-            if not math.isfinite(grids[key]):
-                raise ConfigError(f"[grids] {key} = {value!r}: must be finite")
-    return grids
+        quadrature = replace(defaults, **config["quadrature"])
+    return Scenario(field=field, switching=switching, smearing=smearing, quadrature=quadrature)
 
 
 def _write_csv(path: str | None, header: str, rows, comments=()) -> None:
-    lines = list(comments) + [header]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    row_format = ",".join([_FMT] * (header.count(",") + 1))  # the header names every column
+    lines = list(comments) + [header] + [row_format % row for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 
 
 def _mu_grid(grids: dict) -> np.ndarray:
@@ -261,7 +251,7 @@ def _cmd_pdf(cfg: RunConfig) -> int:
         cfg.output_path,
         "w [energy],density [1/energy]",
         zip(dist.w_grid, dist.density),
-        comments=[f"# atom_weight = {_fmt(dist.atom_weight)}"],
+        comments=[f"# atom_weight = {_FMT % dist.atom_weight}"],
     )
     return 0
 
@@ -284,12 +274,12 @@ def _cmd_check_crooks(cfg: RunConfig) -> int:
     count = cfg.grids.get("w_count", 20)
     if count < 1 or not hi >= lo:
         raise ConfigError("[grids] need w_max >= w_min and w_count >= 1")
-    rows = crooks_check(cfg.scenario, np.linspace(lo, hi, count))
+    rows = crooks_check(cfg.scenario, np.linspace(lo, hi, count))  # ok prints as 0 or 1
     _write_csv(
         cfg.output_path,
         "w [energy],log_ratio [dimensionless],beta_w [dimensionless],"
         "deviation [dimensionless],ok [bool]",
-        [(r.w, r.log_ratio, r.beta_w, r.deviation, float(r.ok)) for r in rows],
+        rows,
     )
     return 0
 
@@ -299,7 +289,7 @@ def _cmd_check_jarzynski(cfg: RunConfig) -> int:
     if not math.isfinite(beta):
         raise RegimeError("check-jarzynski requires a finite beta")
     value = charfn_kms(cfg.scenario, 1j * beta)
-    _write_csv(cfg.output_path, f"jarzynski_deviation = {_fmt(abs(value - 1.0))}", ())
+    _write_csv(cfg.output_path, f"jarzynski_deviation = {_FMT % abs(value - 1.0)}", ())
     return 0
 
 
@@ -318,9 +308,9 @@ def _cmd_ramsey(cfg: RunConfig) -> int:
     mu = _mu_grid(cfg.grids)
     lam = scenario.field.coupling
     rows = []
-    for m in mu:
+    # tolist() gives Python complex: abs() of a numpy complex differs in the last bits
+    for m, analytic in zip(mu, charfn_delta_closed(lam, scenario.smearing.sigma, mu).tolist()):
         simulated = tomography(simulate_delta_ramsey(modes, lam, scenario.smearing, m))
-        analytic = charfn_delta_closed(lam, scenario.smearing.sigma, m)
         rows.append(
             (m, simulated.real, simulated.imag, analytic.real, analytic.imag,
              abs(simulated - analytic))
@@ -351,12 +341,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if switching.kind != "gaussian" or smearing.kind != "gaussian_spherical":
         raise RegimeError("sweep requires Gaussian switching and smearing profiles")
     pairs = [(c * switching.width, c * smearing.sigma) for c in scales]
-    rows = localization_sweep(cfg.scenario, pairs)
     _write_csv(
         cfg.output_path,
         "switch_width [time],smear_width [length],mean [energy],std [energy],"
         "std_over_mean [dimensionless],var_over_mean [energy]",
-        [tuple(r) for r in rows],
+        localization_sweep(cfg.scenario, pairs),
     )
     return 0
 
@@ -377,19 +366,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fieldwork",
         description="Work distributions of localized unitaries on a thermal scalar field.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        cmd = sub.add_parser(name, help=f"run the {name} computation")
-        cmd.add_argument("--config", help="INI scenario file")
-        cmd.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="override a single config entry (repeatable)",
-        )
-        cmd.add_argument("--output", help="output file path (default: stdout)")
+    parser.add_argument("command", choices=_DISPATCH, help="the computation to run")
+    parser.add_argument("--config", help="INI scenario file")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override a single config entry (repeatable)",
+    )
+    parser.add_argument("--output", help="output file path (default: stdout)")
     return parser
 
 
@@ -400,11 +387,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching the config-error code
         return int(exc.code or 0)
     try:
-        raw = _load_ini(args.config, args.overrides)
-        scenario = _build_scenario(raw)
-        grids = _grid_values(raw)
-        output_path = args.output or raw.get("output", {}).get("path")
-        cfg = RunConfig(scenario=scenario, grids=grids, output_path=output_path)
+        config = _load_ini(args.config, args.overrides)
+        cfg = RunConfig(
+            scenario=_build_scenario(config),
+            grids=config.get("grids", {}),
+            output_path=args.output or config.get("output", {}).get("path"),
+        )
         return _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -232,19 +232,18 @@ def crooks_check(s: Scenario, w_samples) -> list[CrooksRow]:
     beta = s.field.beta
     if math.isinf(beta):
         raise RegimeError("crooks_check requires a finite temperature")
-    rows = []
-    for w in np.asarray(w_samples, dtype=float):
-        p_fwd = work_density_analytic(s, w)
-        p_rev = work_density_analytic(s, -w)
-        if p_fwd < _DENSITY_UNDERFLOW or p_rev < _DENSITY_UNDERFLOW:
-            warnings.warn(f"crooks_check: density underflow at W = {w}; sample excluded")
-            rows.append(CrooksRow(float(w), math.nan, beta * float(w), math.nan, False))
-            continue
-        log_ratio = math.log(p_fwd / p_rev)
-        rows.append(
-            CrooksRow(float(w), log_ratio, beta * float(w), log_ratio - beta * float(w), True)
-        )
-    return rows
+    w = np.asarray(w_samples, dtype=float)
+    p_fwd = work_density_analytic(s, w)
+    p_rev = work_density_analytic(s, -w)
+    ok = ~((p_fwd < _DENSITY_UNDERFLOW) | (p_rev < _DENSITY_UNDERFLOW))
+    log_ratio = np.full(w.size, math.nan)
+    log_ratio[ok] = np.log(p_fwd[ok] / p_rev[ok])
+    for excluded in w[~ok]:
+        warnings.warn(f"crooks_check: density underflow at W = {excluded}; sample excluded")
+    beta_w = beta * w
+    rows = zip(w.tolist(), log_ratio.tolist(), beta_w.tolist(), (log_ratio - beta_w).tolist(),
+               ok.tolist())
+    return [CrooksRow(*row) for row in rows]
 
 
 class SweepRow(NamedTuple):
@@ -282,6 +281,11 @@ def localization_sweep(base: Scenario, widths) -> list[SweepRow]:
             quadrature=replace(base.quadrature, k_max=default_k_max(switching, smearing)),
         )
         rep = moments(scen)
+        if not rep.mean > 0.0:  # the mean underflows for very slow or wide profiles
+            raise RegimeError(
+                f"localization_sweep: mean work {rep.mean:g} at widths ({s_w:g}, {sigma:g}); "
+                "std/mean and var/mean are undefined"
+            )
         std = math.sqrt(max(rep.variance, 0.0))
         rows.append(
             SweepRow(

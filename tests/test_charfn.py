@@ -7,14 +7,17 @@ every 2-pi power in the analytic implementation.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from fieldwork import (
+    ConvergenceError,
     FieldSpec,
     InvalidArgumentError,
+    QuadratureSpec,
     RegimeError,
     Scenario,
     SmearingProfile,
@@ -301,6 +304,24 @@ def test_sample_charfn_rejects_non_finite_mu():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgumentError):
             sample_charfn(s, [0.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("state", ["thermal", "vacuum", "delta"])
+def test_sample_charfn_reports_a_non_finite_spectral_weight(state):
+    # from k_max of about 1e155 the k-grid probe's k^2 overflows
+    s = _PROPERTY_STATES[state]
+    huge = replace(s, quadrature=QuadratureSpec(k_max=1e200))
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+        sample_charfn(huge, np.linspace(-10.0, 10.0, 21))
+
+
+def test_delta_closed_form_rejects_a_sigma_whose_cube_is_not_a_double():
+    mu = np.linspace(-5.0, 5.0, 11)
+    for sigma in (0.0, -1.0, math.nan, math.inf, 1e-120, 1e-217, 1e103, 1e201):
+        with pytest.raises(InvalidArgumentError, match="sigma"):
+            charfn_delta_closed(0.1, sigma, mu)
+    for sigma in (1e-100, 1e100):
+        assert np.all(np.isfinite(charfn_delta_closed(0.1, sigma, mu)))
 
 
 def test_grid_aliasing_of_the_massless_kink():

@@ -220,10 +220,31 @@ class TestCrooks:
         assert not rows[0].ok
         assert math.isnan(rows[0].deviation)
 
+    def test_mixed_samples_match_the_per_sample_values(self):
+        s = make_scenario(beta=1.0)
+        w = [0.5, 60.0, 1.0]
+        with pytest.warns(UserWarning) as caught:
+            rows = crooks_check(s, w)
+        assert [str(c.message) for c in caught] == [
+            "crooks_check: density underflow at W = 60.0; sample excluded"
+        ]
+        assert [r.ok for r in rows] == [True, False, True]
+        assert [math.isnan(r.log_ratio) for r in rows] == [False, True, False]
+        assert math.isnan(rows[1].deviation) and rows[1].beta_w == 60.0
+        for r in (rows[0], rows[2]):
+            expected = math.log(work_density_analytic(s, r.w) / work_density_analytic(s, -r.w))
+            assert r.log_ratio == pytest.approx(expected, rel=1e-15, abs=1e-15)
+            assert r.deviation == pytest.approx(expected - r.w, rel=1e-15, abs=1e-15)
+
 
 class TestLocalizationSweep:
     def _base(self):
         return make_scenario(beta=math.inf)
+
+    def test_a_vanishing_mean_is_a_regime_error(self):
+        # a switching of width 2e16 is adiabatic: the mean work underflows to 0
+        with pytest.raises(RegimeError, match="mean work 0"):
+            localization_sweep(self._base(), [(2e16, SIGMA)])
 
     def test_variance_to_mean_grows_as_widths_shrink(self):
         pairs = [(c * SWITCH_WIDTH, c * SIGMA) for c in (1.0, 0.5, 0.25, 0.125)]
