@@ -18,7 +18,6 @@ from .charfn import (
     charfn_delta_numeric,
     charfn_grid,
     charfn_kms,
-    default_k_max,
     sample_charfn,
 )
 from .distribution import WorkDistribution
@@ -51,7 +50,6 @@ from .ramsey import (
 )
 from .special_math import (
     CharFnGrid,
-    QuadratureSpec,
     dawson,
     integrate_radial,
     invert_charfn,
@@ -84,7 +82,6 @@ __all__ = [
     "InvalidArgumentError",
     "ModeSet",
     "MomentReport",
-    "QuadratureSpec",
     "QubitState",
     "RegimeError",
     "Scenario",
@@ -100,7 +97,6 @@ __all__ = [
     "continuum_convergence",
     "crooks_check",
     "dawson",
-    "default_k_max",
     "delta_weight",
     "dispersion",
     "distribution_from_charfn",

@@ -19,8 +19,10 @@ of inverse temperature beta, n_k = 1 / (e^{beta w_k} - 1) (0 for the vacuum):
 The bracket equals coth(beta w/2)(cos(mu w) - 1) + i sin(mu w) for real mu;
 the (1+n)/n split is kept because it stays numerically exact on the imaginary
 axis, where the Jarzynski evaluation P~(i beta) = 1 relies on the cancellation
-(1+n)(e^{-bw}-1) + n(e^{bw}-1) = 0.  Its real and imaginary parts are
-integrated as two real factors g.
+(1+n)(e^{-bw}-1) + n(e^{bw}-1) = 0.  Where e^{Im(mu) w} overflows, the second
+term is taken as n(e^{-z} - 1) = e^{-z-bw} / (1 - e^{-bw}) - n, z = i mu w,
+which is bounded on the strip 0 <= Im mu <= beta.  The real and imaginary
+parts of the bracket are integrated as two real factors g.
 
 Non-perturbative regime (instantaneous switching chi = delta, vacuum field),
 with a_F(k) the weight a(k) without |chi~|^2:
@@ -33,8 +35,9 @@ Gaussian smearing.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .field_model import (
     switching_ft,
     thermal_weight,
 )
-from .special_math import CharFnGrid, QuadratureSpec, dawson, integrate_radial
+from .special_math import CharFnGrid, dawson, integrate_radial
 
 __all__ = [
     "Scenario",
@@ -58,43 +61,33 @@ __all__ = [
     "charfn_delta_closed",
     "sample_charfn",
     "charfn_grid",
-    "default_k_max",
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
 
-def default_k_max(switching: SwitchingProfile, smearing: SmearingProfile) -> float:
-    """Quadrature cutoff: both Gaussian transforms decay like Gaussians, so
-    20 inverse widths leave a tail far below 1e-12 of the integral.  A
-    tabulated profile resolves no k above the Nyquist limit pi / max(dr) of
-    its samples, so that limit is its cutoff."""
-    cutoffs = []
-    if smearing.kind == "gaussian_spherical":
-        cutoffs.append(20.0 / smearing.sigma)
-    elif smearing.kind == "tabulated_radial":
-        cutoffs.append(math.pi / float(np.max(np.diff(smearing.r_samples))))
-    if switching.kind == "gaussian":
-        cutoffs.append(20.0 / switching.width)
-    return max(cutoffs) if cutoffs else 100.0
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """Full parameter set: field state, localization profiles, quadrature."""
+    """Full parameter set: field state and localization profiles."""
 
     field: FieldSpec
     switching: SwitchingProfile
     smearing: SmearingProfile
-    quadrature: QuadratureSpec = dc_field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.quadrature is None:
-            object.__setattr__(
-                self,
-                "quadrature",
-                QuadratureSpec(k_max=default_k_max(self.switching, self.smearing)),
-            )
+    @property
+    def k_max(self) -> float:
+        """Radial cutoff: both Gaussian transforms decay like Gaussians, so
+        20 inverse widths leave a tail far below 1e-12 of the integral.  A
+        tabulated profile resolves no k above the Nyquist limit pi / max(dr)
+        of its samples, so that limit is its cutoff."""
+        cutoffs = []
+        if self.smearing.kind == "gaussian_spherical":
+            cutoffs.append(20.0 / self.smearing.sigma)
+        elif self.smearing.kind == "tabulated_radial":
+            cutoffs.append(math.pi / float(np.max(np.diff(self.smearing.r_samples))))
+        if self.switching.kind == "gaussian":
+            cutoffs.append(20.0 / self.switching.width)
+        return max(cutoffs) if cutoffs else 100.0
 
     def fingerprint(self) -> dict:
         return {
@@ -127,17 +120,24 @@ def _radial_integral(s: Scenario, g) -> float:
         w = dispersion(k, mass)
         return _spectral_weight(s, k, w) * g(w)
 
-    return integrate_radial(integrand, s.quadrature)
+    return integrate_radial(integrand, s.k_max)
 
 
 def _bracket(mu, omega, beta):
     """Thermal phase bracket (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1), real or complex mu."""
-    z = 1j * mu * np.asarray(omega, dtype=float)
+    w = np.asarray(omega, dtype=float)
+    z = 1j * mu * w
     e_plus = np.expm1(z)
     if math.isinf(beta):
         return e_plus
     _, bose = thermal_weight(omega, beta)
-    return (1.0 + bose) * e_plus + bose * np.expm1(-z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        minus = bose * np.expm1(-z)
+    far = ~np.isfinite(minus)  # e^{-z} overflows from Im(mu) w = 709 on, where n may be 0
+    if far.any():  # the form below cancels at small beta w and mu w, so it is used only here
+        bw = beta * w[far]
+        minus[far] = np.exp(-z[far] - bw) / -np.expm1(-bw) - bose[far]
+    return (1.0 + bose) * e_plus + minus
 
 
 def _check_mu(mu, beta):
@@ -164,7 +164,8 @@ def charfn_correction(s: Scenario, mu) -> complex:
     """P~(mu) - 1 for the perturbative regime, computed without forming the 1.
 
     Needed by finite-difference moment extraction, which would otherwise lose
-    all precision to the subtraction 1 - P~.
+    all precision to the subtraction 1 - P~.  A lambda^2 B that is not finite
+    raises RegimeError.
     """
     if s.switching.is_delta:
         raise RegimeError("perturbative characteristic function requires a smooth switching")
@@ -172,7 +173,10 @@ def charfn_correction(s: Scenario, mu) -> complex:
     lam = s.field.coupling
     if lam == 0.0:
         return 0.0 + 0.0j
-    return lam * lam * _bracket_integral(s, mu_c)
+    out = lam * lam * _bracket_integral(s, mu_c)
+    if not cmath.isfinite(out):
+        raise RegimeError(f"charfn: lambda^2 B is not finite at coupling {lam:g}")
+    return out
 
 
 def charfn_kms(s: Scenario, mu) -> complex:
@@ -254,17 +258,17 @@ _MAX_K_NODES = 2**20  # one chunk of the trig table is then already 2 GiB
 
 
 def _batch_k_grid(s: Scenario, mu_max: float):
-    probe = np.linspace(0.0, s.quadrature.k_max, 4096)[1:]
+    probe = np.linspace(0.0, s.k_max, 4096)[1:]
     g = _spectral_weight(s, probe, dispersion(probe, s.field.mass))
     if not np.all(np.isfinite(g)):  # k^2 overflows from k_max of about 1e155
         raise ConvergenceError(
-            f"sample_charfn: below k_max = {s.quadrature.k_max:g} the integrand is not finite"
+            f"sample_charfn: below k_max = {s.k_max:g} the integrand is not finite"
         )
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
         return None
     above = np.nonzero(np.abs(g) > 1e-18 * gmax)[0]
-    k_hi = min(probe[above[-1]] * 1.05 + 0.5, s.quadrature.k_max)
+    k_hi = min(probe[above[-1]] * 1.05 + 0.5, s.k_max)
     dk = min(k_hi / 4000.0, 2.0 * math.pi / (mu_max + _ALIAS_MARGIN))
     if not k_hi / dk < _MAX_K_NODES:
         raise InvalidArgumentError(
@@ -425,16 +429,19 @@ def _phase_sums(w, a_coth, a_trap, baby, giant) -> np.ndarray:
 
 def sample_charfn(s: Scenario, mu: np.ndarray) -> np.ndarray:
     """Vectorized P~ on an arbitrary real mu array (regime chosen from the scenario).
-    Smooth switching gives 1 + lambda^2 B, unguarded: at strong coupling |P~| can exceed 1."""
+    Smooth switching gives 1 + lambda^2 B: at strong coupling |P~| can exceed 1, and a
+    lambda^2 B that is not finite raises RegimeError."""
     mu = np.asarray(mu, dtype=float)
     if not np.all(np.isfinite(mu)):
         raise InvalidArgumentError("sample_charfn: mu must be finite")
+    if s.switching.is_delta and not s.field.is_vacuum:
+        raise RegimeError("delta switching is treated on the vacuum only (beta = inf)")
     lam = s.field.coupling
-    if s.switching.is_delta:
-        if not s.field.is_vacuum:
-            raise RegimeError("delta switching is treated on the vacuum only (beta = inf)")
-        return np.exp(lam * lam * _batch_exponent(s, mu))
-    return 1.0 + lam * lam * _batch_exponent(s, mu)
+    with np.errstate(over="ignore"):
+        exponent = lam * lam * _batch_exponent(s, mu)
+    if not np.all(np.isfinite(exponent)):
+        raise RegimeError(f"sample_charfn: lambda^2 B is not finite at coupling {lam:g}")
+    return np.exp(exponent) if s.switching.is_delta else 1.0 + exponent
 
 
 DEFAULT_MU_POINTS = 2**14

@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Scenarios are described by a flat INI file (``key = value``, ``#`` comments)
-with sections ``[field]``, ``[switching]``, ``[smearing]``, ``[quadrature]``,
-``[grids]`` and ``[output]``; any unknown section or key is rejected.
+with sections ``[field]``, ``[switching]``, ``[smearing]``, ``[grids]`` and
+``[output]``; any unknown section or key is rejected.
 ``--set section.key=value`` overrides individual entries.  All commands emit
 RFC-4180-style CSV with LF line endings, a header row naming columns and
 units, and 17 significant digits, so identical configs yield byte-identical
@@ -18,7 +18,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .charfn import (
     Scenario,
     charfn_delta_closed,
     charfn_kms,
-    default_k_max,
     sample_charfn,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .field_model import FieldSpec, SmearingProfile, SwitchingProfile
 from .ramsey import ModeSet, continuum_convergence, simulate_delta_ramsey, tomography
-from .special_math import QuadratureSpec
 from .workdist import (
     crooks_check,
     distribution_from_charfn,
@@ -66,10 +64,6 @@ def _number(where: str, text: str) -> float:
     return _convert(where, text, float, "a number")
 
 
-def _integer(where: str, text: str) -> int:
-    return _convert(where, text, int, "an integer")
-
-
 def _finite(where: str, text: str) -> float:
     value = _number(where, text)
     if not math.isfinite(value):
@@ -78,7 +72,7 @@ def _finite(where: str, text: str) -> float:
 
 
 def _count(where: str, text: str) -> int:
-    value = _integer(where, text)
+    value = _convert(where, text, int, "an integer")
     if value > _MAX_GRID_POINTS:
         raise ConfigError(f"{where} = {value}: more than {_MAX_GRID_POINTS} points")
     return value
@@ -116,9 +110,6 @@ _SCHEMA = {
     "field": {"mass": _number, "beta": _number, "coupling": _number},
     "switching": {"kind": _word("gaussian", "delta"), "center": _number, "width": _number},
     "smearing": {"kind": _word("gaussian"), "sigma": _number},
-    "quadrature": {
-        "abs_tol": _number, "rel_tol": _number, "k_max": _number, "max_subdivisions": _integer,
-    },
     "grids": {  # grouped by the commands that read them, as in the README
         "mu_min": _finite, "mu_max": _finite, "mu_count": _count,
         "fft_points": _count, "fft_mu_max": _finite,
@@ -197,12 +188,7 @@ def _build_scenario(config: dict) -> Scenario:
     smearing = SmearingProfile.gaussian_spherical(
         sigma=config.get("smearing", {}).get("sigma", 1.0)
     )
-
-    quadrature = None
-    if "quadrature" in config:
-        defaults = QuadratureSpec(k_max=default_k_max(switching, smearing))
-        quadrature = replace(defaults, **config["quadrature"])
-    return Scenario(field=field, switching=switching, smearing=smearing, quadrature=quadrature)
+    return Scenario(field=field, switching=switching, smearing=smearing)
 
 
 def _write_csv(path: str | None, header: str, rows, comments=()) -> None:
@@ -304,8 +290,12 @@ def _cmd_ramsey(cfg: RunConfig) -> int:
         raise RegimeError("ramsey comparison uses the massless closed form; set field.mass = 0")
     n_modes = cfg.grids.get("modes", 128)
     k_max = cfg.grids.get("mode_k_max", 10.0)
-    modes = ModeSet.uniform_radial(n_modes, k_max)
     mu = _mu_grid(cfg.grids)
+    if n_modes * mu.size > _MAX_GRID_POINTS:  # every mode is simulated at every mu point
+        raise ConfigError(f"[grids] modes x mu_count = {n_modes} x {mu.size} > {_MAX_GRID_POINTS}")
+    if sum(cfg.grids.get("mode_counts", ())) > _MAX_GRID_POINTS:
+        raise ConfigError(f"[grids] mode_counts: more than {_MAX_GRID_POINTS} modes in all")
+    modes = ModeSet.uniform_radial(n_modes, k_max)
     lam = scenario.field.coupling
     rows = []
     # tolist() gives Python complex: abs() of a numpy complex differs in the last bits

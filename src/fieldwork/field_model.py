@@ -58,6 +58,8 @@ class FieldSpec:
             raise InvalidArgumentError("FieldSpec: beta must be > 0 (or inf)")
         if not math.isfinite(self.coupling):
             raise InvalidArgumentError("FieldSpec: coupling must be finite")
+        if not math.isfinite(self.coupling * self.coupling):
+            raise InvalidArgumentError("FieldSpec: coupling^2 overflows a double")
 
     @property
     def is_vacuum(self) -> bool:

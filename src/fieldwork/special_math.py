@@ -24,7 +24,6 @@ from .distribution import WorkDistribution
 from .errors import ConvergenceError, InvalidArgumentError
 
 __all__ = [
-    "QuadratureSpec",
     "CharFnGrid",
     "dawson",
     "integrate_radial",
@@ -32,6 +31,11 @@ __all__ = [
 ]
 
 _GRID_CHECK_TOL = 1e-6  # P~(0) = 1 and Hermitian symmetry of a sampled CharFnGrid
+# integrate_radial stops once its summed error is at most
+# max(_ABS_TOL, _REL_TOL * |value|), and gives up past _MAX_SUBDIVISIONS intervals
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 200
 
 
 def dawson(x):
@@ -44,29 +48,6 @@ def dawson(x):
         raise InvalidArgumentError("dawson: input must be finite")
     out = scipy.special.dawsn(arr)
     return float(out) if arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and cutoff for the semi-infinite radial integrals.
-
-    The momentum integrals are truncated at ``k_max``; callers are responsible
-    for choosing a cutoff beyond which their integrand tail is below tolerance
-    (Gaussian profiles decay like exp(-k^2 * width^2), so this is easy).
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    k_max: float = 100.0
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise InvalidArgumentError("QuadratureSpec: tolerances must be > 0")
-        if not (self.k_max > 0 and math.isfinite(self.k_max)):
-            raise InvalidArgumentError("QuadratureSpec: k_max must be finite and > 0")
-        if self.max_subdivisions < 1:
-            raise InvalidArgumentError("QuadratureSpec: max_subdivisions >= 1")
 
 
 # QUADPACK's 21-point Gauss-Kronrod pair (dqk21; Piessens et al. 1983) on [-1, 1]:
@@ -116,8 +97,8 @@ def _gk21(fx, half):
     return k21 * half, np.maximum(spread * np.minimum(1.0, ratio**1.5), round_off)
 
 
-def integrate_radial(f, spec: QuadratureSpec, return_error: bool = False):
-    """Adaptive estimate of Int_0^inf f(k) dk, truncated at spec.k_max.
+def integrate_radial(f, k_max: float, return_error: bool = False):
+    """Adaptive estimate of Int_0^inf f(k) dk, truncated at k_max.
 
     ``f`` takes a 1-D ndarray of k and returns an array of the same shape.
     It is called once per refinement level, on the nodes of every new
@@ -126,15 +107,18 @@ def integrate_radial(f, spec: QuadratureSpec, return_error: bool = False):
     level splits [0, k_max] into _FIRST_LEVEL_INTERVALS equal intervals; each
     later level halves the intervals with the largest errors, enough of them
     that the others' errors sum to at most tol / 2, where
-    tol = max(abs_tol, rel_tol * |value|).  The value is returned once the
+    tol = max(_ABS_TOL, _REL_TOL * |value|).  The value is returned once the
     summed error is at most tol.
 
-    Raises ConvergenceError (carrying the best estimate and its error bound)
-    when tol is not met with spec.max_subdivisions intervals, or when f
-    returns a non-finite value.
+    Raises InvalidArgumentError unless k_max is finite and > 0, and
+    ConvergenceError (carrying the best estimate and its error bound) when
+    tol is not met with _MAX_SUBDIVISIONS intervals, or when f returns a
+    non-finite value.
     """
+    if not (k_max > 0 and math.isfinite(k_max)):
+        raise InvalidArgumentError("integrate_radial: k_max must be finite and > 0")
     lo = hi = value_i = error_i = np.empty(0)
-    edges = np.linspace(0.0, spec.k_max, min(_FIRST_LEVEL_INTERVALS, spec.max_subdivisions) + 1)
+    edges = np.linspace(0.0, k_max, _FIRST_LEVEL_INTERVALS + 1)
     new_lo, new_hi = edges[:-1], edges[1:]
     while True:
         centre = 0.5 * (new_lo + new_hi)
@@ -153,14 +137,14 @@ def integrate_radial(f, spec: QuadratureSpec, return_error: bool = False):
         error_i = np.concatenate([error_i, error])
 
         value, bound = float(value_i.sum()), float(error_i.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        tol = max(_ABS_TOL, _REL_TOL * abs(value))
         if bound <= tol:
             return (value, bound) if return_error else value
-        room = spec.max_subdivisions - lo.size
+        room = _MAX_SUBDIVISIONS - lo.size
         if room <= 0:
             raise ConvergenceError(
                 "radial quadrature failed to converge within "
-                f"{spec.max_subdivisions} subintervals",
+                f"{_MAX_SUBDIVISIONS} subintervals",
                 estimate=value,
                 error_bound=bound,
             )

@@ -41,7 +41,6 @@ from .charfn import (
     _spectral_weight,
     charfn_grid,
     charfn_kms,
-    default_k_max,
 )
 from .distribution import WorkDistribution
 from .errors import InconsistencyError, InvalidArgumentError, RegimeError
@@ -225,8 +224,8 @@ _DENSITY_UNDERFLOW = 1e-300
 def crooks_check(s: Scenario, w_samples) -> list[CrooksRow]:
     """Detailed-balance residuals log[rho(W)/rho(-W)] - beta W per sample.
 
-    Samples where either density underflows are excluded (ok = False) with a
-    warning, since the log-ratio is ill-conditioned there.
+    Samples where either density underflows or is not finite are excluded
+    (ok = False) with a warning, since the log-ratio is ill-conditioned there.
     """
     _check_analytic_regime(s)
     beta = s.field.beta
@@ -235,11 +234,13 @@ def crooks_check(s: Scenario, w_samples) -> list[CrooksRow]:
     w = np.asarray(w_samples, dtype=float)
     p_fwd = work_density_analytic(s, w)
     p_rev = work_density_analytic(s, -w)
-    ok = ~((p_fwd < _DENSITY_UNDERFLOW) | (p_rev < _DENSITY_UNDERFLOW))
+    finite = np.isfinite(p_fwd) & np.isfinite(p_rev)
+    ok = finite & ~((p_fwd < _DENSITY_UNDERFLOW) | (p_rev < _DENSITY_UNDERFLOW))
     log_ratio = np.full(w.size, math.nan)
     log_ratio[ok] = np.log(p_fwd[ok] / p_rev[ok])
-    for excluded in w[~ok]:
-        warnings.warn(f"crooks_check: density underflow at W = {excluded}; sample excluded")
+    for excluded, fin in zip(w[~ok].tolist(), finite[~ok].tolist()):
+        problem = "underflow" if fin else "overflow"
+        warnings.warn(f"crooks_check: density {problem} at W = {excluded}; sample excluded")
     beta_w = beta * w
     rows = zip(w.tolist(), log_ratio.tolist(), beta_w.tolist(), (log_ratio - beta_w).tolist(),
                ok.tolist())
@@ -272,13 +273,10 @@ def localization_sweep(base: Scenario, widths) -> list[SweepRow]:
     center_ratio = base.switching.center / base.switching.width
     rows = []
     for s_w, sigma in widths:
-        switching = base.switching.__class__.gaussian(center=center_ratio * s_w, width=s_w)
-        smearing = base.smearing.__class__.gaussian_spherical(sigma=sigma)
         scen = replace(
             base,
-            switching=switching,
-            smearing=smearing,
-            quadrature=replace(base.quadrature, k_max=default_k_max(switching, smearing)),
+            switching=base.switching.__class__.gaussian(center=center_ratio * s_w, width=s_w),
+            smearing=base.smearing.__class__.gaussian_spherical(sigma=sigma),
         )
         rep = moments(scen)
         if not rep.mean > 0.0:  # the mean underflows for very slow or wide profiles

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "InvalidArgumentError",
     "ModeSet",
     "MomentReport",
-    "QuadratureSpec",
     "QubitState",
     "RegimeError",
     "Scenario",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "continuum_convergence",
     "crooks_check",
     "dawson",
-    "default_k_max",
     "delta_weight",
     "dispersion",
     "distribution_from_charfn",

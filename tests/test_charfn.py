@@ -17,7 +17,6 @@ from fieldwork import (
     ConvergenceError,
     FieldSpec,
     InvalidArgumentError,
-    QuadratureSpec,
     RegimeError,
     Scenario,
     SmearingProfile,
@@ -308,11 +307,21 @@ def test_sample_charfn_rejects_non_finite_mu():
 
 @pytest.mark.parametrize("state", ["thermal", "vacuum", "delta"])
 def test_sample_charfn_reports_a_non_finite_spectral_weight(state):
-    # from k_max of about 1e155 the k-grid probe's k^2 overflows
+    # sigma = 1e-160 puts the cutoff 20 / sigma at 2e161; from about 1e155 on,
+    # the k-grid probe's k^2 overflows
     s = _PROPERTY_STATES[state]
-    huge = replace(s, quadrature=QuadratureSpec(k_max=1e200))
+    huge = replace(s, smearing=SmearingProfile.gaussian_spherical(1e-160))
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
         sample_charfn(huge, np.linspace(-10.0, 10.0, 21))
+
+
+def test_overflowing_second_order_term_is_a_regime_error():
+    # a hot state (coth ~ 2 / (beta w)) makes B of order 1e3, and 1e154^2 B overflows
+    s = make_scenario(beta=1e-3, coupling=1e154)
+    with pytest.raises(RegimeError, match="lambda\\^2 B is not finite"):
+        sample_charfn(s, np.linspace(-10.0, 10.0, 21))
+    with pytest.raises(RegimeError, match="lambda\\^2 B is not finite"):
+        charfn_correction(s, 5.0)
 
 
 def test_delta_closed_form_rejects_a_sigma_whose_cube_is_not_a_double():

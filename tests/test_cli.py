@@ -128,9 +128,10 @@ class TestConfigHandling:
         assert main([command, "--config", vacuum_config, "--set", override]) == 2
 
     @pytest.mark.parametrize("command", ["charfn", "moments"])
-    def test_infinite_k_max_rejected(self, vacuum_config, command, capsys):
+    def test_quadrature_section_rejected(self, vacuum_config, command, capsys):
+        # the radial cutoff is derived from the widths; the tolerances are fixed
         assert main([command, "--config", vacuum_config, "--set", "quadrature.k_max=inf"]) == 2
-        assert "k_max" in capsys.readouterr().err  # rejected by the config, not mid-quadrature
+        assert capsys.readouterr().err == "config error: unknown config section [quadrature]\n"
 
     @pytest.mark.parametrize(
         "command, override",
@@ -171,16 +172,21 @@ class TestConfigHandling:
         assert main([command, "--config", vacuum_config, "--set", f"grids.{key}={value}"]) == 2
         assert key in capsys.readouterr().err
 
-    def test_quadrature_section_keeps_the_default_k_max(self, vacuum_config, tmp_path):
-        # narrow profiles need k_max = 20/width = 2400, far above QuadratureSpec's 100
-        narrow = ["--set", "switching.width=0.008333333333333333",
-                  "--set", "switching.center=0.05", "--set", "smearing.sigma=0.01"]
-        plain = tmp_path / "plain.csv"
-        tol = tmp_path / "tol.csv"
-        assert main(["moments", "--config", vacuum_config, *narrow, "--output", str(plain)]) == 0
-        assert main(["moments", "--config", vacuum_config, *narrow,
-                     "--set", "quadrature.rel_tol=1e-10", "--output", str(tol)]) == 0
-        assert tol.read_bytes() == plain.read_bytes()
+    @pytest.mark.parametrize(
+        "override, keys",
+        [("grids.modes=400000", ("modes", "mu_count")),  # 400000 x 11 mu points
+         ("grids.mode_counts=4000000,1000000", ("mode_counts",))],  # each entry is in bounds
+    )
+    def test_ramsey_work_bound_rejected_before_a_mode_set_is_built(
+        self, delta_config, capsys, monkeypatch, override, keys
+    ):
+        def reached(*args):
+            raise AssertionError(f"{override} reached ModeSet.uniform_radial")
+
+        monkeypatch.setattr(cli.ModeSet, "uniform_radial", reached)
+        assert main(["ramsey", "--config", delta_config, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -289,13 +295,12 @@ class TestCommands:
     def test_moments_regime_error_exit_code(self, delta_config):
         assert main(["moments", "--config", delta_config]) == 3
 
-    def test_convergence_failure_exit_code(self, vacuum_config):
-        # A subdivision budget of 1 starves the adaptive quadrature.
-        code = main(
-            ["moments", "--config", vacuum_config,
-             "--set", "quadrature.max_subdivisions=1"]
-        )
+    def test_convergence_failure_exit_code(self, vacuum_config, capsys):
+        # sigma = 1e-160 puts the cutoff 20 / sigma at 2e161, where k^2 overflows
+        with np.errstate(all="ignore"):
+            code = main(["moments", "--config", vacuum_config, "--set", "smearing.sigma=1e-160"])
         assert code == 4
+        assert "the integrand is not finite" in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestDeterminism:
@@ -361,12 +366,27 @@ def test_every_command_on_every_shipped_config(command, config, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config", ["thermal_beta1.ini", "vacuum.ini"])
+@pytest.mark.parametrize("command", ["moments", "check-jarzynski"])
+def test_cold_thermal_state_passes_jarzynski(command, config, capsys):
+    # at beta = 3 the cutoff 20 / width = 240 puts beta k_max at 720, past
+    # where e^{beta w} overflows on the imaginary axis
+    assert main([command, "--config", str(CONFIGS / config), "--set", "field.beta=3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "moments":
+        assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(1.0, abs=1e-8)
+    else:
+        assert float(out.split("=")[1]) <= 1e-8
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
 @pytest.mark.parametrize("command", ["charfn", "pdf"])
 def test_non_finite_k_grid_integrand_is_a_convergence_error(command, config, capsys):
-    # from quadrature.k_max of about 1e155 on, k^2 in the spectral weight overflows
+    # sigma = 1e-160 puts the cutoff 20 / sigma at 2e161; from about 1e155 on,
+    # k^2 in the spectral weight overflows
     with np.errstate(all="ignore"):
-        code = main([command, "--config", str(CONFIGS / config), "--set", "quadrature.k_max=1e200"])
+        code = main([command, "--config", str(CONFIGS / config), "--set", "smearing.sigma=1e-160"])
     err = capsys.readouterr().err
     assert code == 4
     assert "the integrand is not finite" in err.splitlines()[-1]
@@ -392,7 +412,7 @@ def test_extreme_profile_widths_exit_with_a_documented_code(
 # float keys only: the count keys have their own bound tests and would start large runs
 _FLOAT_KEYS = [
     "field.mass", "field.beta", "field.coupling", "switching.center", "switching.width",
-    "smearing.sigma", "quadrature.k_max", "grids.mu_min", "grids.mu_max", "grids.fft_mu_max",
+    "smearing.sigma", "grids.mu_min", "grids.mu_max", "grids.fft_mu_max",
     "grids.w_min", "grids.w_max", "grids.mode_k_max",
 ]
 _LOG_UNIFORM = st.builds(
@@ -410,17 +430,55 @@ _LOG_UNIFORM = st.builds(
     st.dictionaries(st.sampled_from(_FLOAT_KEYS), _LOG_UNIFORM, min_size=1, max_size=3),
 )
 def test_exit_code_contract_under_extreme_float_values(command, config, overrides):
-    """Any float override ends in exit 0, 2, 3 or 4 and never in a traceback.
-
-    The CSV cells are not checked yet: at strong coupling the second-order
-    P~ is unguarded, so charfn can write inf or NaN with exit 0."""
+    """Any float override ends in exit 0, 2, 3 or 4 and never in a traceback,
+    and exit 0 writes only finite cells."""
     argv = [command, "--config", str(CONFIGS / config)]
     for key, value in overrides.items():
         argv += ["--set", f"{key}={value!r}"]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore")  # numpy overflow warnings are not part of the contract
         code = main(argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        vacuum = "field.beta" not in overrides and config != "thermal_beta1.ini"
+        assert _non_finite_cells(command, out.getvalue(), vacuum) == []
+
+
+def _non_finite_cells(command: str, text: str, vacuum: bool) -> list:
+    """The cells of a CSV written with exit 0 that are not finite, less the two
+    documented ones: a Crooks row excluded with ok = 0, and the vacuum's NaN
+    jarzynski_value and partition_ratio."""
+    lines = text.splitlines()
+    if command == "check-jarzynski":
+        return [v for v in [float(lines[0].split("=")[1])] if not math.isfinite(v)]
+    comments = [line for line in lines if line.startswith("#")]
+    bad = [v for v in (float(c.split("=")[1]) for c in comments) if not math.isfinite(v)]
+    for line in lines[len(comments) + 1:]:
+        values = [float(c) for c in line.split(",")]
+        if command == "check-crooks" and values[4] == 0.0:
+            continue
+        if command == "moments" and vacuum:
+            values = values[:3]
+        bad += [v for v in values if not math.isfinite(v)]
+    return bad
+
+
+@pytest.mark.parametrize("command", ["charfn", "check-crooks", "check-jarzynski"])
+@pytest.mark.parametrize("coupling", ["1e150", "1e155", "1e221"])
+def test_strong_coupling_writes_finite_cells_or_exits_with_a_documented_code(
+    command, coupling, capsys
+):
+    # lambda^2 overflows from |lambda| of about 1.34e154 on
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", str(CONFIGS / "thermal_beta1.ini"),
+                     "--set", f"field.coupling={coupling}"])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if coupling == "1e150":
+        assert code == 0 and _non_finite_cells(command, out, vacuum=False) == []
+    else:
+        assert code == 2
+        assert "coupling^2 overflows" in err.splitlines()[-1]

@@ -36,6 +36,12 @@ class TestFieldSpec:
         with pytest.raises(InvalidArgumentError):
             FieldSpec(coupling=math.nan)
 
+    def test_coupling_whose_square_overflows_is_rejected(self):
+        assert FieldSpec(coupling=1.3e154).coupling == 1.3e154
+        for coupling in (1.4e154, -1e155, 1e221):
+            with pytest.raises(InvalidArgumentError, match=r"coupling\^2 overflows"):
+                FieldSpec(coupling=coupling)
+
     def test_finite_beta_is_not_vacuum(self):
         assert not FieldSpec(beta=1.0).is_vacuum
 

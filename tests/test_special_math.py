@@ -8,12 +8,12 @@ import pytest
 import scipy.integrate
 
 import fieldwork.charfn
+import fieldwork.special_math
 from fieldwork import (
     CharFnGrid,
     ConvergenceError,
     FieldSpec,
     InvalidArgumentError,
-    QuadratureSpec,
     Scenario,
     SmearingProfile,
     SwitchingProfile,
@@ -71,57 +71,48 @@ def test_dawson_rejects_non_finite():
         dawson(math.inf)
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(InvalidArgumentError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(InvalidArgumentError):
-        QuadratureSpec(k_max=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        QuadratureSpec(k_max=math.inf)
-    with pytest.raises(InvalidArgumentError):
-        QuadratureSpec(max_subdivisions=0)
+@pytest.mark.parametrize("k_max", [-1.0, math.inf, math.nan])
+def test_integrate_radial_rejects_a_bad_k_max(k_max):
+    with pytest.raises(InvalidArgumentError, match="k_max"):
+        integrate_radial(lambda k: np.exp(-k), k_max)
 
 
 def test_integrate_radial_gaussian_moment():
     # Int_0^inf k^2 e^{-k^2} dk = sqrt(pi)/4
-    spec = QuadratureSpec(k_max=40.0)
-    value = integrate_radial(lambda k: k * k * np.exp(-k * k), spec)
+    value = integrate_radial(lambda k: k * k * np.exp(-k * k), 40.0)
     assert value == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-12)
 
 
 def test_integrate_radial_reports_error_bound():
-    spec = QuadratureSpec(k_max=40.0)
-    value, bound = integrate_radial(
-        lambda k: np.exp(-k), spec, return_error=True
-    )
+    value, bound = integrate_radial(lambda k: np.exp(-k), 40.0, return_error=True)
     assert value == pytest.approx(1.0, rel=1e-12)
     assert 0.0 <= bound < 1e-8
 
 
 def test_integrate_radial_convergence_failure_carries_estimate():
-    # A rapidly oscillating integrand with a starved subdivision budget.
-    spec = QuadratureSpec(k_max=100.0, max_subdivisions=2)
-    with pytest.raises(ConvergenceError) as excinfo:
-        integrate_radial(lambda k: np.cos(50.0 * k) * np.exp(-0.01 * k), spec)
-    assert excinfo.value.estimate is not None
-    assert excinfo.value.error_bound is not None
+    # A rapidly oscillating integrand that the fixed 200-interval budget
+    # cannot resolve to the fixed tolerances.
+    with pytest.raises(ConvergenceError, match="200 subintervals") as excinfo:
+        integrate_radial(lambda k: np.cos(50.0 * k) * np.exp(-0.01 * k), 100.0)
+    assert math.isfinite(excinfo.value.estimate)
+    assert 0.0 < excinfo.value.error_bound < math.inf
 
 
 @pytest.mark.parametrize("mu", [0.1, 5.0, 17.0, 40.0])
 def test_integrate_radial_error_bound_covers_the_dawson_closed_form(mu):
     # Int_0^inf k e^{-k^2} cos(mu k) dk = 1/2 - mu D(mu/2) / 2; the tail past 40 is e^{-1600}
-    spec = QuadratureSpec(k_max=40.0)
     value, bound = integrate_radial(
-        lambda k: k * np.exp(-k * k) * np.cos(mu * k), spec, return_error=True
+        lambda k: k * np.exp(-k * k) * np.cos(mu * k), 40.0, return_error=True
     )
     ref = 0.5 - mu * dawson(mu / 2.0) / 2.0
     assert abs(value - ref) <= bound
-    assert bound <= max(spec.abs_tol, spec.rel_tol * abs(ref))
+    sm = fieldwork.special_math
+    assert bound <= max(sm._ABS_TOL, sm._REL_TOL * abs(ref))
 
 
 def test_integrate_radial_rejects_a_nan_integrand():
     with pytest.raises(ConvergenceError):
-        integrate_radial(lambda k: np.where(k > 3.0, np.nan, 1.0), QuadratureSpec(k_max=10.0))
+        integrate_radial(lambda k: np.where(k > 3.0, np.nan, 1.0), 10.0)
 
 
 def test_charfn_kms_integrand_is_called_on_node_batches(monkeypatch):
@@ -133,13 +124,13 @@ def test_charfn_kms_integrand_is_called_on_node_batches(monkeypatch):
     )
     sizes = []
 
-    def counting(f, spec, **kwargs):
+    def counting(f, k_max, **kwargs):
         def counted(k):
             assert isinstance(k, np.ndarray)
             sizes.append(k.size)
             return f(k)
 
-        return integrate_radial(counted, spec, **kwargs)
+        return integrate_radial(counted, k_max, **kwargs)
 
     monkeypatch.setattr(fieldwork.charfn, "integrate_radial", counting)
     charfn_kms(s, 40.0)

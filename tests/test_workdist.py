@@ -1,6 +1,7 @@
 """Tests for the work distribution, moments, and fluctuation theorems."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fieldwork import (
     SmearingProfile,
     SwitchingProfile,
     charfn_correction,
+    charfn_kms,
     crooks_check,
     delta_weight,
     distribution_from_charfn,
@@ -165,6 +167,28 @@ class TestMoments:
         assert rep.jarzynski_value == pytest.approx(1.0, abs=1e-10)
         assert rep.partition_ratio == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "beta, width, sigma",
+        [(1.0, 0.02, 1.0), (1.0, 1 / 12, 0.02), (1.0, 1 / 96, 0.125), (3.0, 1 / 12, 1.0),
+         (20.0, 1 / 12, 1.0)],
+    )
+    def test_cold_or_narrow_thermal_states_keep_jarzynski(self, beta, width, sigma):
+        # beta k_max > 709 here: e^{Im(mu) w} overflows on the imaginary axis
+        # where the Bose factor has already underflowed to 0
+        s = Scenario(
+            field=FieldSpec(beta=beta, coupling=LAM),
+            switching=SwitchingProfile.gaussian(center=6.0 * width, width=width),
+            smearing=SmearingProfile.gaussian_spherical(sigma),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = moments(s)
+            assert abs(charfn_kms(s, 1j * beta) - 1.0) <= 1e-8
+        a = width**2 + sigma**2
+        mean = LAM**2 * width**2 / (8.0 * math.sqrt(math.pi) * a**1.5)
+        assert rep.mean == pytest.approx(mean, rel=1e-10)
+        assert rep.jarzynski_value == pytest.approx(1.0, abs=1e-8)
+
     def test_jarzynski_undefined_in_vacuum(self):
         rep = moments(make_scenario(beta=math.inf))
         assert math.isnan(rep.jarzynski_value)
@@ -219,6 +243,13 @@ class TestCrooks:
             rows = crooks_check(s, [60.0])
         assert not rows[0].ok
         assert math.isnan(rows[0].deviation)
+
+    def test_overflowing_samples_are_excluded(self):
+        s = make_scenario(beta=1e-4, coupling=1e154)
+        with np.errstate(over="ignore"), pytest.warns(UserWarning, match="density overflow"):
+            rows = crooks_check(s, [0.5, 1.0])
+        assert not any(r.ok for r in rows)
+        assert all(math.isnan(r.deviation) for r in rows)
 
     def test_mixed_samples_match_the_per_sample_values(self):
         s = make_scenario(beta=1.0)
