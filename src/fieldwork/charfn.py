@@ -230,19 +230,18 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # P = 2 pi / dk >= mu_max + _ALIAS_MARGIN in mu; the trapezoid rule is
 # spectrally accurate because the integrand vanishes at both ends.  Every path
 # below sums the same k nodes with the same weights; the path is chosen from
-# the field and the mu array (mu_z is the grid point nearest 0, at index z):
+# the field and the mu array (mu_z is the grid point nearest 0, at index z,
+# and J = j - z):
 #
 # - massless field (w_k = k_n = n dk) on a uniform mu grid: the phases
-#   mu_j k_n = mu_z k_n + alpha J n, alpha = dmu dk, J = j - z, make the sums
-#   a chirp z-transform.  With J n = (J^2 + n^2 - (J - n)^2) / 2 it becomes a
+#   mu_j k_n = mu_z k_n + alpha J n, alpha = dmu dk, make the sums a chirp
+#   z-transform.  With J n = (J^2 + n^2 - (J - n)^2) / 2 it becomes a
 #   pre-chirp, one convolution with e^{-i alpha m^2 / 2} by FFT and a
 #   post-chirp (Bluestein): O((N_k + N_mu) log) in place of O(N_k N_mu).
-# - massive field on a uniform mu grid (w_k is not uniform in k): the phase of
-#   mu_j = mu_z + (r + b g) dmu splits as (r dmu + mu_z + b g dmu) w, and the
-#   angle-addition formulas turn the N_mu x N_k cos/sin table into a b x N_k
-#   baby table times an N_k x c giant table: b + c trig rows and two real
-#   GEMMs.
-# - any other mu array: one trig row per point, through the same GEMMs.
+# - massive field on a uniform mu grid (w_k is not uniform in k): the phases
+#   mu_z w_n + J x_n, x_n = dmu w_n, make the sums a type-1 non-uniform FFT
+#   in the points x_n mod 2 pi, taken by Gaussian gridding: O(N_k + N_mu log).
+# - any other mu array: a direct sum, one trig row per point and function.
 # The exponent at mu = 0 is set to 0 exactly, so that P~(0) = 1 + 0j.
 # ---------------------------------------------------------------------------
 
@@ -253,8 +252,15 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # 2^14 grid, 4.6e-10 near the window edge (|mu| > 1200) but < 1e-13 for
 # |mu| <= 10.
 _ALIAS_MARGIN = 4000.0
-_MU_CHUNK = 256
-_MAX_K_NODES = 2**20  # one chunk of the trig table is then already 2 GiB
+_MU_CHUNK = 256  # rows of the direct sum's trig table at a time
+_MAX_K_NODES = 2**20  # one chunk of the direct sum's trig table is then already 2 GiB
+# Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443): each node is
+# spread onto 2 * _SPREAD_HALF_WIDTH points of a grid _OVERSAMPLING times the
+# band.  The truncated and aliased Gaussian tails carry about e^{-35} of
+# Sum |a|.  At half-width 12 (e^{-30}) the aliases cost up to 5.5e-14 of
+# max |exponent| on a window such as [50, 60], whose images fall near mu = 0.
+_SPREAD_HALF_WIDTH = 14
+_OVERSAMPLING = 3
 
 
 def _batch_k_grid(s: Scenario, mu_max: float):
@@ -291,28 +297,13 @@ def _uniform_step(mu: np.ndarray):
     return None
 
 
-def _mu_split(mu: np.ndarray, dmu: float):
-    """(baby, giant, offset) with mu[i] = (giant[:, None] + baby).ravel()[offset + i].
-
-    A uniform grid of step dmu gets b baby steps r dmu and at most
-    _MU_CHUNK // 4 giant steps mu_z + b g dmu, anchored at the point mu_z
-    nearest 0 so that a mu = 0 sample is 0 + 0 exactly.
-    """
-    n = mu.size
-    z = int(np.argmin(np.abs(mu)))
-    b = -(-n // min(math.isqrt(n - 1) + 1, _MU_CHUNK // 4 - 1))
-    g_lo, g_hi = -z // b, (n - 1 - z) // b
-    giant = mu[z] + np.arange(g_lo, g_hi + 1) * (b * dmu)
-    return np.arange(b) * dmu, giant, -z - b * g_lo
-
-
 def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
     """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid).
 
-    A massless field on a uniform mu grid takes the chirp z-transform
-    (`_chirp_sums`); a massive field on a uniform grid takes the factorised
-    baby-step/giant-step GEMMs (`_phase_sums`); any other mu array takes one
-    trig row per point.  The exponent at mu = 0 is 0 exactly on every path.
+    On a uniform mu grid a massless field takes the chirp z-transform
+    (`_chirp_sums`) and a massive one the non-uniform FFT (`_nufft_sums`);
+    any other mu array takes the direct sum (`_phase_sums`).  The exponent
+    at mu = 0 is 0 exactly on every path.
     """
     mu_max = float(np.abs(mu).max()) if mu.size else 0.0
     k = _batch_k_grid(s, mu_max)
@@ -331,15 +322,14 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
         a_coth = a * coth * trap
 
     dmu = _uniform_step(mu)
-    if dmu is not None and s.field.mass == 0.0:
-        cos_sum, sin_sum = _chirp_sums(k[1] - k[0], a_coth, a_trap, mu, dmu)
+    if dmu is None:
+        out = _phase_sums(w, a_coth, a_trap, mu)
     else:
-        baby, giant, offset = (mu, np.zeros(1), 0) if dmu is None else _mu_split(mu, dmu)
-        c = giant.size
-        sums = _phase_sums(w, a_coth, a_trap, baby, giant)
-        cos_sum = sums[:, :c].T.ravel()[offset : offset + mu.size]
-        sin_sum = sums[:, c:].T.ravel()[offset : offset + mu.size]
-    out = cos_sum - a_coth.sum() + 1j * sin_sum
+        if s.field.mass == 0.0:
+            cos_sum, sin_sum = _chirp_sums(k[1] - k[0], a_coth, a_trap, mu, dmu)
+        else:
+            cos_sum, sin_sum = _nufft_sums(w, a_coth, a_trap, mu, dmu)
+        out = cos_sum - a_coth.sum() + 1j * sin_sum
     out[mu == 0.0] = 0.0
     return out
 
@@ -396,35 +386,77 @@ def _chirp_sums(dk, a_coth, a_trap, mu, dmu):
     return conv[0].real, conv[1].imag
 
 
-def _phase_sums(w, a_coth, a_trap, baby, giant) -> np.ndarray:
-    """[Sum_k a_coth_k cos(theta_k) | Sum_k a_trap_k sin(theta_k)], theta_k = (x + y) w_k,
-    with x = baby[row] and y = giant[column]: a (baby.size, 2 giant.size) array.
+def _nufft_sums(w, a_coth, a_trap, mu, dmu):
+    """(Sum_n a_coth_n cos(mu_j w_n), Sum_n a_trap_n sin(mu_j w_n)) for any nodes
+    w_n, on the uniform grid mu_j = mu_z + (j - z) dmu.
 
-    Two GEMMs per chunk of at most _MU_CHUNK baby rows, in one preallocated
-    buffer; the tables and the buffer are freed on return.
+    A type-1 non-uniform FFT by Gaussian gridding, anchored at the point mu_z
+    nearest 0, so that the rounding of x_n = dmu w_n costs about eps |mu| w_n,
+    as in a direct sum.  With J = j - z and c_n = a_n e^{i mu_z w_n}, the sum
+    Sum_n c_n e^{i J x_n} is sqrt(pi / tau) e^{J^2 tau} times the J-th Fourier
+    coefficient of Sum_n c_n g(x - x_n), g the 2 pi-periodic Gaussian
+    e^{-x^2 / 4 tau}.  Both weight rows are spread onto one oversampled grid
+    and taken to Fourier coefficients in one 2-row inverse FFT.
     """
-    c = giant.size
-    # giant tables, [Re | Im] columns: cos(x w) @ g_cos + sin(x w) @ g_sin
-    cos_g = np.cos(np.multiply.outer(w, giant))
-    sin_g = np.sin(np.multiply.outer(w, giant))
-    g_cos = np.empty((w.size, 2 * c))
-    g_sin = np.empty((w.size, 2 * c))
-    np.multiply(cos_g, a_coth[:, None], out=g_cos[:, :c])
-    np.multiply(sin_g, a_trap[:, None], out=g_cos[:, c:])
-    np.multiply(sin_g, -a_coth[:, None], out=g_sin[:, :c])
-    np.multiply(cos_g, a_trap[:, None], out=g_sin[:, c:])
-    del cos_g, sin_g
+    n_mu = mu.size
+    z = int(np.argmin(np.abs(mu)))
+    band = 2 * max(z, n_mu - 1 - z) + 2
+    half = _SPREAD_HALF_WIDTH
+    size = _smooth_len(max(_OVERSAMPLING * band, 2 * half))
+    # Greengard & Lee's tau for the oversampling size / band, which balances
+    # the truncated tails against the aliased ones
+    tau = 2.0 * math.pi * half / (size * (2 * size - band))
+    h = 2.0 * math.pi / size
+    # node n lies at grid position t = i0 + d / h, 0 <= d < h; it is spread onto
+    # the points i0 + l, l = 1 - half .. half, with the weights
+    # e^{-(l h - d)^2 / 4 tau} = e^{-d^2 / 4 tau} (e^{d h / 2 tau})^l e^{-(l h)^2 / 4 tau}
+    t = (dmu / h) * w
+    i0 = np.floor(t)
+    d = (t - i0) * h
+    step = np.exp(d * (h / (2.0 * tau)))
+    spread = np.empty((2 * half, w.size))
+    spread[0] = np.exp(-d * (d + 2 * (half - 1) * h) / (4.0 * tau))
+    for row in range(1, 2 * half):
+        np.multiply(spread[row - 1], step, out=spread[row])
+    spread *= np.exp(-((np.arange(1 - half, half + 1) * h) ** 2) / (4.0 * tau))[:, None]
+    # point i0 + l goes to slot (i0 mod size) + l + half - 1 of a grid padded by
+    # half - 1 slots before and half after, which are then folded onto the circle
+    index = np.add.outer(np.arange(2 * half), np.mod(i0, size).astype(np.int64)).ravel()
+    parts = np.stack((a_coth, a_trap))
+    if mu[z] != 0.0:  # c_n is complex: spread its real and imaginary parts apart
+        c = parts * np.exp(1j * (mu[z] * w))
+        parts = np.concatenate((c.real, c.imag))
+    padded = np.empty((len(parts), size + 2 * half - 1))
+    weights = np.empty_like(spread)
+    for row, part in zip(padded, parts):
+        row[:] = np.bincount(index, np.multiply(spread, part, out=weights).ravel(), row.size)
+    grid = padded[:, half - 1 : half - 1 + size]
+    grid[:, size - half + 1 :] += padded[:, : half - 1]
+    grid[:, :half] += padded[:, size + half - 1 :]
+    if len(grid) == 4:
+        grid = grid[:2] + 1j * grid[2:]
+    J = np.arange(-z, n_mu - z)
+    sums = np.fft.ifft(grid, axis=1)[:, J % size] * (math.sqrt(math.pi / tau) * np.exp(J * J * tau))
+    return sums[0].real, sums[1].imag
 
-    sums = np.empty((baby.size, 2 * c))
-    buf = np.empty((min(_MU_CHUNK, baby.size), w.size))
-    for i0 in range(0, baby.size, _MU_CHUNK):
-        x = baby[i0 : i0 + _MU_CHUNK]
+
+def _phase_sums(w, a_coth, a_trap, mu) -> np.ndarray:
+    """Sum_k a_coth_k (cos(mu w_k) - 1) + i Sum_k a_trap_k sin(mu w_k), a direct sum.
+
+    The real part is taken as -2 Sum_k a_coth_k sin^2(mu w_k / 2), which keeps
+    its digits where |mu| w_k is small.  The trig table runs _MU_CHUNK rows at
+    a time, in one preallocated buffer.
+    """
+    out = np.empty(mu.size, dtype=complex)
+    buf = np.empty((min(_MU_CHUNK, mu.size), w.size))
+    for i0 in range(0, mu.size, _MU_CHUNK):
+        x = mu[i0 : i0 + _MU_CHUNK]
         theta = buf[: x.size]
-        np.cos(np.multiply.outer(x, w, out=theta), out=theta)
-        sums[i0 : i0 + x.size] = theta @ g_cos
+        np.sin(np.multiply.outer(0.5 * x, w, out=theta), out=theta)
+        out.real[i0 : i0 + x.size] = -2.0 * (np.square(theta, out=theta) @ a_coth)
         np.sin(np.multiply.outer(x, w, out=theta), out=theta)
-        sums[i0 : i0 + x.size] += theta @ g_sin
-    return sums
+        out.imag[i0 : i0 + x.size] = theta @ a_trap
+    return out
 
 
 def sample_charfn(s: Scenario, mu: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
-# cli seeds 1-8 are the first that between them draw all nine documented error cases
-_CASES = [("grid", 1), ("grid", 2), ("pointwise", 1), ("pointwise", 2)] + [
+# cli seeds 1-8 are the first that between them draw all nine documented error cases;
+# grid seeds 1-4 spot-check 20 massive samples against pointwise quadrature
+_CASES = [("grid", seed) for seed in range(1, 5)] + [("pointwise", 1), ("pointwise", 2)] + [
     ("cli", seed) for seed in range(1, 9)
 ]
 

@@ -29,7 +29,8 @@ from fieldwork import (
     sample_charfn,
     thermal_weight,
 )
-from fieldwork.charfn import _MU_CHUNK, _batch_exponent, _batch_k_grid
+from fieldwork.charfn import _MU_CHUNK, _batch_exponent, _batch_k_grid, _spectral_weight
+from fieldwork.field_model import dispersion
 
 SWITCH_WIDTH = 1.0 / 12.0
 SWITCH_CENTER = 0.5
@@ -207,9 +208,9 @@ def test_charfn_grid_layout_and_symmetry():
     assert np.max(np.abs(v[1:] - np.conj(v[1:][::-1]))) < 1e-12
 
 
-def _massive_scenario():
+def _massive_scenario(mass=0.6):
     return Scenario(
-        field=FieldSpec(mass=0.6, beta=1.0, coupling=LAM),
+        field=FieldSpec(mass=mass, beta=1.0, coupling=LAM),
         switching=SwitchingProfile.gaussian(center=SWITCH_CENTER, width=SWITCH_WIDTH),
         smearing=SmearingProfile.gaussian_spherical(SIGMA),
     )
@@ -226,8 +227,8 @@ _DFT_HALF = np.append(np.arange(2**13) * (2.0 * 1536.0 / 2**14), 1536.0)  # char
 )
 def test_uniform_grid_matches_the_per_point_sum(mu):
     """A uniform grid takes the chirp z-transform for a massless field and the
-    factorised baby-step/giant-step sums for a massive one; the same points
-    shuffled are not uniform and take one trig row per point."""
+    non-uniform FFT for a massive one; the same points shuffled are not
+    uniform and take the direct sum."""
     order = np.random.default_rng(7).permutation(mu.size)
     for s in (make_scenario(1.0), make_scenario(math.inf), delta_scenario(1.0),
               _massive_scenario()):
@@ -240,6 +241,45 @@ def test_uniform_grid_matches_the_per_point_sum(mu):
             assert grid[mu == 0.0][0] == 1.0 + 0.0j
         if mu[0] == -mu[-1]:
             assert np.max(np.abs(grid[::-1] - np.conj(grid))) <= 1e-13 * scale
+
+
+def _long_double_exponent(s, mu):
+    """_batch_exponent's trapezoid sum over the same k nodes and weights, in long
+    double: -2 Sum a_coth sin^2(mu w / 2) + i Sum a_trap sin(mu w), whose real
+    part keeps its relative precision where mu w is small."""
+    k = _batch_k_grid(s, float(np.max(np.abs(mu))))
+    w = dispersion(k[1:], s.field.mass)
+    trap = np.full(w.size, k[1] - k[0])
+    trap[-1] *= 0.5
+    a_trap = _spectral_weight(s, k[1:], w) * trap
+    a_coth = a_trap * thermal_weight(w, s.field.beta)[0]
+    theta = np.multiply.outer(np.asarray(mu, dtype=np.longdouble), w.astype(np.longdouble))
+    re = -2 * np.sin(theta / 2) ** 2 @ a_coth.astype(np.longdouble)
+    im = np.sin(theta) @ a_trap.astype(np.longdouble)
+    return re.astype(float) + 1j * im.astype(float)
+
+
+def test_direct_sum_keeps_its_digits_on_a_narrow_window():
+    # Sum a cos(mu w) - Sum a lost about 6e-13 of max |B| here to cancellation
+    s = make_scenario(beta=1.0)
+    mu = np.array([0.001, 0.0025, 0.004, 0.006])  # not uniform: the direct sum
+    got = _batch_exponent(s, mu)
+    ref = _long_double_exponent(s, mu)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mass", [0.2, 0.6, 1.0])
+@pytest.mark.parametrize("mu", [_DFT_HALF, np.linspace(50.0, 60.0, 201)], ids=["dft-half", "offset"])
+def test_massive_grid_matches_a_long_double_sum(mass, mu):
+    # The benchmark checks no massive distribution, so this is the independent
+    # check of the non-uniform FFT on charfn_grid's samples.  The offset window
+    # puts the FFT's alias images near mu = 0, where the sums are largest.
+    s = _massive_scenario(mass)
+    got = _batch_exponent(s, mu)
+    rng = np.random.default_rng(2019)
+    picks = np.union1d([1, 2, mu.size - 1], rng.choice(mu.size, min(mu.size, 250), replace=False))
+    ref = _long_double_exponent(s, mu[picks])
+    assert np.max(np.abs(got[picks] - ref)) <= 1.5e-14 * np.max(np.abs(got))
 
 
 @st.composite
@@ -344,7 +384,7 @@ def test_grid_aliasing_of_the_massless_kink():
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():
-    # thermal takes the chirp z-transform, massive the chunked trig GEMMs
+    # thermal takes the chirp z-transform, massive the non-uniform FFT
     for s in (make_scenario(beta=1.0), _massive_scenario()):
         n_k = _batch_k_grid(s, 12288.0).size
         tracemalloc.start()
