@@ -487,9 +487,12 @@ def charfn_grid(
 ) -> CharFnGrid:
     """Sample P~ on a DFT-layout mu grid suitable for invert_charfn.
 
-    The default window (|mu| <= 1536, 2^14 points) is wide enough that the
-    slowest oscillatory tails produced here (the 1/mu^2 decay of vacuum-state
-    densities with a kink at W = 0) have fallen below 1e-6 of their peak.
+    The default window is |mu| <= 1536 with 2^14 points.  For a massless field
+    the slowest tail is the 1/mu^2 decay of a vacuum or delta density with a
+    kink at W = 0, which has fallen below 1e-6 of its peak there.  For m > 0
+    the square-root thresholds of the density at |W| = m make P~ decay only as
+    |mu|^{-3/2}; the window cuts that tail off, so the inverted density rings
+    near |W| = m.
     """
     n = int(mu_points)
     if n < 8 or n % 2 != 0:
@@ -497,7 +500,7 @@ def charfn_grid(
     dmu = 2.0 * mu_max / n
     mu = (np.arange(n) - n // 2) * dmu
     # 0 .. mu_max - dmu, then mu_max for the left endpoint, which has no mirror;
-    # the samples stay one uniform grid, so they take the chirp or factorised sums
+    # the samples stay one uniform grid, so they take the chirp or non-uniform FFT sums
     vals_half = sample_charfn(s, np.append(mu[n // 2 :], mu_max))
     vals = np.empty(n, dtype=complex)
     vals[n // 2 :] = vals_half[:-1]
