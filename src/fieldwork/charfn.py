@@ -77,17 +77,9 @@ class Scenario:
     @property
     def k_max(self) -> float:
         """Radial cutoff: both Gaussian transforms decay like Gaussians, so
-        20 inverse widths leave a tail far below 1e-12 of the integral.  A
-        tabulated profile resolves no k above the Nyquist limit pi / max(dr)
-        of its samples, so that limit is its cutoff."""
-        cutoffs = []
-        if self.smearing.kind == "gaussian_spherical":
-            cutoffs.append(20.0 / self.smearing.sigma)
-        elif self.smearing.kind == "tabulated_radial":
-            cutoffs.append(math.pi / float(np.max(np.diff(self.smearing.r_samples))))
-        if self.switching.kind == "gaussian":
-            cutoffs.append(20.0 / self.switching.width)
-        return max(cutoffs) if cutoffs else 100.0
+        20 inverse widths leave a tail far below 1e-12 of the integral."""
+        k_max = 20.0 / self.smearing.sigma
+        return k_max if self.switching.is_delta else max(k_max, 20.0 / self.switching.width)
 
     def fingerprint(self) -> dict:
         return {
@@ -95,7 +87,6 @@ class Scenario:
             "beta": self.field.beta,
             "coupling": self.field.coupling,
             "switching": self.switching.kind,
-            "smearing": self.smearing.kind,
         }
 
 

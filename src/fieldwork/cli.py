@@ -328,7 +328,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     scales = cfg.grids.get("widths", [1.0, 0.5, 0.25, 0.125])
     switching = cfg.scenario.switching
     smearing = cfg.scenario.smearing
-    if switching.kind != "gaussian" or smearing.kind != "gaussian_spherical":
+    if switching.is_delta:
         raise RegimeError("sweep requires Gaussian switching and smearing profiles")
     pairs = [(c * switching.width, c * smearing.sigma) for c in scales]
     _write_csv(

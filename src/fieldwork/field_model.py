@@ -7,11 +7,16 @@ float, so the vacuum limit never inherits rounding from Bose factors).
 
 Localization profiles:
 
-  switching chi(t)  --  temporal window of the unitary.  The Gaussian variant
-      is chi(t) = exp(-(t - t0)^2 / (2 s^2)) with unit amplitude, matching the
-      form used for the reference work distributions (t0 = 1/2, s = 1/12).
-  smearing F(x)     --  spatial profile, spherically symmetric.  The Gaussian
-      variant is the unit-normalized 3D density
+  switching chi(t)  --  temporal window of the unitary, Gaussian or delta.
+      The Gaussian is chi(t) = exp(-(t - t0)^2 / (2 s^2)) with unit amplitude,
+      matching the form used for the reference work distributions
+      (t0 = 1/2, s = 1/12).  The delta is the instantaneous coupling,
+      chi~ = 1.  The center t0 drops out of every result: the field state is
+      stationary, so only |chi~(w)|^2 enters and t0 is a phase e^{i w t0}.
+      `localization_sweep` rescales t0 with s only to keep t0 / s fixed (the
+      reference window sits at t0 = 6 s).
+  smearing F(x)     --  spatial profile, a spherically symmetric Gaussian,
+      the unit-normalized 3D density
           F(r) = (2 pi sigma^2)^{-3/2} exp(-r^2 / (2 sigma^2)),
       whose 3D Fourier transform is F~(k) = exp(-sigma^2 k^2 / 2) with
       F~(0) = 1.  This normalization is the one that reproduces the known
@@ -68,33 +73,30 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class SwitchingProfile:
-    """Temporal window chi(t): gaussian, delta (instantaneous) or tabulated."""
+    """Temporal window chi(t): gaussian or delta (instantaneous)."""
 
     kind: str
     center: float = 0.0
     width: float = 0.0
-    t_samples: tuple = ()
-    values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "delta":
+            if self.center != 0.0 or self.width != 0.0:
+                raise InvalidArgumentError("delta switching: takes no center or width")
+        elif self.kind != "gaussian":
+            raise InvalidArgumentError(
+                f"switching kind must be 'gaussian' or 'delta', not {self.kind!r}"
+            )
+        elif not (math.isfinite(self.center) and math.isfinite(self.width) and self.width > 0):
+            raise InvalidArgumentError("gaussian switching: need finite center, finite width > 0")
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "SwitchingProfile":
-        if not (math.isfinite(center) and math.isfinite(width) and width > 0):
-            raise InvalidArgumentError("gaussian switching: need finite center, finite width > 0")
         return cls(kind="gaussian", center=center, width=width)
 
     @classmethod
     def delta(cls) -> "SwitchingProfile":
         return cls(kind="delta")
-
-    @classmethod
-    def tabulated(cls, t, values) -> "SwitchingProfile":
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise InvalidArgumentError("tabulated switching: need matching 1D sample arrays")
-        if not np.all(np.diff(t) > 0):
-            raise InvalidArgumentError("tabulated switching: t samples must be increasing")
-        return cls(kind="tabulated", t_samples=tuple(t), values=tuple(v))
 
     @property
     def is_delta(self) -> bool:
@@ -103,28 +105,17 @@ class SwitchingProfile:
 
 @dataclass(frozen=True)
 class SmearingProfile:
-    """Spherically symmetric spatial profile F(r)."""
+    """Unit-normalized spherical Gaussian F(r) of width sigma."""
 
-    kind: str
-    sigma: float = 0.0
-    r_samples: tuple = ()
-    values: tuple = ()
+    sigma: float
+
+    def __post_init__(self):
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise InvalidArgumentError("gaussian smearing: sigma must be finite and > 0")
 
     @classmethod
     def gaussian_spherical(cls, sigma: float) -> "SmearingProfile":
-        if not (sigma > 0 and math.isfinite(sigma)):
-            raise InvalidArgumentError("gaussian smearing: sigma must be finite and > 0")
-        return cls(kind="gaussian_spherical", sigma=sigma)
-
-    @classmethod
-    def tabulated_radial(cls, r, values) -> "SmearingProfile":
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or r.size < 2:
-            raise InvalidArgumentError("tabulated smearing: need matching 1D sample arrays")
-        if not (np.all(r >= 0) and np.all(np.diff(r) > 0)):
-            raise InvalidArgumentError("tabulated smearing: r samples must be increasing and >= 0")
-        return cls(kind="tabulated_radial", r_samples=tuple(r), values=tuple(v))
+        return cls(sigma=sigma)
 
 
 def dispersion(k, m):
@@ -141,9 +132,9 @@ def switching_ft(p: SwitchingProfile, omega):
     omega_arr = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega_arr)):
         raise InvalidArgumentError("switching_ft: omega must be finite")
-    if p.kind == "delta":
+    if p.is_delta:
         out = np.ones_like(omega_arr, dtype=complex)
-    elif p.kind == "gaussian":
+    else:
         s = p.width
         out = (
             s
@@ -151,35 +142,15 @@ def switching_ft(p: SwitchingProfile, omega):
             * np.exp(-0.5 * (s * omega_arr) ** 2)
             * np.exp(1j * omega_arr * p.center)
         )
-    elif p.kind == "tabulated":
-        t = np.asarray(p.t_samples)
-        v = np.asarray(p.values)
-        phases = np.exp(1j * np.multiply.outer(omega_arr, t))
-        out = np.trapezoid(phases * v, t, axis=-1)
-    else:  # pragma: no cover
-        raise InvalidArgumentError(f"unknown switching kind {p.kind!r}")
     return complex(out) if np.ndim(omega) == 0 else out
 
 
 def smearing_ft(p: SmearingProfile, k):
-    """3D Fourier transform F~(k) of the radial profile, evaluated at |k| = k.
-
-    For a spherically symmetric F the transform reduces to
-    F~(k) = 4 pi * Int_0^inf r^2 F(r) sin(kr)/(kr) dr, real and even in k.
-    """
+    """3D Fourier transform F~(k) = exp(-sigma^2 k^2 / 2) of the smearing, at |k| = k."""
     k_arr = np.asarray(k, dtype=float)
     if np.any(k_arr < 0) or not np.all(np.isfinite(k_arr)):
         raise InvalidArgumentError("smearing_ft: k must be finite and >= 0")
-    if p.kind == "gaussian_spherical":
-        out = np.exp(-0.5 * (p.sigma * k_arr) ** 2)
-    elif p.kind == "tabulated_radial":
-        r = np.asarray(p.r_samples)
-        v = np.asarray(p.values)
-        # np.sinc(x) = sin(pi x)/(pi x), so sinc(kr/pi) = sin(kr)/(kr)
-        kernel = np.sinc(np.multiply.outer(k_arr, r) / math.pi)
-        out = 4.0 * math.pi * np.trapezoid(r**2 * v * kernel, r, axis=-1)
-    else:  # pragma: no cover
-        raise InvalidArgumentError(f"unknown smearing kind {p.kind!r}")
+    out = np.exp(-0.5 * (p.sigma * k_arr) ** 2)
     return float(out) if np.ndim(k) == 0 else out
 
 

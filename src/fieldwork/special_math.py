@@ -177,6 +177,10 @@ class CharFnGrid:
         if self.values.shape != self.mu.shape:
             raise InvalidArgumentError("CharFnGrid: mu/values shape mismatch")
         d = np.diff(self.mu)
+        if not (d[0] > 0.0 and math.isfinite(math.pi / float(d[0]))):  # pi / dmu bounds |W|
+            raise InvalidArgumentError(
+                f"CharFnGrid: mu spacing must be > 0 with pi / spacing finite, not {d[0]:g}"
+            )
         if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
             raise InvalidArgumentError("CharFnGrid: mu grid must be uniform")
         if abs(self.mu[n // 2]) > 1e-12 * d[0]:

@@ -268,15 +268,15 @@ def localization_sweep(base: Scenario, widths) -> list[SweepRow]:
     """
     if not base.field.is_vacuum:
         raise RegimeError("localization_sweep is defined for the vacuum field")
-    if base.switching.kind != "gaussian" or base.smearing.kind != "gaussian_spherical":
+    if base.switching.is_delta:
         raise RegimeError("localization_sweep requires Gaussian profiles")
     center_ratio = base.switching.center / base.switching.width
     rows = []
     for s_w, sigma in widths:
         scen = replace(
             base,
-            switching=base.switching.__class__.gaussian(center=center_ratio * s_w, width=s_w),
-            smearing=base.smearing.__class__.gaussian_spherical(sigma=sigma),
+            switching=replace(base.switching, center=center_ratio * s_w, width=s_w),
+            smearing=replace(base.smearing, sigma=sigma),
         )
         rep = moments(scen)
         if not rep.mean > 0.0:  # the mean underflows for very slow or wide profiles

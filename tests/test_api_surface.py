@@ -2,17 +2,24 @@
 
 Every name a module lists in ``__all__`` must resolve, and the package's
 export list is pinned so that the public-name count changes only on purpose.
+Every function the benchmark's tracer wraps must exist under its name.
 Every module-level private name must be used somewhere in the package.
 """
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import fieldwork
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import tracer  # noqa: E402
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fieldwork.__path__))
 
@@ -73,6 +80,17 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_are_pinned():
     assert sorted(fieldwork.__all__) == PUBLIC_NAMES
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's tracer wraps these by name; a missing one fails only a traced run
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in tracer.TRACED.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"fieldwork.{mod}"), fn, None))
+    ]
+    assert missing == []
 
 
 def _module_level_private_names(tree):

@@ -7,7 +7,7 @@ every 2-pi power in the analytic implementation.
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from fieldwork import (
     charfn_delta_numeric,
     charfn_grid,
     charfn_kms,
+    moments,
     sample_charfn,
     thermal_weight,
 )
@@ -396,16 +397,22 @@ def test_grid_memory_stays_within_two_and_a_half_chunks():
         assert peak <= 2.5 * _MU_CHUNK * n_k * 8
 
 
-def test_tabulated_smearing_cutoff_resolves_the_profile():
-    # sigma = 0.1 Gaussian tabulated on [0, 10]: its transform exp(-(sigma k)^2 / 2)
-    # is still 0.92 at the old 40 / r_max = 4 cutoff; the sample spacing gives pi / 0.01
-    sigma = 0.1
-    r = np.linspace(0.0, 10.0, 1001)
-    profile = (2.0 * math.pi * sigma**2) ** -1.5 * np.exp(-0.5 * (r / sigma) ** 2)
-    s = Scenario(
-        field=FieldSpec(mass=0.0, beta=math.inf, coupling=1.0),
-        switching=SwitchingProfile.delta(),
-        smearing=SmearingProfile.tabulated_radial(r, profile),
+@pytest.mark.parametrize("mass, beta", [(0.0, 1.0), (0.0, math.inf), (0.6, 1.0)],
+                         ids=["thermal", "vacuum", "massive"])
+def test_results_do_not_depend_on_the_switching_center(mass, beta):
+    # the state is stationary, so only |chi~(w)|^2 enters and the center is a phase
+    early, late = (
+        Scenario(
+            field=FieldSpec(mass=mass, beta=beta, coupling=LAM),
+            switching=SwitchingProfile.gaussian(center=center, width=SWITCH_WIDTH),
+            smearing=SmearingProfile.gaussian_spherical(SIGMA),
+        )
+        for center in (0.5, 7.0)
     )
-    got = charfn_delta_numeric(s, 0.5)
-    assert got == pytest.approx(charfn_delta_closed(1.0, sigma, 0.5), rel=0.0, abs=1e-10)
+    mu = np.linspace(-10.0, 10.0, 201)
+    for f in (
+        lambda s: charfn_correction(s, 17.0),
+        lambda s: sample_charfn(s, mu) - 1.0,
+        lambda s: np.array(astuple(moments(s))),
+    ):
+        np.testing.assert_allclose(f(late), f(early), rtol=1e-13, atol=0.0)

@@ -393,6 +393,18 @@ def test_non_finite_k_grid_integrand_is_a_convergence_error(command, config, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
+@pytest.mark.parametrize("mu_max", ["0", "-0.0", "-5", "1e-310"])
+def test_non_positive_fft_mu_max_is_a_configuration_error(mu_max, config, capsys):
+    # a zero spacing has no conjugate W grid, a negative one reverses the mu grid,
+    # and a subnormal one puts the W grid edge pi / dmu at inf
+    code = main(["pdf", "--config", str(CONFIGS / config), "--set", f"grids.fft_mu_max={mu_max}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "spacing" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, config, override, expected",
     [("sweep", "vacuum.ini", "switching.width=2e16", 3),  # the mean work underflows to 0

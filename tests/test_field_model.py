@@ -78,28 +78,12 @@ class TestSwitching:
         assert p.is_delta
         assert switching_ft(p, 3.7) == 1.0 + 0.0j
 
-    def test_tabulated_matches_gaussian(self):
-        # Tabulating the Gaussian window must reproduce its closed-form
-        # transform to trapezoid accuracy.
-        s, t0 = 0.25, 0.0
-        t = np.linspace(-3.0, 3.0, 6001)
-        tab = SwitchingProfile.tabulated(t, np.exp(-0.5 * ((t - t0) / s) ** 2))
-        ref = SwitchingProfile.gaussian(center=t0, width=s)
-        omega = np.linspace(-8.0, 8.0, 17)
-        assert np.allclose(
-            switching_ft(tab, omega), switching_ft(ref, omega), atol=1e-8
-        )
-
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             SwitchingProfile.gaussian(center=0.0, width=0.0)
         for center, width in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
             with pytest.raises(InvalidArgumentError):
                 SwitchingProfile.gaussian(center=center, width=width)
-        with pytest.raises(InvalidArgumentError):
-            SwitchingProfile.tabulated([0.0, 1.0], [1.0])
-        with pytest.raises(InvalidArgumentError):
-            SwitchingProfile.tabulated([1.0, 0.0], [1.0, 1.0])
 
 
 class TestSmearing:
@@ -108,15 +92,6 @@ class TestSmearing:
         assert smearing_ft(p, 0.0) == pytest.approx(1.0, abs=1e-15)
         k = np.linspace(0.0, 5.0, 21)
         assert np.allclose(smearing_ft(p, k), np.exp(-2.0 * k**2), rtol=1e-14)
-
-    def test_tabulated_matches_gaussian(self):
-        sigma = 1.0
-        r = np.linspace(0.0, 10.0, 20001)
-        profile = np.exp(-0.5 * (r / sigma) ** 2) / (2.0 * math.pi * sigma**2) ** 1.5
-        tab = SmearingProfile.tabulated_radial(r, profile)
-        ref = SmearingProfile.gaussian_spherical(sigma)
-        k = np.linspace(0.0, 4.0, 9)
-        assert np.allclose(smearing_ft(tab, k), smearing_ft(ref, k), atol=1e-8)
 
     def test_rejects_negative_momentum(self):
         p = SmearingProfile.gaussian_spherical(1.0)
@@ -128,8 +103,27 @@ class TestSmearing:
             SmearingProfile.gaussian_spherical(sigma=0.0)
         with pytest.raises(InvalidArgumentError):
             SmearingProfile.gaussian_spherical(sigma=math.inf)
-        with pytest.raises(InvalidArgumentError):
-            SmearingProfile.tabulated_radial([-1.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "profile, fields",
+    [
+        (SwitchingProfile, {"kind": "gaussian", "center": 0.5, "width": 0.0}),
+        (SwitchingProfile, {"kind": "gaussian", "center": 0.5, "width": -1.0 / 12.0}),
+        (SwitchingProfile, {"kind": "gaussian", "center": 0.5, "width": math.nan}),
+        (SwitchingProfile, {"kind": "tabulated"}),
+        (SwitchingProfile, {"kind": "delta", "width": 1.0}),
+        (SmearingProfile, {"sigma": 0.0}),
+        (SmearingProfile, {"sigma": -1.0}),
+    ],
+    ids=["width-0", "width-negative", "width-nan", "kind-tabulated", "delta-width",
+         "sigma-0", "sigma-negative"],
+)
+def test_direct_construction_is_validated(profile, fields):
+    # the dataclass constructor, not only the named constructors, checks its fields,
+    # so a bad width cannot reach Scenario.k_max as a division by zero
+    with pytest.raises(InvalidArgumentError):
+        profile(**fields)
 
 
 class TestThermalWeight:

@@ -156,6 +156,10 @@ def test_charfn_grid_validation():
     asym[3] = np.conj(asym[3]) + 0.1  # break Hermitian symmetry
     with pytest.raises(InvalidArgumentError):
         CharFnGrid(mu=mu, values=asym)
+    with pytest.raises(InvalidArgumentError, match="spacing"):
+        CharFnGrid(mu=np.zeros(8), values=np.ones(8))  # zero spacing: no conjugate W grid
+    with pytest.raises(InvalidArgumentError, match="spacing"):
+        CharFnGrid(mu=-mu, values=np.ones(16))  # decreasing
 
 
 def test_invert_constant_charfn_is_pure_atom():
