@@ -6,7 +6,8 @@ lambda^2 Int_0^inf dk a(k) g(w_k), over the spectral weight
     a(k) = (1 / 4 pi^2) * (k^2 / w_k) * |chi~(w_k)|^2 * |F~(k)|^2
 
 (`_spectral_weight`); only the real factor g changes, and `_radial_integral`
-is the one evaluator.  The angular reduction Int d^3k -> 4 pi Int k^2 dk is
+is the one pointwise evaluator, a trapezoid rule on the k nodes of the mu-grid
+sums (`_batch_k_grid`).  The angular reduction Int d^3k -> 4 pi Int k^2 dk is
 applied in a(k), once; its prefactor 4 pi / ((2 pi)^3 * 2) = 1/(4 pi^2) is the
 single point of truth for the 2-pi bookkeeping in this package.
 
@@ -51,7 +52,7 @@ from .field_model import (
     switching_ft,
     thermal_weight,
 )
-from .special_math import CharFnGrid, dawson, integrate_radial
+from .special_math import CharFnGrid, _radial_nodes, dawson, integrate_radial
 
 __all__ = [
     "Scenario",
@@ -76,10 +77,9 @@ class Scenario:
 
     @property
     def k_max(self) -> float:
-        """Radial cutoff: both Gaussian transforms decay like Gaussians, so
-        20 inverse widths leave a tail far below 1e-12 of the integral."""
-        k_max = 20.0 / self.smearing.sigma
-        return k_max if self.switching.is_delta else max(k_max, 20.0 / self.switching.width)
+        """Radial cutoff 7 / l: a(k) is C k^2 / w_k e^{-l^2 k^2}, l = `_decay_length`,
+        so every integrand's tail past k_max is about e^{-49} of its bulk."""
+        return 7.0 / _decay_length(self)
 
     def fingerprint(self) -> dict:
         return {
@@ -88,6 +88,32 @@ class Scenario:
             "coupling": self.field.coupling,
             "switching": self.switching.kind,
         }
+
+
+def _decay_length(s: Scenario) -> float:
+    """l = sqrt(s^2 + sigma^2), or sigma for a delta switching."""
+    if s.switching.is_delta:
+        return s.smearing.sigma
+    return math.hypot(s.switching.width, s.smearing.sigma)
+
+
+def _weight_slope(s: Scenario) -> float:
+    """A0 = lim a(k) / k at k = 0: |chi~(0)|^2 / 4 pi^2 if massless, else 0 (a ~ k^2 / m)."""
+    if s.field.mass != 0.0:
+        return 0.0
+    return 1.0 / _FOUR_PI_SQ if s.switching.is_delta else s.switching.width**2 / (2.0 * math.pi)
+
+
+def _kink_images(x):
+    """1/(4 sin^2(x/2)) - 1/x^2 - 1/12 at x = mu h (real or complex), a series below
+    |x| = 1e-2.  Times A0 h^2 it is the sum of all trapezoid images of the kink
+    A0 k (e^{i mu k} - 1) at k = 0 (Lyness & Ninham, Math. Comp. 21 (1967) 162)."""
+    x = np.asarray(x)
+    small = np.abs(x) < 1e-2
+    y = np.where(small, 1.0, x)
+    out = 0.25 / np.sin(0.5 * y) ** 2 - 1.0 / (y * y) - 1.0 / 12.0
+    x2 = x * x
+    return np.where(small, x2 / 240.0 + x2 * x2 / 6048.0, out)
 
 
 def _spectral_weight(s: Scenario, k, w):
@@ -99,28 +125,38 @@ def _spectral_weight(s: Scenario, k, w):
     return out
 
 
-def _radial_integral(s: Scenario, g) -> float:
-    """Int_0^k_max a(k) g(w_k) dk for a real g, by adaptive quadrature.
-
-    The coupling^2 factor is left to the caller, so the quadrature tolerances
-    apply on the same scale for every quantity.
-    """
+def _radial_integral(s: Scenario, g, mu_max: float = 0.0, endpoint=None) -> float:
+    """Int_0^inf a(k) g(w_k) dk for a real g with phases up to mu_max w_k, by the
+    trapezoid rule on the nodes of `_batch_k_grid(s, mu_max)`.  A massless
+    integrand is A0 k g near k = 0; where that is odd (a kink) or nonzero at 0,
+    A0 endpoint(h) corrects the rule of step h.  The coupling^2 is left to the
+    caller, so the tolerance applies on the same scale for every quantity."""
     mass = s.field.mass
 
     def integrand(k):
         w = dispersion(k, mass)
         return _spectral_weight(s, k, w) * g(w)
 
-    return integrate_radial(integrand, s.k_max)
+    a0 = _weight_slope(s)
+    scaled = None if endpoint is None or a0 == 0.0 else lambda h: a0 * endpoint(h)
+    return integrate_radial(integrand, s.k_max, step=_k_step(s, mu_max), endpoint=scaled)
 
 
-def _bracket(mu, omega, beta):
-    """Thermal phase bracket (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1), real or complex mu."""
+def _bracket(mu, omega, beta, part):
+    """part (np.real or np.imag) of the thermal phase bracket
+    (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1).  For real mu only that part of
+    coth(beta w/2)(cos(mu w) - 1) + i sin(mu w) is computed, the real one as
+    -2 coth sin^2(mu w / 2), which keeps its digits at small mu w."""
     w = np.asarray(omega, dtype=float)
+    if mu.imag == 0.0:
+        if part is np.imag:
+            return np.sin(mu.real * w)
+        coth = 1.0 if math.isinf(beta) else thermal_weight(w, beta)[0]
+        return -2.0 * coth * np.sin(0.5 * mu.real * w) ** 2
     z = 1j * mu * w
     e_plus = np.expm1(z)
     if math.isinf(beta):
-        return e_plus
+        return part(e_plus)
     _, bose = thermal_weight(omega, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         minus = bose * np.expm1(-z)
@@ -128,7 +164,7 @@ def _bracket(mu, omega, beta):
     if far.any():  # the form below cancels at small beta w and mu w, so it is used only here
         bw = beta * w[far]
         minus[far] = np.exp(-z[far] - bw) / -np.expm1(-bw) - bose[far]
-    return (1.0 + bose) * e_plus + minus
+    return part((1.0 + bose) * e_plus + minus)
 
 
 def _check_mu(mu, beta):
@@ -144,11 +180,16 @@ def _check_mu(mu, beta):
     return mu_c
 
 
+def _bracket_part(s: Scenario, mu, part) -> float:
+    """part (np.real or np.imag) of Int a(k) bracket(mu, w_k) dk.  Massless, it is
+    A0 k (e^{i mu k} - 1) near k = 0 in the vacuum, a kink, and even if thermal."""
+    kink = (lambda h: part(h * h * _kink_images(mu * h))) if s.field.is_vacuum else None
+    return _radial_integral(s, lambda w: _bracket(mu, w, s.field.beta, part), abs(mu), kink)
+
+
 def _bracket_integral(s: Scenario, mu) -> complex:
     """Int a(k) * bracket(mu, w_k) dk, its real and imaginary parts integrated apart."""
-    re = _radial_integral(s, lambda w: _bracket(mu, w, s.field.beta).real)
-    im = _radial_integral(s, lambda w: _bracket(mu, w, s.field.beta).imag)
-    return re + 1j * im
+    return _bracket_part(s, mu, np.real) + 1j * _bracket_part(s, mu, np.imag)
 
 
 def charfn_correction(s: Scenario, mu) -> complex:
@@ -217,12 +258,12 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # ---------------------------------------------------------------------------
 # Batch evaluation on mu grids (trapezoid in k, vectorized over mu).
 #
-# The k spacing dk puts the aliasing images of the transform at multiples of
-# P = 2 pi / dk >= mu_max + _ALIAS_MARGIN in mu; the trapezoid rule is
-# spectrally accurate because the integrand vanishes at both ends.  Every path
-# below sums the same k nodes with the same weights; the path is chosen from
-# the field and the mu array (mu_z is the grid point nearest 0, at index z,
-# and J = j - z):
+# The k step h puts the aliasing images of the transform at multiples of
+# P = 2 pi / h in mu (`_k_step`); the trapezoid rule is spectrally accurate
+# because the integrand is even at k = 0, or has the closed-form kink term,
+# and has decayed by k_max.  Every path below sums the same k nodes with the
+# same weights; the path is chosen from the field and the mu array (mu_z is
+# the grid point nearest 0, at index z, and J = j - z):
 #
 # - massless field (w_k = k_n = n dk) on a uniform mu grid: the phases
 #   mu_j k_n = mu_z k_n + alpha J n, alpha = dmu dk, make the sums a chirp
@@ -236,15 +277,10 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # The exponent at mu = 0 is set to 0 exactly, so that P~(0) = 1 + 0j.
 # ---------------------------------------------------------------------------
 
-# Images at P >= mu_max + _ALIAS_MARGIN.  For a smooth work density (thermal,
-# massive) they carry < 1e-13 of the peak.  The W = 0 kink of a massless
-# vacuum or delta density decays only as 1/mu^2, so there the image error is
-# about a'(0) (1/(P - mu)^2 - 1/P^2): for delta at lambda = 1 on the default
-# 2^14 grid, 4.6e-10 near the window edge (|mu| > 1200) but < 1e-13 for
-# |mu| <= 10.
+# Images at P >= mu_max + _ALIAS_MARGIN l carry < 1e-13 of the peak; a margin
+# in units of 1 / l keeps every node count scale free (4459 at mu_max = 0).
 _ALIAS_MARGIN = 4000.0
 _MU_CHUNK = 256  # rows of the direct sum's trig table at a time
-_MAX_K_NODES = 2**20  # one chunk of the direct sum's trig table is then already 2 GiB
 # Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443): each node is
 # spread onto 2 * _SPREAD_HALF_WIDTH points of a grid _OVERSAMPLING times the
 # band.  The truncated and aliased Gaussian tails carry about e^{-35} of
@@ -254,26 +290,21 @@ _SPREAD_HALF_WIDTH = 14
 _OVERSAMPLING = 3
 
 
-def _batch_k_grid(s: Scenario, mu_max: float):
-    probe = np.linspace(0.0, s.k_max, 4096)[1:]
-    g = _spectral_weight(s, probe, dispersion(probe, s.field.mass))
-    if not np.all(np.isfinite(g)):  # k^2 overflows from k_max of about 1e155
-        raise ConvergenceError(
-            f"sample_charfn: below k_max = {s.k_max:g} the integrand is not finite"
-        )
-    gmax = float(np.max(np.abs(g)))
-    if gmax == 0.0:
-        return None
-    above = np.nonzero(np.abs(g) > 1e-18 * gmax)[0]
-    k_hi = min(probe[above[-1]] * 1.05 + 0.5, s.k_max)
-    dk = min(k_hi / 4000.0, 2.0 * math.pi / (mu_max + _ALIAS_MARGIN))
-    if not k_hi / dk < _MAX_K_NODES:
-        raise InvalidArgumentError(
-            f"sample_charfn: mu_max = {mu_max:g} needs {k_hi / dk:.3g} k nodes, "
-            f"more than {_MAX_K_NODES}; lower mu_max"
-        )
-    n_k = int(math.ceil(k_hi / dk)) + 1
-    return np.linspace(0.0, k_hi, n_k)
+def _k_step(s: Scenario, mu_max: float) -> float:
+    """The k step 2 pi / P for phases up to mu_max w_k.  The period
+    P = mu_max + max(_ALIAS_MARGIN l, mu_max + _ALIAS_MARGIN l / 2) keeps the
+    images of the rule of step 2h, which gives the error estimate, 1000 l from
+    every |mu|.  Raises ConvergenceError where k^2 in a(k) overflows below k_max."""
+    if not math.isfinite(s.k_max * s.k_max):
+        raise ConvergenceError(f"below k_max = {s.k_max:g} the integrand is not finite")
+    length = _decay_length(s)
+    mu_l = mu_max / length
+    return (2.0 * math.pi / length) / (mu_l + max(_ALIAS_MARGIN, mu_l + 0.5 * _ALIAS_MARGIN))
+
+
+def _batch_k_grid(s: Scenario, mu_max: float) -> np.ndarray:
+    """The k nodes 0 .. k_max of every radial integral with phases up to mu_max w_k."""
+    return _radial_nodes(s.k_max, _k_step(s, mu_max))
 
 
 def _uniform_step(mu: np.ndarray):
@@ -293,34 +324,29 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
 
     On a uniform mu grid a massless field takes the chirp z-transform
     (`_chirp_sums`) and a massive one the non-uniform FFT (`_nufft_sums`);
-    any other mu array takes the direct sum (`_phase_sums`).  The exponent
-    at mu = 0 is 0 exactly on every path.
+    any other mu array takes the direct sum (`_phase_sums`).  The kink term
+    of `_radial_integral` is added to the real part.  The exponent at mu = 0
+    is 0 exactly on every path.
     """
-    mu_max = float(np.abs(mu).max()) if mu.size else 0.0
-    k = _batch_k_grid(s, mu_max)
-    if k is None:
-        return np.zeros(mu.size, dtype=complex)
-    kk = k[1:]  # integrand vanishes at k = 0
+    k = _batch_k_grid(s, float(np.abs(mu).max()) if mu.size else 0.0)
+    h = k[1] - k[0]
+    kk = k[1:]  # integrand vanishes at k = 0, and a(k_max) is e^{-49} of its bulk
     w = dispersion(kk, s.field.mass)
-    a = _spectral_weight(s, kk, w)
-    trap = np.full(kk.size, k[1] - k[0])
-    trap[-1] *= 0.5
-    a_trap = a * trap
-    if math.isinf(s.field.beta):
-        a_coth = a_trap
-    else:
-        coth, _ = thermal_weight(w, s.field.beta)
-        a_coth = a * coth * trap
+    a_trap = _spectral_weight(s, kk, w) * h
+    a_coth = a_trap if math.isinf(s.field.beta) else a_trap * thermal_weight(w, s.field.beta)[0]
 
     dmu = _uniform_step(mu)
     if dmu is None:
         out = _phase_sums(w, a_coth, a_trap, mu)
     else:
         if s.field.mass == 0.0:
-            cos_sum, sin_sum = _chirp_sums(k[1] - k[0], a_coth, a_trap, mu, dmu)
+            cos_sum, sin_sum = _chirp_sums(h, a_coth, a_trap, mu, dmu)
         else:
             cos_sum, sin_sum = _nufft_sums(w, a_coth, a_trap, mu, dmu)
         out = cos_sum - a_coth.sum() + 1j * sin_sum
+    a0 = _weight_slope(s)
+    if a0 != 0.0 and s.field.is_vacuum:
+        out.real += a0 * h * h * _kink_images(mu * h)
     out[mu == 0.0] = 0.0
     return out
 

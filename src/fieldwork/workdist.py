@@ -36,7 +36,7 @@ from .charfn import (
     DEFAULT_MU_MAX,
     DEFAULT_MU_POINTS,
     Scenario,
-    _bracket,
+    _bracket_part,
     _radial_integral,
     _spectral_weight,
     charfn_grid,
@@ -92,8 +92,14 @@ def _density_moment(s: Scenario, power: int) -> float:
     def g(w):
         return w**power * thermal_weight(w, beta)[0] if thermal else w**power
 
+    # Massless, the integrand is A0 k^{1 + power} near k = 0, or 2 A0 k^power / beta
+    # with the thermal coth.  The rule of step h misses A0 h^2/12 of the vacuum p
+    # and -A0 h^4/120 of its <W^2> (kinks), and the k = 0 node's A0 h / beta of
+    # the thermal p.
+    endpoint = {(False, 0): lambda h: h * h / 12.0, (False, 2): lambda h: -(h**4) / 120.0,
+                (True, 0): lambda h: h / beta}.get((thermal, power))
     lam = s.field.coupling
-    return lam * lam * _radial_integral(s, g)
+    return lam * lam * _radial_integral(s, g, endpoint=endpoint)
 
 
 def _perturbative_mass(s: Scenario) -> float:
@@ -152,11 +158,10 @@ def _moments_finite_difference(s: Scenario, w_scale: float) -> tuple[float, floa
     typical work value `w_scale`, keeping the truncation error scale
     invariant when the localization widths shrink.
     """
-    beta = s.field.beta
     lam = s.field.coupling
 
     def correction(h, part):
-        return lam * lam * _radial_integral(s, lambda w: part(_bracket(h, w, beta)))
+        return lam * lam * _bracket_part(s, h, part)
 
     def d1(h):
         return correction(h, np.imag) / h

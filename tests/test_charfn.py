@@ -348,10 +348,12 @@ def test_sample_charfn_rejects_non_finite_mu():
 
 @pytest.mark.parametrize("state", ["thermal", "vacuum", "delta"])
 def test_sample_charfn_reports_a_non_finite_spectral_weight(state):
-    # sigma = 1e-160 puts the cutoff 20 / sigma at 2e161; from about 1e155 on,
-    # the k-grid probe's k^2 overflows
+    # widths of 1e-160 put the cutoff 7 / sqrt(s^2 + sigma^2) (7 / sigma for
+    # delta) above 1e160; from about 1e155 on, k^2 in the spectral weight overflows
     s = _PROPERTY_STATES[state]
     huge = replace(s, smearing=SmearingProfile.gaussian_spherical(1e-160))
+    if not s.switching.is_delta:
+        huge = replace(huge, switching=SwitchingProfile.gaussian(center=0.0, width=1e-160))
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
         sample_charfn(huge, np.linspace(-10.0, 10.0, 21))
 
@@ -375,13 +377,28 @@ def test_delta_closed_form_rejects_a_sigma_whose_cube_is_not_a_double():
 
 
 def test_grid_aliasing_of_the_massless_kink():
-    # The W = 0 kink of the delta density decays as 1/mu^2, so its trapezoid
-    # images reach the window edge at ~5e-10 but stay far from small |mu|.
+    # The W = 0 kink of the delta density decays as 1/mu^2, and without the
+    # closed-form sum of its trapezoid images (_kink_images) they reached the
+    # window edge at ~5e-10.  With it, every sample is at round-off.
     s = delta_scenario(coupling=1.0)
     grid = charfn_grid(s)
     err = np.abs(grid.values - charfn_delta_closed(1.0, SIGMA, grid.mu))
-    assert np.max(err) <= 1e-9
+    assert np.max(err) <= 1e-13
     assert np.max(err[np.abs(grid.mu) <= 10.0]) <= 1e-13
+
+
+@pytest.mark.parametrize("mu", [1000.0, 3000.0])
+def test_pointwise_integrals_converge_at_large_mu(mu):
+    # The vacuum exponent is B(mu) = 2 pi s^2 log P~_delta(mu; lambda = 1, l), l^2 =
+    # s^2 + sigma^2, by the Dawson closed form; adaptive quadrature gave up above
+    # |mu| = 440 (vacuum) and 370 (delta)
+    s = make_scenario(beta=math.inf)
+    length = math.hypot(SWITCH_WIDTH, SIGMA)
+    ref = 2.0 * math.pi * SWITCH_WIDTH**2 * np.log(charfn_delta_closed(1.0, length, mu))
+    got = charfn_correction(s, mu) / LAM**2
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+    d = delta_scenario()
+    assert abs(charfn_delta_numeric(d, mu) - charfn_delta_closed(0.1, SIGMA, mu)) <= 1e-13
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():

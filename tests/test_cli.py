@@ -296,9 +296,10 @@ class TestCommands:
         assert main(["moments", "--config", delta_config]) == 3
 
     def test_convergence_failure_exit_code(self, vacuum_config, capsys):
-        # sigma = 1e-160 puts the cutoff 20 / sigma at 2e161, where k^2 overflows
+        # widths of 1e-160 put the cutoff 7 / sqrt(s^2 + sigma^2) at 5e160, where k^2 overflows
         with np.errstate(all="ignore"):
-            code = main(["moments", "--config", vacuum_config, "--set", "smearing.sigma=1e-160"])
+            code = main(["moments", "--config", vacuum_config, "--set", "smearing.sigma=1e-160",
+                         "--set", "switching.width=1e-160"])
         assert code == 4
         assert "the integrand is not finite" in capsys.readouterr().err.splitlines()[-1]
 
@@ -380,13 +381,36 @@ def test_cold_thermal_state_passes_jarzynski(command, config, capsys):
         assert float(out.split("=")[1]) <= 1e-8
 
 
+@pytest.mark.parametrize("override", ["smearing.sigma=1e-4", "smearing.sigma=1e-5",
+                                      "smearing.sigma=1e-6", "smearing.sigma=1e-9",
+                                      "switching.width=2e16"])
+def test_moments_of_narrow_or_slow_profiles_match_the_closed_form(override, capsys):
+    # <W> = lambda^2 s^2 / (8 sqrt(pi) (s^2 + sigma^2)^{3/2}).  A cutoff set by the
+    # narrower width alone left the integrand's bulk below the first quadrature
+    # nodes, and the mean came out as 0.
+    assert main(["moments", "--config", str(CONFIGS / "vacuum.ini"), "--set", override]) == 0
+    mean = float(capsys.readouterr().out.splitlines()[1].split(",")[0])
+    width, sigma, lam = 1.0 / 12.0, 1.0, 0.01
+    key, value = override.split("=")
+    if key == "smearing.sigma":
+        sigma = float(value)
+    else:
+        width = float(value)
+    a = width**2 + sigma**2
+    assert mean == pytest.approx(lam**2 * width**2 / (8.0 * math.sqrt(math.pi) * a**1.5),
+                                 rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
 @pytest.mark.parametrize("command", ["charfn", "pdf"])
 def test_non_finite_k_grid_integrand_is_a_convergence_error(command, config, capsys):
-    # sigma = 1e-160 puts the cutoff 20 / sigma at 2e161; from about 1e155 on,
-    # k^2 in the spectral weight overflows
+    # widths of 1e-160 put the cutoff 7 / sqrt(s^2 + sigma^2) (7 / sigma for delta)
+    # above 1e160; from about 1e155 on, k^2 in the spectral weight overflows
+    widths = ["--set", "smearing.sigma=1e-160"]
+    if config != "delta_coupling.ini":
+        widths += ["--set", "switching.width=1e-160"]
     with np.errstate(all="ignore"):
-        code = main([command, "--config", str(CONFIGS / config), "--set", "smearing.sigma=1e-160"])
+        code = main([command, "--config", str(CONFIGS / config), *widths])
     err = capsys.readouterr().err
     assert code == 4
     assert "the integrand is not finite" in err.splitlines()[-1]
@@ -407,7 +431,7 @@ def test_non_positive_fft_mu_max_is_a_configuration_error(mu_max, config, capsys
 
 @pytest.mark.parametrize(
     "command, config, override, expected",
-    [("sweep", "vacuum.ini", "switching.width=2e16", 3),  # the mean work underflows to 0
+    [("sweep", "vacuum.ini", "switching.width=1e-200", 3),  # the mean work underflows to 0
      ("ramsey", "delta_coupling.ini", "smearing.sigma=1e-217", 2),  # sigma^2 underflows
      ("ramsey", "delta_coupling.ini", "smearing.sigma=1e201", 2)],  # sigma^2 overflows
 )

@@ -1,0 +1,86 @@
+"""The exact scaling law of the radial integrals, as an oracle for every path.
+
+Scale the widths s and sigma and the inverse temperature beta by c, and the
+mass by 1/c.  In the program's conventions a(k) dk is then invariant and the
+phases become mu w / c, so the exponent obeys
+
+    B(mu; c s, c sigma, c beta, m / c) = B(mu / c; s, sigma, beta, m),
+
+the mean work scales as 1/c, the second moment as 1/c^2, and the density
+mass p is unchanged.  The delta weight a_F(k) dk carries no
+|chi~|^2 = 2 pi s^2 e^{-s^2 w^2} and scales as 1/c^2, so the delta case
+scales the coupling by c as well and compares lambda^2 B.  The exponent is
+compared directly, never as P~ - 1, which would cost eps / |lambda^2 B|.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fieldwork import (
+    FieldSpec,
+    Scenario,
+    SmearingProfile,
+    SwitchingProfile,
+    charfn_correction,
+    delta_weight,
+    moments,
+)
+from fieldwork.charfn import _batch_exponent
+from fieldwork.workdist import _perturbative_mass
+
+SCALES = [0.125, 0.5, 2.0, 8.0, 3.0]
+STATES = ["thermal", "vacuum", "massive", "delta"]
+REL = 1e-13
+UNIFORM_MU = np.linspace(-10.0, 10.0, 201)
+SCATTERED_MU = np.array([-7.3, -0.2, 0.05, 1.0, 3.3, 9.9, 17.0, 40.0])
+
+
+def scaled(state: str, c: float = 1.0) -> Scenario:
+    """A reference scenario of each state, its widths and beta times c, its mass over c."""
+    beta = 1.0 if state in ("thermal", "massive") else math.inf
+    mass = 0.6 if state == "massive" else 0.0
+    if state == "delta":
+        return Scenario(
+            field=FieldSpec(mass=0.0, beta=math.inf, coupling=0.3 * c),
+            switching=SwitchingProfile.delta(),
+            smearing=SmearingProfile.gaussian_spherical(c),
+        )
+    return Scenario(
+        field=FieldSpec(mass=mass / c, beta=beta * c, coupling=0.01),
+        switching=SwitchingProfile.gaussian(center=0.5 * c, width=c / 12.0),
+        smearing=SmearingProfile.gaussian_spherical(c),
+    )
+
+
+def _lam2_exponent(s: Scenario, mu) -> np.ndarray:
+    """lambda^2 B, the exponent that sample_charfn returns P~ of."""
+    return s.field.coupling**2 * _batch_exponent(s, np.asarray(mu, dtype=float))
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("mu", [UNIFORM_MU, SCATTERED_MU], ids=["uniform", "scattered"])
+def test_grid_exponent_follows_the_scaling_law(state, c, mu):
+    # a uniform array takes the chirp z-transform (massless) or the non-uniform
+    # FFT (massive); a scattered one the direct sum
+    base = _lam2_exponent(scaled(state), mu / c)
+    got = _lam2_exponent(scaled(state, c), mu)
+    assert np.max(np.abs(got - base)) <= REL * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("state", ["thermal", "vacuum", "massive"])
+def test_pointwise_integrals_follow_the_scaling_law(state, c):
+    base, scen = scaled(state), scaled(state, c)
+    for mu in (0.3, 17.0, 40.0):
+        ref = charfn_correction(base, mu / c)
+        assert abs(charfn_correction(scen, mu) - ref) <= REL * abs(ref)
+    ref, got = moments(base), moments(scen)
+    assert got.mean * c == pytest.approx(ref.mean, rel=REL, abs=0.0)
+    assert got.second_moment * c * c == pytest.approx(ref.second_moment, rel=REL, abs=0.0)
+    # the density mass p itself: 1 - delta_weight keeps only eps / p of it
+    assert _perturbative_mass(scen) == pytest.approx(_perturbative_mass(base), rel=REL, abs=0.0)
+    if state != "massive":  # delta_weight takes a massless field only
+        assert delta_weight(scen) == pytest.approx(delta_weight(base), rel=0.0, abs=1e-16)

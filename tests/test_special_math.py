@@ -22,6 +22,7 @@ from fieldwork import (
     integrate_radial,
     invert_charfn,
 )
+from fieldwork.charfn import _kink_images
 
 # Dawson integral reference values computed from the defining integral
 # D(x) = e^{-x^2} Int_0^x e^{y^2} dy with 50-digit arithmetic (mpmath).
@@ -84,30 +85,46 @@ def test_integrate_radial_gaussian_moment():
 
 
 def test_integrate_radial_reports_error_bound():
-    value, bound = integrate_radial(lambda k: np.exp(-k), 40.0, return_error=True)
-    assert value == pytest.approx(1.0, rel=1e-12)
-    assert 0.0 <= bound < 1e-8
+    # k^2 e^{-k^2} vanishes at 0 and is even there: the trapezoid rule converges
+    # exponentially, and at step 0.25 the coarse rule T(0.5) has converged too
+    value, bound = integrate_radial(
+        lambda k: k * k * np.exp(-k * k), 10.0, step=0.25, return_error=True
+    )
+    assert value == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-14)
+    assert 0.0 <= bound < 1e-14
 
 
-def test_integrate_radial_convergence_failure_carries_estimate():
-    # A rapidly oscillating integrand that the fixed 200-interval budget
-    # cannot resolve to the fixed tolerances.
-    with pytest.raises(ConvergenceError, match="200 subintervals") as excinfo:
-        integrate_radial(lambda k: np.cos(50.0 * k) * np.exp(-0.01 * k), 100.0)
+@pytest.mark.parametrize(
+    "f, step",
+    [(lambda k: np.exp(-k), None),  # nonzero at k = 0
+     (lambda k: k * np.exp(-k * k), None),  # a kink at k = 0 without its endpoint term
+     (lambda k: k * k * np.exp(-k * k) * np.cos(50.0 * k), 0.075)],  # T(0.15) aliases 50
+    ids=["nonzero-at-0", "kink", "under-resolved"],
+)
+def test_integrate_radial_convergence_failure_carries_estimate(f, step):
+    # each integrand breaks the trapezoid contract, and T(h) - T(2h) shows it
+    with pytest.raises(ConvergenceError, match="misses the tolerance") as excinfo:
+        integrate_radial(f, 10.0, step=step)
     assert math.isfinite(excinfo.value.estimate)
     assert 0.0 < excinfo.value.error_bound < math.inf
 
 
 @pytest.mark.parametrize("mu", [0.1, 5.0, 17.0, 40.0])
 def test_integrate_radial_error_bound_covers_the_dawson_closed_form(mu):
-    # Int_0^inf k e^{-k^2} cos(mu k) dk = 1/2 - mu D(mu/2) / 2; the tail past 40 is e^{-1600}
+    # Int_0^inf k e^{-k^2} cos(mu k) dk = 1/2 - mu D(mu/2) / 2; the tail past 7 is
+    # e^{-49}.  The integrand is k near 0, a kink, and the closed-form sum of its
+    # trapezoid images, h^2 (1/(4 sin^2(mu h/2)) - 1/(mu h)^2), is the endpoint
+    # term.  The step is the package's, with images beyond mu + 4000.
     value, bound = integrate_radial(
-        lambda k: k * np.exp(-k * k) * np.cos(mu * k), 40.0, return_error=True
+        lambda k: k * np.exp(-k * k) * np.cos(mu * k),
+        7.0,
+        step=2.0 * math.pi / (mu + 4000.0),
+        endpoint=lambda h: h * h * (_kink_images(mu * h) + 1.0 / 12.0),
+        return_error=True,
     )
     ref = 0.5 - mu * dawson(mu / 2.0) / 2.0
-    assert abs(value - ref) <= bound
-    sm = fieldwork.special_math
-    assert bound <= max(sm._ABS_TOL, sm._REL_TOL * abs(ref))
+    assert abs(value - ref) <= max(bound, 2e-16)
+    assert bound <= fieldwork.special_math._TOL
 
 
 def test_integrate_radial_rejects_a_nan_integrand():
@@ -116,7 +133,7 @@ def test_integrate_radial_rejects_a_nan_integrand():
 
 
 def test_charfn_kms_integrand_is_called_on_node_batches(monkeypatch):
-    # one call per refinement level, never one per node
+    # one call per radial integral, on all of its nodes, never one per node
     s = Scenario(
         field=FieldSpec(mass=0.0, beta=1.0, coupling=0.01),
         switching=SwitchingProfile.gaussian(center=0.5, width=1.0 / 12.0),

@@ -273,9 +273,10 @@ class TestLocalizationSweep:
         return make_scenario(beta=math.inf)
 
     def test_a_vanishing_mean_is_a_regime_error(self):
-        # a switching of width 2e16 is adiabatic: the mean work underflows to 0
+        # a switching of width 1e-200 has |chi~|^2 ~ s^2 below the least double:
+        # the mean work underflows to 0
         with pytest.raises(RegimeError, match="mean work 0"):
-            localization_sweep(self._base(), [(2e16, SIGMA)])
+            localization_sweep(self._base(), [(1e-200, SIGMA)])
 
     def test_variance_to_mean_grows_as_widths_shrink(self):
         pairs = [(c * SWITCH_WIDTH, c * SIGMA) for c in (1.0, 0.5, 0.25, 0.125)]
