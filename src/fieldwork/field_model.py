@@ -89,6 +89,8 @@ class SwitchingProfile:
             )
         elif not (math.isfinite(self.center) and math.isfinite(self.width) and self.width > 0):
             raise InvalidArgumentError("gaussian switching: need finite center, finite width > 0")
+        elif not math.isfinite(self.width * self.width):  # |chi~(0)|^2 = 2 pi width^2
+            raise InvalidArgumentError("gaussian switching: width^2 overflows a double")
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "SwitchingProfile":

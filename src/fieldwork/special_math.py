@@ -62,7 +62,7 @@ def _radial_nodes(k_max: float, step: float) -> np.ndarray:
     return np.linspace(0.0, k_max, 2 * math.ceil(0.5 * n_k) + 1)
 
 
-def integrate_radial(f, k_max: float, step=None, endpoint=None, return_error: bool = False):
+def integrate_radial(f, k_max: float, *, step=None, endpoint=None, return_error: bool = False):
     """Trapezoid estimate T(h) of Int_0^inf f(k) dk, truncated at k_max.
 
     ``f`` takes a 1-D ndarray of k and returns an array of the same shape; it
@@ -91,7 +91,7 @@ def integrate_radial(f, k_max: float, step=None, endpoint=None, return_error: bo
     value, bound = float(fine), abs(float(fine - coarse))
     if not bound <= _TOL * max(1.0, abs(value)):
         raise ConvergenceError(
-            f"radial quadrature: error estimate {bound:.3g} on {fx.size} k nodes "
+            f"radial quadrature: error estimate {bound:.3g} on {fx.size} nodes "
             "misses the tolerance",
             estimate=value,
             error_bound=bound,

@@ -37,7 +37,7 @@ from .charfn import (
     DEFAULT_MU_POINTS,
     Scenario,
     _bracket_part,
-    _radial_integral,
+    _moment_integral,
     _spectral_weight,
     charfn_grid,
     charfn_kms,
@@ -86,20 +86,8 @@ def work_density_analytic(s: Scenario, w):
 
 def _density_moment(s: Scenario, power: int) -> float:
     """Int W^power rho(W) dW = lambda^2 Int a(k) w^power [(1 + n) + (-1)^power n] dk."""
-    beta = s.field.beta
-    thermal = power % 2 == 0 and not s.field.is_vacuum
-
-    def g(w):
-        return w**power * thermal_weight(w, beta)[0] if thermal else w**power
-
-    # Massless, the integrand is A0 k^{1 + power} near k = 0, or 2 A0 k^power / beta
-    # with the thermal coth.  The rule of step h misses A0 h^2/12 of the vacuum p
-    # and -A0 h^4/120 of its <W^2> (kinks), and the k = 0 node's A0 h / beta of
-    # the thermal p.
-    endpoint = {(False, 0): lambda h: h * h / 12.0, (False, 2): lambda h: -(h**4) / 120.0,
-                (True, 0): lambda h: h / beta}.get((thermal, power))
     lam = s.field.coupling
-    return lam * lam * _radial_integral(s, g, endpoint=endpoint)
+    return lam * lam * _moment_integral(s, power)
 
 
 def _perturbative_mass(s: Scenario) -> float:

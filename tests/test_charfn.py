@@ -9,6 +9,7 @@ import math
 import tracemalloc
 from dataclasses import astuple, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -399,6 +400,25 @@ def test_pointwise_integrals_converge_at_large_mu(mu):
     assert abs(got - ref) <= 1e-13 * abs(ref)
     d = delta_scenario()
     assert abs(charfn_delta_numeric(d, mu) - charfn_delta_closed(0.1, SIGMA, mu)) <= 1e-13
+
+
+@pytest.mark.parametrize("mu", [5000j, 1.0 + 9000j])
+def test_kms_strip_at_low_temperature_matches_mpmath(mu):
+    # At beta = 1e4 the poles of coth(beta w / 2) at k = +-2 pi i n / beta sit
+    # 6e-4 from the real axis.  A uniform k grid aliases them: it missed its
+    # tolerance at 0.5 i beta and was 1e-8 off at 3 + 0.9 i beta.  The sinh nodes
+    # serve |Re mu| <= 2 l only; beyond, the k grid still errs by up to 1e-10.
+    beta = 1e4
+    with mpmath.workdps(25):
+        s, sigma, z = mpmath.mpf(SWITCH_WIDTH), mpmath.mpf(SIGMA), mpmath.mpc(mu)
+
+        def f(k):
+            a = k * s * s * mpmath.exp(-(s * s + sigma * sigma) * k * k) / (2 * mpmath.pi)
+            n = 1 / mpmath.expm1(beta * k)
+            return a * ((1 + n) * mpmath.expm1(1j * z * k) + n * mpmath.expm1(-1j * z * k))
+
+        ref = complex(LAM**2 * mpmath.quad(f, [0, 2 * math.pi / beta, 1e-2, 0.1, 1, 3, 7, 12]))
+    assert abs(charfn_correction(make_scenario(beta=beta), mu) - ref) <= 1e-13 * abs(ref)
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():

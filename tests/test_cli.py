@@ -433,7 +433,12 @@ def test_non_positive_fft_mu_max_is_a_configuration_error(mu_max, config, capsys
     "command, config, override, expected",
     [("sweep", "vacuum.ini", "switching.width=1e-200", 3),  # the mean work underflows to 0
      ("ramsey", "delta_coupling.ini", "smearing.sigma=1e-217", 2),  # sigma^2 underflows
-     ("ramsey", "delta_coupling.ini", "smearing.sigma=1e201", 2)],  # sigma^2 overflows
+     ("ramsey", "delta_coupling.ini", "smearing.sigma=1e201", 2),  # sigma^2 overflows
+     # |chi~(0)|^2 = 2 pi width^2 overflows; every path reads it, the moments first
+     ("moments", "vacuum.ini", "switching.width=1e160", 2),
+     ("moments", "thermal_beta1.ini", "switching.width=1e160", 2),
+     ("charfn", "thermal_beta1.ini", "switching.width=1e160", 2),
+     ("pdf", "vacuum.ini", "switching.width=1e160", 2)],
 )
 def test_extreme_profile_widths_exit_with_a_documented_code(
     command, config, override, expected, capsys

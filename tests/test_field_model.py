@@ -111,13 +111,14 @@ class TestSmearing:
         (SwitchingProfile, {"kind": "gaussian", "center": 0.5, "width": 0.0}),
         (SwitchingProfile, {"kind": "gaussian", "center": 0.5, "width": -1.0 / 12.0}),
         (SwitchingProfile, {"kind": "gaussian", "center": 0.5, "width": math.nan}),
+        (SwitchingProfile, {"kind": "gaussian", "center": 0.5, "width": 1e160}),
         (SwitchingProfile, {"kind": "tabulated"}),
         (SwitchingProfile, {"kind": "delta", "width": 1.0}),
         (SmearingProfile, {"sigma": 0.0}),
         (SmearingProfile, {"sigma": -1.0}),
     ],
-    ids=["width-0", "width-negative", "width-nan", "kind-tabulated", "delta-width",
-         "sigma-0", "sigma-negative"],
+    ids=["width-0", "width-negative", "width-nan", "width-square-overflows", "kind-tabulated",
+         "delta-width", "sigma-0", "sigma-negative"],
 )
 def test_direct_construction_is_validated(profile, fields):
     # the dataclass constructor, not only the named constructors, checks its fields,

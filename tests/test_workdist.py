@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from fieldwork import (
     switching_ft,
     work_density_analytic,
 )
-from fieldwork.workdist import _FD_STEP, _moments_finite_difference
+from fieldwork.workdist import _FD_STEP, _density_moment, _moments_finite_difference
 
 SWITCH_WIDTH = 1.0 / 12.0
 SWITCH_CENTER = 0.5
@@ -39,6 +40,22 @@ def make_scenario(beta=1.0, coupling=LAM, mass=0.0):
         switching=SwitchingProfile.gaussian(center=SWITCH_CENTER, width=SWITCH_WIDTH),
         smearing=SmearingProfile.gaussian_spherical(SIGMA),
     )
+
+
+def _moment_reference(mass, beta, power):
+    """lambda^2 Int a(k) w^power [(1 + n) + (-1)^power n] dk by mpmath at 25 digits."""
+    with mpmath.workdps(25):
+        m, s, sigma = mpmath.mpf(mass), mpmath.mpf(SWITCH_WIDTH), mpmath.mpf(SIGMA)
+
+        def f(k):
+            w = mpmath.sqrt(k * k + m * m)
+            a = k * k / w * s * s * mpmath.exp(-s * s * w * w - sigma * sigma * k * k)
+            if power % 2 == 0 and beta != math.inf:
+                a *= mpmath.coth(beta * w / 2)
+            return a * w**power / (2 * mpmath.pi)
+
+        cuts = sorted({0.0, mass, 2 * math.pi / beta, 1e-3, 0.1, 1.0, 3.0, 7.0, 20.0})
+        return float(LAM**2 * mpmath.quad(f, cuts))
 
 
 class TestAnalyticDensity:
@@ -218,6 +235,22 @@ class TestMoments:
 
         expected = ((4.0 * d1(h / 2) - d1(h)) / 3.0, (4.0 * d2(h / 2) - d2(h)) / 3.0)
         assert _moments_finite_difference(s, w_scale) == expected
+
+    @pytest.mark.parametrize("beta", [1.0, 1e4, 1e6, math.inf])
+    @pytest.mark.parametrize("mass", [0.0, 1e-6, 3e-3])
+    def test_moment_integrals_at_small_mass_and_low_temperature(self, mass, beta):
+        # p and <W^2> are singular at k = +-i m and, with the thermal coth, at
+        # k = +-2 pi i n / beta.  On a uniform k grid their trapezoid images decay
+        # only as e^{-m P} and e^{-2 pi P / beta}, P = 2 pi / dk: such a grid misses
+        # its tolerance at m = 3e-3 or beta = 1e4, and at beta = 1e6 the Jarzynski
+        # point mu = i beta needs more than 2^20 of its nodes
+        s = make_scenario(beta=beta, mass=mass)
+        rep = moments(s)
+        got = (_density_moment(s, 0), rep.mean, rep.second_moment)
+        for power, value in enumerate(got):
+            assert value == pytest.approx(_moment_reference(mass, beta, power), rel=1e-13)
+        if math.isfinite(beta):
+            assert abs(rep.jarzynski_value - 1.0) <= 1e-15
 
     def test_second_moment_consistent_with_distribution(self):
         s = make_scenario(beta=1.0)
