@@ -50,7 +50,6 @@ from .field_model import (
     SwitchingProfile,
     dispersion,
     smearing_ft,
-    switching_ft,
     thermal_weight,
 )
 from .special_math import CharFnGrid, _radial_nodes, dawson, integrate_radial
@@ -129,11 +128,25 @@ def _kink_term(s: Scenario, h, mu):
 
 def _spectral_weight(s: Scenario, k, w):
     """a(k) without the coupling^2 factor, at k > 0 with w = w_k (scalars or arrays).
-    A delta switching has chi~ = 1, so it contributes no |chi~|^2 factor: a_F(k)."""
+    A Gaussian switching of width s has |chi~(w)|^2 = 2 pi s^2 e^{-(s w)^2}, its
+    center being a phase; a delta switching has chi~ = 1, so it contributes no
+    |chi~|^2 factor: a_F(k)."""
     out = (k * k / w) * smearing_ft(s.smearing, k) ** 2 / _FOUR_PI_SQ
     if not s.switching.is_delta:
-        out = out * np.abs(switching_ft(s.switching, w)) ** 2
+        width = s.switching.width
+        out = out * (2.0 * math.pi * width * width) * np.exp(-((width * w) ** 2))
     return out
+
+
+def _nearest_singularity(s: Scenario) -> float:
+    """kappa, the distance from the real k axis of the nearest singularity of the
+    radial integrands a(k) g(w_k): m for a massive field (the branch points of w_k
+    at k = +-i m and, in a thermal state, the n = 0 poles of coth(beta w/2)),
+    2 pi / beta for a massless thermal field (the n = 1 poles of coth), 0 for the
+    W = 0 kink of a massless vacuum or delta weight."""
+    if s.field.mass > 0.0:
+        return s.field.mass
+    return 0.0 if s.field.is_vacuum else 2.0 * math.pi / s.field.beta
 
 
 # Integrals without a fast phase, the moments and the bracket at
@@ -141,14 +154,15 @@ def _spectral_weight(s: Scenario, k, w):
 # mu = i beta), take the nodes k = eps sinh t.  Their integrands are singular
 # only at k = +-i kappa: kappa = m (branch points or, with the thermal coth,
 # poles), kappa = 2 pi n / beta (the poles of coth) and kappa = 0 (the W = 0
-# kink of a massless vacuum).  With eps no more than the least such kappa > 0,
-# every singularity lies at Im t = pi / 2 or, for the kink, carries a weight
-# eps^2; eps <= 1 / l keeps e^{-l^2 k^2} bounded for |Im t| < pi / 4.  The
-# trapezoid rule in t then converges exponentially at any mass and temperature:
-# at dt = 1/16 the error estimate |T(dt) - T(2 dt)| stays below 1e-13 of
-# the value, on at most 640 nodes.  eps >= 1e-16 / l bounds the node count: a
-# singularity nearer than that changes a(k) only where k l < 1e-16, which
-# weighs below 1e-16 of the integral.  A faster phase needs the k grid.
+# kink of a massless vacuum).  With eps no more than the least such kappa > 0
+# (`_nearest_singularity`), every singularity lies at Im t = pi / 2 or, for the
+# kink, carries a weight eps^2; eps <= 1 / l keeps e^{-l^2 k^2} bounded for
+# |Im t| < pi / 4.  The trapezoid rule in t then converges exponentially at
+# any mass and temperature: at dt = 1/16 the error estimate |T(dt) - T(2 dt)|
+# stays below 1e-13 of the value, on at most 640 nodes.  eps >= 1e-16 / l
+# bounds the node count: a singularity nearer than that changes a(k) only where
+# k l < 1e-16, which weighs below 1e-16 of the integral.  A faster phase needs
+# the k grid.
 _SINH_STEP = 0.0625  # 2^-4
 _SINH_MU_MAX = 2.0
 
@@ -159,8 +173,7 @@ def _sinh_integral(s: Scenario, g, at_zero: float = 0.0) -> float:
     so the tolerance applies on the same scale for every quantity."""
     mass = s.field.mass
     length = _decay_length(s)
-    nearest = mass if mass > 0.0 else (0.0 if s.field.is_vacuum else 2.0 * math.pi / s.field.beta)
-    eps = min(max(nearest, 1e-16 / length), 1.0 / length)
+    eps = min(max(_nearest_singularity(s), 1e-16 / length), 1.0 / length)
 
     def integrand(t):
         k = eps * np.sinh(t)
@@ -341,8 +354,18 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # The exponent at mu = 0 is set to 0 exactly, so that P~(0) = 1 + 0j.
 # ---------------------------------------------------------------------------
 
-# Images at P >= mu_max + _ALIAS_MARGIN l carry < 1e-13 of the peak; a margin
-# in units of 1 / l keeps every node count scale free (4459 at mu_max = 0).
+# The integrands are analytic in |Im k| < kappa = `_nearest_singularity` and
+# decay as e^{-l^2 k^2}, so the image of a phase mu at P carries about
+# e^{l^2 c^2 - c (P - mu)} of the peak for any c < kappa, e^{-(P - mu)^2 / 4 l^2}
+# at best (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  For kappa > 0 the
+# margin P - mu_max = 12 l + 32 / kappa keeps it below e^{-32} (take
+# c = min(kappa, 6 / l)).  It is not capped, so a cold or nearly massless field
+# takes the finer grid it needs, up to the node cap of `_radial_nodes`.  The
+# W = 0 kink of a massless vacuum or delta weight (kappa = 0) keeps the margin
+# _ALIAS_MARGIN l: images beyond it carry < 1e-13 of the peak.  Margins in
+# units of 1 / l (kappa scales as 1 / l too) keep every node count scale free:
+# 4459 at mu_max = 0 for kappa = 0, and at mu_max = 10 and the reference
+# widths 29-37 for thermal beta 0.5-2 and 61-205 for mass 0.2-1.
 _ALIAS_MARGIN = 4000.0
 _MU_CHUNK = 256  # rows of the direct sum's trig table at a time
 # Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443): each node is
@@ -355,17 +378,25 @@ _OVERSAMPLING = 3
 
 
 def _k_step(s: Scenario, mu_max: float, estimate: bool = False) -> float:
-    """The k step 2 pi / P for phases up to mu_max w_k, P = mu_max + _ALIAS_MARGIN l.
-    With ``estimate``, P >= 2 mu_max + _ALIAS_MARGIN l / 2 also keeps the images
-    of the rule of step 2h, which gives `integrate_radial` its error estimate,
-    1000 l from every |mu|.  Raises ConvergenceError where k^2 in a(k) overflows
-    below k_max."""
+    """The k step 2 pi / P for phases up to mu_max w_k: P = mu_max + M with the
+    margin M = 12 l + 32 / kappa, kappa = `_nearest_singularity` > 0, else
+    M = _ALIAS_MARGIN l.  With ``estimate`` the rule of step 2h, which gives
+    `integrate_radial` its error estimate, keeps its images a margin from every
+    |mu| too: P = 2 (mu_max + M) for kappa > 0, else
+    P >= 2 mu_max + _ALIAS_MARGIN l / 2 (1000 l).  Raises ConvergenceError where
+    k^2 in a(k) overflows below k_max."""
     if not math.isfinite(s.k_max * s.k_max):
         raise ConvergenceError(f"below k_max = {s.k_max:g} the integrand is not finite")
     length = _decay_length(s)
-    period = mu_max + _ALIAS_MARGIN * length
-    if estimate:
-        period = max(period, 2.0 * mu_max + 0.5 * _ALIAS_MARGIN * length)
+    kappa = _nearest_singularity(s)
+    if kappa > 0.0:
+        period = mu_max + 12.0 * length + 32.0 / kappa
+        if estimate:
+            period *= 2.0
+    else:
+        period = mu_max + _ALIAS_MARGIN * length
+        if estimate:
+            period = max(period, 2.0 * mu_max + 0.5 * _ALIAS_MARGIN * length)
     return 2.0 * math.pi / period
 
 

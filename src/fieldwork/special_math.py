@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .distribution import WorkDistribution
 from .errors import ConvergenceError, InvalidArgumentError
@@ -38,8 +37,11 @@ _MAX_K_NODES = 2**20  # one 256-row chunk of a direct sum's trig table is then a
 def dawson(x):
     """Dawson integral D(x) = exp(-x^2) * Int_0^x exp(y^2) dy (scipy.special.dawsn).
 
-    Accepts a float or an array; relative error near machine precision.
+    Accepts a float or an array; relative error near machine precision.  scipy
+    is imported here, on first use, so that importing the package does not load it.
     """
+    import scipy.special
+
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("dawson: input must be finite")
@@ -57,7 +59,8 @@ def _radial_nodes(k_max: float, step: float) -> np.ndarray:
     if not n_k < _MAX_K_NODES:
         raise InvalidArgumentError(
             f"radial quadrature: {n_k:.3g} k nodes up to k_max = {k_max:g}, more than "
-            f"{_MAX_K_NODES}; lower |mu| or mu_max"
+            f"{_MAX_K_NODES}; lower |mu| or mu_max, or raise a small mass or a low "
+            "temperature (a singularity near the real k axis needs a finer grid)"
         )
     return np.linspace(0.0, k_max, 2 * math.ceil(0.5 * n_k) + 1)
 

@@ -4,11 +4,14 @@ Every name a module lists in ``__all__`` must resolve, and the package's
 export list is pinned so that the public-name count changes only on purpose.
 Every function the benchmark's tracer wraps must exist under its name.
 Every module-level private name must be used somewhere in the package.
+Importing the package does not import scipy.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,3 +118,17 @@ def test_every_private_name_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(defined - used) == []
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy.special serves only dawson, which imports it on first use
+    src = str(Path(fieldwork.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, fieldwork, fieldwork.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

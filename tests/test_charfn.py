@@ -5,6 +5,7 @@ momentum integral (no radial reduction), which checks the angular factor and
 every 2-pi power in the analytic implementation.
 """
 
+import functools
 import math
 import tracemalloc
 from dataclasses import astuple, replace
@@ -405,9 +406,10 @@ def test_pointwise_integrals_converge_at_large_mu(mu):
 @pytest.mark.parametrize("mu", [5000j, 1.0 + 9000j])
 def test_kms_strip_at_low_temperature_matches_mpmath(mu):
     # At beta = 1e4 the poles of coth(beta w / 2) at k = +-2 pi i n / beta sit
-    # 6e-4 from the real axis.  A uniform k grid aliases them: it missed its
-    # tolerance at 0.5 i beta and was 1e-8 off at 3 + 0.9 i beta.  The sinh nodes
-    # serve |Re mu| <= 2 l only; beyond, the k grid still errs by up to 1e-10.
+    # 6e-4 from the real axis.  A uniform k grid of the vacuum's step aliases
+    # them: it missed its tolerance at 0.5 i beta and was 1e-8 off at
+    # 3 + 0.9 i beta.  The sinh nodes serve |Re mu| <= 2 l; beyond, the k step
+    # follows the poles (see test_exponent_matches_mpmath_on_both_paths).
     beta = 1e4
     with mpmath.workdps(25):
         s, sigma, z = mpmath.mpf(SWITCH_WIDTH), mpmath.mpf(SIGMA), mpmath.mpc(mu)
@@ -419,6 +421,130 @@ def test_kms_strip_at_low_temperature_matches_mpmath(mu):
 
         ref = complex(LAM**2 * mpmath.quad(f, [0, 2 * math.pi / beta, 1e-2, 0.1, 1, 3, 7, 12]))
     assert abs(charfn_correction(make_scenario(beta=beta), mu) - ref) <= 1e-13 * abs(ref)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n=24):
+    with mpmath.workdps(30):
+        return mpmath.gauss_quadrature(n, "legendre")
+
+
+def _mp_integral(f, kappa, end, piece):
+    """Int_0^end f(t) dt by 24-point Gauss-Legendre on pieces: geometric ones from
+    kappa / 16 on (a singularity at distance kappa from 0), then equal ones of at
+    most ``piece``."""
+    points = [mpmath.mpf(0)]
+    x = kappa / 16
+    while 0 < x < min(end, piece):
+        points.append(x)
+        x *= 4
+    n = int(mpmath.ceil((end - points[-1]) / piece))
+    points += [points[-1] + (end - points[-1]) * i / n for i in range(1, n + 1)]
+    nodes, weights = _gauss_legendre()
+    total = 0
+    for lo, hi in zip(points[:-1], points[1:]):
+        half, mid = (hi - lo) / 2, (hi + lo) / 2
+        total += half * mpmath.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_exponents(mass, beta, width, sigma, mus):
+    """Int a(k) bracket(mu, w_k) dk at 30 digits for each mu in ``mus``.
+
+    Re B = Re Int a coth e^{i mu w} dk - Int a coth dk and Im B = Im Int a e^{i mu w} dk.
+    a, coth(beta w/2) and w_k are analytic in the sector 0 <= arg k <= pi / 6, whose
+    singularities lie on the imaginary axis, and the Gaussian decays there, so the
+    two phase integrals are taken on the ray k = t e^{i pi/6}, where e^{i mu w}
+    decays and hardly oscillates.
+    """
+    with mpmath.workdps(30):
+        m2, s, sg = mpmath.mpf(mass) ** 2, mpmath.mpf(width), mpmath.mpf(sigma)
+        l2 = s * s + sg * sg
+        c = s * s * mpmath.exp(-s * s * m2) / (2 * mpmath.pi)  # a = c k^2 e^{-l^2 k^2} / w
+        thermal = math.isfinite(beta)
+        kappa = mpmath.sqrt(m2) if mass else (2 * mpmath.pi / beta if thermal else 0)
+
+        def coth(w):
+            q = mpmath.exp(-beta * w) if thermal else 0
+            return (1 + q) / (1 - q)
+
+        def real_axis(k):
+            w = mpmath.sqrt(k * k + m2)
+            return c * k * k * mpmath.exp(-l2 * k * k) / w * coth(w)
+
+        level = _mp_integral(real_axis, kappa, 13 / mpmath.sqrt(l2), 2 / mpmath.sqrt(l2))
+        rot = mpmath.expjpi(mpmath.mpf(1) / 6)
+        out = []
+        for mu in map(mpmath.mpf, mus):
+
+            def ray(t):
+                k2 = (t * rot) ** 2
+                w = mpmath.sqrt(k2 + m2)
+                e = c * rot * k2 * mpmath.exp(1j * mu * w - l2 * k2) / w
+                return mpmath.mpc(mpmath.re(e * coth(w)), mpmath.im(e))
+
+            # |e^{i mu w} e^{-l^2 k^2}| is about e^{-(mu t + l^2 t^2) / 2} on the ray
+            end = (mpmath.sqrt(mu * mu + 240 * l2) - mu) / l2
+            phase = _mp_integral(ray, kappa, end, min(6 * mpmath.pi / mu, 1 / mpmath.sqrt(l2)))
+            out.append(complex(mpmath.re(phase) - level, mpmath.im(phase)))
+        return np.array(out)
+
+
+def _assert_both_paths_match_mpmath(mass, beta, width, sigma, mus=(5.0, 17.0, 40.0)):
+    s = Scenario(
+        field=FieldSpec(mass=mass, beta=beta, coupling=LAM),
+        switching=SwitchingProfile.gaussian(center=SWITCH_CENTER, width=width),
+        smearing=SmearingProfile.gaussian_spherical(sigma),
+    )
+    ref = _mp_exponents(mass, beta, width, sigma, mus)
+    grid = _batch_exponent(s, np.array(mus))
+    pointwise = np.array([charfn_correction(s, mu) for mu in mus]) / LAM**2
+    for got in (grid, pointwise):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+_WIDTH_SETS = [(1.0 / 12.0, 1.0), (1.0 / 96.0, 1.0 / 8.0)]
+
+
+@pytest.mark.parametrize("width, sigma", _WIDTH_SETS, ids=["reference", "narrow"])
+@pytest.mark.parametrize(
+    "mass, beta",
+    [(0.0, 0.1), (0.0, 0.5), (0.0, 2.0), (0.0, 100.0)]
+    + [(m, b) for m in (0.05, 0.2, 1.0, 3.0) for b in (1.0, math.inf)],
+)
+def test_exponent_matches_mpmath_on_both_paths(mass, beta, width, sigma):
+    # the k step follows the nearest singularity of the integrand, at k = +-i m
+    # (massive) or +-2 pi i / beta (massless thermal)
+    _assert_both_paths_match_mpmath(mass, beta, width, sigma)
+
+
+@pytest.mark.parametrize(
+    "mass, beta, width, sigma",
+    [(0.0, 1e4, SWITCH_WIDTH, SIGMA), (1e-3, 1.0, SWITCH_WIDTH, SIGMA),
+     (3e-3, 1.0, 0.125, 0.8), (3e-3, math.inf, 0.125, 0.8)],
+)
+def test_cold_and_nearly_massless_fields_match_mpmath(mass, beta, width, sigma):
+    # A fixed margin of 4000 l aliased the coth poles at beta = 1e4 (1.1e-12 at
+    # mu = 5, 7.5e-11 at mu = 40) and the branch points at m = 3e-3 (5e-13)
+    _assert_both_paths_match_mpmath(mass, beta, width, sigma)
+
+
+def test_past_the_node_cap_a_cold_field_is_an_invalid_argument():
+    # the pointwise k grid needs about 11 beta / l nodes: past 2^20 from beta = 1e5 on
+    with pytest.raises(InvalidArgumentError, match="temperature"):
+        charfn_correction(make_scenario(beta=1e5), 40.0)
+
+
+def test_sample_k_grid_follows_the_nearest_singularity():
+    # the charfn command's 201-point window |mu| <= 10, at the reference widths
+    for s in [make_scenario(beta) for beta in (0.5, 1.0, 2.0)] + [
+        _massive_scenario(mass) for mass in (0.2, 0.6, 1.0)
+    ]:
+        assert _batch_k_grid(s, 10.0).size <= 256
+    # the W = 0 kink of a massless vacuum or delta weight keeps the margin 4000 l
+    for s in (make_scenario(math.inf), delta_scenario()):
+        assert _batch_k_grid(s, 10.0).size == 4469
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():

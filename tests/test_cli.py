@@ -429,6 +429,19 @@ def test_non_positive_fft_mu_max_is_a_configuration_error(mu_max, config, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("override, cause", [("field.beta=1e6", "temperature"),
+                                             ("field.mass=1e-7", "mass")])
+@pytest.mark.parametrize("command", ["charfn", "pdf"])
+def test_a_k_grid_past_the_node_cap_is_a_configuration_error(command, override, cause, capsys):
+    # the k step follows the coth poles at +-2 pi i / beta or the branch points at
+    # +-i m: here it would take 5.7e6 and 3.6e8 nodes, past the cap of 2^20
+    code = main([command, "--config", str(CONFIGS / "thermal_beta1.ini"), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert cause in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, config, override, expected",
     [("sweep", "vacuum.ini", "switching.width=1e-200", 3),  # the mean work underflows to 0
