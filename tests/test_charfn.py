@@ -448,7 +448,6 @@ def _mp_integral(f, kappa, end, piece):
     return total
 
 
-@functools.lru_cache(maxsize=None)
 def _mp_exponents(mass, beta, width, sigma, mus):
     """Int a(k) bracket(mu, w_k) dk at 30 digits for each mu in ``mus``.
 
@@ -491,43 +490,31 @@ def _mp_exponents(mass, beta, width, sigma, mus):
         return np.array(out)
 
 
-def _assert_both_paths_match_mpmath(mass, beta, width, sigma, mus=(5.0, 17.0, 40.0)):
+@pytest.mark.parametrize(
+    "mass, beta, width, sigma",
+    [(mass, beta, width, sigma)
+     for width, sigma in [(SWITCH_WIDTH, SIGMA), (1.0 / 96.0, 1.0 / 8.0)]
+     for mass, beta in [(0.0, 0.1), (0.0, 0.5), (0.0, 2.0), (0.0, 100.0)]
+     + [(m, b) for m in (0.05, 0.2, 1.0, 3.0) for b in (1.0, math.inf)]]
+    # a fixed margin of 4000 l aliased the coth poles at beta = 1e4 (1.1e-12 at
+    # mu = 5, 7.5e-11 at mu = 40) and the branch points at m = 3e-3 (5e-13)
+    + [(0.0, 1e4, SWITCH_WIDTH, SIGMA), (1e-3, 1.0, SWITCH_WIDTH, SIGMA),
+       (3e-3, 1.0, 0.125, 0.8), (3e-3, math.inf, 0.125, 0.8)],
+)
+def test_exponent_matches_mpmath_on_both_paths(mass, beta, width, sigma):
+    # the k step follows the nearest singularity of the integrand, at k = +-i m
+    # (massive) or +-2 pi i / beta (massless thermal)
     s = Scenario(
         field=FieldSpec(mass=mass, beta=beta, coupling=LAM),
         switching=SwitchingProfile.gaussian(center=SWITCH_CENTER, width=width),
         smearing=SmearingProfile.gaussian_spherical(sigma),
     )
+    mus = (5.0, 17.0, 40.0)
     ref = _mp_exponents(mass, beta, width, sigma, mus)
     grid = _batch_exponent(s, np.array(mus))
     pointwise = np.array([charfn_correction(s, mu) for mu in mus]) / LAM**2
     for got in (grid, pointwise):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
-
-
-_WIDTH_SETS = [(1.0 / 12.0, 1.0), (1.0 / 96.0, 1.0 / 8.0)]
-
-
-@pytest.mark.parametrize("width, sigma", _WIDTH_SETS, ids=["reference", "narrow"])
-@pytest.mark.parametrize(
-    "mass, beta",
-    [(0.0, 0.1), (0.0, 0.5), (0.0, 2.0), (0.0, 100.0)]
-    + [(m, b) for m in (0.05, 0.2, 1.0, 3.0) for b in (1.0, math.inf)],
-)
-def test_exponent_matches_mpmath_on_both_paths(mass, beta, width, sigma):
-    # the k step follows the nearest singularity of the integrand, at k = +-i m
-    # (massive) or +-2 pi i / beta (massless thermal)
-    _assert_both_paths_match_mpmath(mass, beta, width, sigma)
-
-
-@pytest.mark.parametrize(
-    "mass, beta, width, sigma",
-    [(0.0, 1e4, SWITCH_WIDTH, SIGMA), (1e-3, 1.0, SWITCH_WIDTH, SIGMA),
-     (3e-3, 1.0, 0.125, 0.8), (3e-3, math.inf, 0.125, 0.8)],
-)
-def test_cold_and_nearly_massless_fields_match_mpmath(mass, beta, width, sigma):
-    # A fixed margin of 4000 l aliased the coth poles at beta = 1e4 (1.1e-12 at
-    # mu = 5, 7.5e-11 at mu = 40) and the branch points at m = 3e-3 (5e-13)
-    _assert_both_paths_match_mpmath(mass, beta, width, sigma)
 
 
 def test_past_the_node_cap_a_cold_field_is_an_invalid_argument():
