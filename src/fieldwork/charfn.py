@@ -154,15 +154,14 @@ def _nearest_singularity(s: Scenario) -> float:
 # mu = i beta), take the nodes k = eps sinh t.  Their integrands are singular
 # only at k = +-i kappa: kappa = m (branch points or, with the thermal coth,
 # poles), kappa = 2 pi n / beta (the poles of coth) and kappa = 0 (the W = 0
-# kink of a massless vacuum).  With eps no more than the least such kappa > 0
-# (`_nearest_singularity`), every singularity lies at Im t = pi / 2 or, for the
-# kink, carries a weight eps^2; eps <= 1 / l keeps e^{-l^2 k^2} bounded for
-# |Im t| < pi / 4.  The trapezoid rule in t then converges exponentially at
-# any mass and temperature: at dt = 1/16 the error estimate |T(dt) - T(2 dt)|
-# stays below 1e-13 of the value, on at most 640 nodes.  eps >= 1e-16 / l
-# bounds the node count: a singularity nearer than that changes a(k) only where
-# k l < 1e-16, which weighs below 1e-16 of the integral.  A faster phase needs
-# the k grid.
+# kink of a massless vacuum).  With eps no more than the least such kappa > 0,
+# every singularity lies at Im t = pi / 2 or, for the kink, carries a weight
+# eps^2; eps <= 1 / l keeps e^{-l^2 k^2} bounded for |Im t| < pi / 4.  The
+# trapezoid rule in t then converges exponentially at any mass and temperature:
+# at dt = 1/16 the error estimate |T(dt) - T(2 dt)| stays below 1e-13 of
+# the value, on at most 640 nodes.  eps >= 1e-16 / l bounds the node count: a
+# singularity nearer than that changes a(k) only where k l < 1e-16, which
+# weighs below 1e-16 of the integral.  A faster phase needs the k grid.
 _SINH_STEP = 0.0625  # 2^-4
 _SINH_MU_MAX = 2.0
 
@@ -356,16 +355,14 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 
 # The integrands are analytic in |Im k| < kappa = `_nearest_singularity` and
 # decay as e^{-l^2 k^2}, so the image of a phase mu at P carries about
-# e^{l^2 c^2 - c (P - mu)} of the peak for any c < kappa, e^{-(P - mu)^2 / 4 l^2}
-# at best (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  For kappa > 0 the
-# margin P - mu_max = 12 l + 32 / kappa keeps it below e^{-32} (take
-# c = min(kappa, 6 / l)).  It is not capped, so a cold or nearly massless field
-# takes the finer grid it needs, up to the node cap of `_radial_nodes`.  The
-# W = 0 kink of a massless vacuum or delta weight (kappa = 0) keeps the margin
-# _ALIAS_MARGIN l: images beyond it carry < 1e-13 of the peak.  Margins in
-# units of 1 / l (kappa scales as 1 / l too) keep every node count scale free:
-# 4459 at mu_max = 0 for kappa = 0, and at mu_max = 10 and the reference
-# widths 29-37 for thermal beta 0.5-2 and 61-205 for mass 0.2-1.
+# e^{l^2 c^2 - c (P - mu)} of the peak for any c < kappa (Trefethen & Weideman,
+# SIAM Rev. 56 (2014) 385).  The margin P - mu_max = 12 l + 32 / kappa keeps it
+# below e^{-32} (take c = min(kappa, 6 / l)).  It is not capped, so a cold or
+# nearly massless field takes the finer grid it needs, up to the node cap of
+# `_radial_nodes`.  The W = 0 kink of a massless vacuum or delta weight
+# (kappa = 0) keeps the margin _ALIAS_MARGIN l, beyond which images carry
+# < 1e-13 of the peak.  Margins in units of 1 / l (kappa l is scale free too)
+# keep every node count scale free (4459 at mu_max = 0 for kappa = 0).
 _ALIAS_MARGIN = 4000.0
 _MU_CHUNK = 256  # rows of the direct sum's trig table at a time
 # Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443): each node is
@@ -378,13 +375,12 @@ _OVERSAMPLING = 3
 
 
 def _k_step(s: Scenario, mu_max: float, estimate: bool = False) -> float:
-    """The k step 2 pi / P for phases up to mu_max w_k: P = mu_max + M with the
-    margin M = 12 l + 32 / kappa, kappa = `_nearest_singularity` > 0, else
-    M = _ALIAS_MARGIN l.  With ``estimate`` the rule of step 2h, which gives
+    """The k step 2 pi / P for phases up to mu_max w_k, P = mu_max + M with the
+    margin M above.  With ``estimate``, the rule of step 2h, which gives
     `integrate_radial` its error estimate, keeps its images a margin from every
-    |mu| too: P = 2 (mu_max + M) for kappa > 0, else
-    P >= 2 mu_max + _ALIAS_MARGIN l / 2 (1000 l).  Raises ConvergenceError where
-    k^2 in a(k) overflows below k_max."""
+    |mu| too: P = 2 (mu_max + M), or P >= 2 mu_max + _ALIAS_MARGIN l / 2 (1000 l)
+    for kappa = 0.  Raises ConvergenceError where k^2 in a(k) overflows below
+    k_max."""
     if not math.isfinite(s.k_max * s.k_max):
         raise ConvergenceError(f"below k_max = {s.k_max:g} the integrand is not finite")
     length = _decay_length(s)
