@@ -52,7 +52,7 @@ from .field_model import (
     smearing_ft,
     thermal_weight,
 )
-from .special_math import CharFnGrid, _radial_nodes, dawson, integrate_radial
+from .special_math import _MAX_K_NODES, CharFnGrid, _radial_nodes, dawson, integrate_radial
 
 __all__ = [
     "Scenario",
@@ -357,14 +357,19 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # decay as e^{-l^2 k^2}, so the image of a phase mu at P carries about
 # e^{l^2 c^2 - c (P - mu)} of the peak for any c < kappa (Trefethen & Weideman,
 # SIAM Rev. 56 (2014) 385).  The margin P - mu_max = 12 l + 32 / kappa keeps it
-# below e^{-32} (take c = min(kappa, 6 / l)).  It is not capped, so a cold or
-# nearly massless field takes the finer grid it needs, up to the node cap of
-# `_radial_nodes`.  The W = 0 kink of a massless vacuum or delta weight
-# (kappa = 0) keeps the margin _ALIAS_MARGIN l, beyond which images carry
-# < 1e-13 of the peak.  Margins in units of 1 / l (kappa l is scale free too)
-# keep every node count scale free (4459 at mu_max = 0 for kappa = 0).
+# below e^{-32} (take c = min(kappa, 6 / l)).  The W = 0 kink of a massless
+# vacuum or delta weight (kappa = 0) keeps the margin _ALIAS_MARGIN l, beyond
+# which images carry < 1e-13 of the peak.  A cold or nearly massless field
+# (32 / kappa > 4000 l) takes the finer grid it needs up to the node cap of
+# `_radial_nodes`; past the cap, the period is the largest the cap allows, but
+# never below mu_max + _ALIAS_MARGIN l: as kappa -> 0 the singularity weakens
+# to the kink, which that margin serves.  Margins in units of 1 / l (kappa l is
+# scale free too) keep every node count scale free (4459 at mu_max = 0 for
+# kappa = 0).
 _ALIAS_MARGIN = 4000.0
-_MU_CHUNK = 256  # rows of the direct sum's trig table at a time
+# Entries of the direct sum's trig table, or of the non-uniform FFT's spreading
+# tables, held at a time (8 MiB each): memory stays flat up to the node cap.
+_TABLE_SIZE = 2**20
 # Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443): each node is
 # spread onto 2 * _SPREAD_HALF_WIDTH points of a grid _OVERSAMPLING times the
 # band.  The truncated and aliased Gaussian tails carry about e^{-35} of
@@ -379,20 +384,20 @@ def _k_step(s: Scenario, mu_max: float, estimate: bool = False) -> float:
     margin M above.  With ``estimate``, the rule of step 2h, which gives
     `integrate_radial` its error estimate, keeps its images a margin from every
     |mu| too: P = 2 (mu_max + M), or P >= 2 mu_max + _ALIAS_MARGIN l / 2 (1000 l)
-    for kappa = 0.  Raises ConvergenceError where k^2 in a(k) overflows below
-    k_max."""
+    for kappa = 0.  For kappa > 0, P is at most the larger of the kappa = 0
+    period and the largest one the node cap allows.  Raises ConvergenceError
+    where k^2 in a(k) overflows below k_max."""
     if not math.isfinite(s.k_max * s.k_max):
         raise ConvergenceError(f"below k_max = {s.k_max:g} the integrand is not finite")
     length = _decay_length(s)
+    period = mu_max + _ALIAS_MARGIN * length
+    if estimate:
+        period = max(period, 2.0 * mu_max + 0.5 * _ALIAS_MARGIN * length)
     kappa = _nearest_singularity(s)
     if kappa > 0.0:
-        period = mu_max + 12.0 * length + 32.0 / kappa
-        if estimate:
-            period *= 2.0
-    else:
-        period = mu_max + _ALIAS_MARGIN * length
-        if estimate:
-            period = max(period, 2.0 * mu_max + 0.5 * _ALIAS_MARGIN * length)
+        fitted = (mu_max + 12.0 * length + 32.0 / kappa) * (2.0 if estimate else 1.0)
+        capped = 2.0 * math.pi * (_MAX_K_NODES - 2) / s.k_max
+        period = min(fitted, max(capped, period))
     return 2.0 * math.pi / period
 
 
@@ -482,15 +487,18 @@ def _chirp_sums(dk, a_coth, a_trap, mu, dmu):
     n_k, n_mu = a_coth.size, mu.size
     z = int(np.argmin(np.abs(mu)))
     half_alpha = 0.5 * dmu * dk
-    n = np.arange(1, n_k + 1, dtype=float)
     size = _smooth_len(n_k + n_mu - 1)
+    m = np.arange(-z - n_k, n_mu - z - 1, dtype=float)  # every J - n
+    kernel = np.fft.fft(_chirp(-half_alpha, m), size)
+    n = np.arange(1, n_k + 1, dtype=float)
     pre = np.exp(1j * (mu[z] * dk * n)) * _chirp(half_alpha, n)
     x = np.zeros((2, size), dtype=complex)
     np.multiply(a_coth, pre, out=x[0, :n_k])
     np.multiply(a_trap, pre, out=x[1, :n_k])
-    m = np.arange(-z - n_k, n_mu - z - 1, dtype=float)  # every J - n
-    kernel = np.fft.fft(_chirp(-half_alpha, m), size)
-    conv = np.fft.ifft(np.fft.fft(x, axis=1) * kernel, axis=1)[:, n_k - 1 : n_k - 1 + n_mu]
+    del m, n, pre
+    x = np.fft.fft(x, axis=1)
+    x *= kernel
+    conv = np.fft.ifft(x, axis=1)[:, n_k - 1 : n_k - 1 + n_mu]
     conv *= _chirp(half_alpha, np.arange(-z, n_mu - z, dtype=float))
     return conv[0].real, conv[1].imag
 
@@ -516,29 +524,33 @@ def _nufft_sums(w, a_coth, a_trap, mu, dmu):
     # the truncated tails against the aliased ones
     tau = 2.0 * math.pi * half / (size * (2 * size - band))
     h = 2.0 * math.pi / size
-    # node n lies at grid position t = i0 + d / h, 0 <= d < h; it is spread onto
-    # the points i0 + l, l = 1 - half .. half, with the weights
-    # e^{-(l h - d)^2 / 4 tau} = e^{-d^2 / 4 tau} (e^{d h / 2 tau})^l e^{-(l h)^2 / 4 tau}
-    t = (dmu / h) * w
-    i0 = np.floor(t)
-    d = (t - i0) * h
-    step = np.exp(d * (h / (2.0 * tau)))
-    spread = np.empty((2 * half, w.size))
-    spread[0] = np.exp(-d * (d + 2 * (half - 1) * h) / (4.0 * tau))
-    for row in range(1, 2 * half):
-        np.multiply(spread[row - 1], step, out=spread[row])
-    spread *= np.exp(-((np.arange(1 - half, half + 1) * h) ** 2) / (4.0 * tau))[:, None]
-    # point i0 + l goes to slot (i0 mod size) + l + half - 1 of a grid padded by
-    # half - 1 slots before and half after, which are then folded onto the circle
-    index = np.add.outer(np.arange(2 * half), np.mod(i0, size).astype(np.int64)).ravel()
-    parts = np.stack((a_coth, a_trap))
-    if mu[z] != 0.0:  # c_n is complex: spread its real and imaginary parts apart
-        c = parts * np.exp(1j * (mu[z] * w))
-        parts = np.concatenate((c.real, c.imag))
-    padded = np.empty((len(parts), size + 2 * half - 1))
-    weights = np.empty_like(spread)
-    for row, part in zip(padded, parts):
-        row[:] = np.bincount(index, np.multiply(spread, part, out=weights).ravel(), row.size)
+    gauss = np.exp(-((np.arange(1 - half, half + 1) * h) ** 2) / (4.0 * tau))[:, None]
+    padded = np.zeros((2 if mu[z] == 0.0 else 4, size + 2 * half - 1))
+    block = _TABLE_SIZE // (2 * half)  # nodes spread at a time
+    for n0 in range(0, w.size, block):
+        wb = w[n0 : n0 + block]
+        parts = np.stack((a_coth[n0 : n0 + block], a_trap[n0 : n0 + block]))
+        if mu[z] != 0.0:  # c_n is complex: spread its real and imaginary parts apart
+            c = parts * np.exp(1j * (mu[z] * wb))
+            parts = np.concatenate((c.real, c.imag))
+        # node n lies at grid position t = i0 + d / h, 0 <= d < h; it is spread onto
+        # the points i0 + l, l = 1 - half .. half, with the weights
+        # e^{-(l h - d)^2 / 4 tau} = e^{-d^2 / 4 tau} (e^{d h / 2 tau})^l e^{-(l h)^2 / 4 tau}
+        t = (dmu / h) * wb
+        i0 = np.floor(t)
+        d = (t - i0) * h
+        step = np.exp(d * (h / (2.0 * tau)))
+        spread = np.empty((2 * half, t.size))
+        spread[0] = np.exp(-d * (d + 2 * (half - 1) * h) / (4.0 * tau))
+        for row in range(1, 2 * half):
+            np.multiply(spread[row - 1], step, out=spread[row])
+        spread *= gauss
+        # point i0 + l goes to slot (i0 mod size) + l + half - 1 of a grid padded by
+        # half - 1 slots before and half after, which are then folded onto the circle
+        index = np.add.outer(np.arange(2 * half), np.mod(i0, size).astype(np.int64)).ravel()
+        weights = np.empty_like(spread)
+        for row, part in zip(padded, parts):
+            row += np.bincount(index, np.multiply(spread, part, out=weights).ravel(), row.size)
     grid = padded[:, half - 1 : half - 1 + size]
     grid[:, size - half + 1 :] += padded[:, : half - 1]
     grid[:, :half] += padded[:, size + half - 1 :]
@@ -553,13 +565,14 @@ def _phase_sums(w, a_coth, a_trap, mu) -> np.ndarray:
     """Sum_k a_coth_k (cos(mu w_k) - 1) + i Sum_k a_trap_k sin(mu w_k), a direct sum.
 
     The real part is taken as -2 Sum_k a_coth_k sin^2(mu w_k / 2), which keeps
-    its digits where |mu| w_k is small.  The trig table runs _MU_CHUNK rows at
-    a time, in one preallocated buffer.
+    its digits where |mu| w_k is small.  The trig table runs as many rows at a
+    time as fit in _TABLE_SIZE entries, in one preallocated buffer.
     """
     out = np.empty(mu.size, dtype=complex)
-    buf = np.empty((min(_MU_CHUNK, mu.size), w.size))
-    for i0 in range(0, mu.size, _MU_CHUNK):
-        x = mu[i0 : i0 + _MU_CHUNK]
+    rows = max(1, _TABLE_SIZE // w.size)
+    buf = np.empty((min(rows, mu.size), w.size))
+    for i0 in range(0, mu.size, rows):
+        x = mu[i0 : i0 + rows]
         theta = buf[: x.size]
         np.sin(np.multiply.outer(0.5 * x, w, out=theta), out=theta)
         out.real[i0 : i0 + x.size] = -2.0 * (np.square(theta, out=theta) @ a_coth)

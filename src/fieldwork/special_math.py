@@ -31,7 +31,7 @@ __all__ = [
 
 _GRID_CHECK_TOL = 1e-6  # P~(0) = 1 and Hermitian symmetry of a sampled CharFnGrid
 _TOL = 1e-11  # integrate_radial: error estimate <= _TOL * max(1, |value|)
-_MAX_K_NODES = 2**20  # one 256-row chunk of a direct sum's trig table is then already 2 GiB
+_MAX_K_NODES = 2**20  # bounds the time and the O(N_k) memory of one k grid
 
 
 def dawson(x):
@@ -59,8 +59,7 @@ def _radial_nodes(k_max: float, step: float) -> np.ndarray:
     if not n_k < _MAX_K_NODES:
         raise InvalidArgumentError(
             f"radial quadrature: {n_k:.3g} k nodes up to k_max = {k_max:g}, more than "
-            f"{_MAX_K_NODES}; lower |mu| or mu_max, or raise a small mass or a low "
-            "temperature (a singularity near the real k axis needs a finer grid)"
+            f"{_MAX_K_NODES}; lower |mu| or mu_max"
         )
     return np.linspace(0.0, k_max, 2 * math.ceil(0.5 * n_k) + 1)
 

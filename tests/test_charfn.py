@@ -5,7 +5,6 @@ momentum integral (no radial reduction), which checks the angular factor and
 every 2-pi power in the analytic implementation.
 """
 
-import functools
 import math
 import tracemalloc
 from dataclasses import astuple, replace
@@ -32,7 +31,7 @@ from fieldwork import (
     sample_charfn,
     thermal_weight,
 )
-from fieldwork.charfn import _MU_CHUNK, _batch_exponent, _batch_k_grid, _spectral_weight
+from fieldwork.charfn import _TABLE_SIZE, _batch_exponent, _batch_k_grid, _spectral_weight
 from fieldwork.field_model import dispersion
 
 SWITCH_WIDTH = 1.0 / 12.0
@@ -423,29 +422,16 @@ def test_kms_strip_at_low_temperature_matches_mpmath(mu):
     assert abs(charfn_correction(make_scenario(beta=beta), mu) - ref) <= 1e-13 * abs(ref)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n=24):
-    with mpmath.workdps(30):
-        return mpmath.gauss_quadrature(n, "legendre")
-
-
-def _mp_integral(f, kappa, end, piece):
-    """Int_0^end f(t) dt by 24-point Gauss-Legendre on pieces: geometric ones from
-    kappa / 16 on (a singularity at distance kappa from 0), then equal ones of at
-    most ``piece``."""
+def _mp_points(kappa, end, piece):
+    """Breakpoints of [0, end] for mpmath.quad: geometric ones from kappa / 16 on
+    (a singularity at distance kappa from 0), then equal pieces of at most ``piece``."""
     points = [mpmath.mpf(0)]
     x = kappa / 16
     while 0 < x < min(end, piece):
         points.append(x)
         x *= 4
     n = int(mpmath.ceil((end - points[-1]) / piece))
-    points += [points[-1] + (end - points[-1]) * i / n for i in range(1, n + 1)]
-    nodes, weights = _gauss_legendre()
-    total = 0
-    for lo, hi in zip(points[:-1], points[1:]):
-        half, mid = (hi - lo) / 2, (hi + lo) / 2
-        total += half * mpmath.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-    return total
+    return points + [points[-1] + (end - points[-1]) * i / n for i in range(1, n + 1)]
 
 
 def _mp_exponents(mass, beta, width, sigma, mus):
@@ -472,7 +458,7 @@ def _mp_exponents(mass, beta, width, sigma, mus):
             w = mpmath.sqrt(k * k + m2)
             return c * k * k * mpmath.exp(-l2 * k * k) / w * coth(w)
 
-        level = _mp_integral(real_axis, kappa, 13 / mpmath.sqrt(l2), 2 / mpmath.sqrt(l2))
+        level = mpmath.quad(real_axis, _mp_points(kappa, 13 / mpmath.sqrt(l2), 2 / mpmath.sqrt(l2)))
         rot = mpmath.expjpi(mpmath.mpf(1) / 6)
         out = []
         for mu in map(mpmath.mpf, mus):
@@ -485,7 +471,7 @@ def _mp_exponents(mass, beta, width, sigma, mus):
 
             # |e^{i mu w} e^{-l^2 k^2}| is about e^{-(mu t + l^2 t^2) / 2} on the ray
             end = (mpmath.sqrt(mu * mu + 240 * l2) - mu) / l2
-            phase = _mp_integral(ray, kappa, end, min(6 * mpmath.pi / mu, 1 / mpmath.sqrt(l2)))
+            phase = mpmath.quad(ray, _mp_points(kappa, end, min(6 * mpmath.pi / mu, 1 / mpmath.sqrt(l2))))
             out.append(complex(mpmath.re(phase) - level, mpmath.im(phase)))
         return np.array(out)
 
@@ -499,7 +485,11 @@ def _mp_exponents(mass, beta, width, sigma, mus):
     # a fixed margin of 4000 l aliased the coth poles at beta = 1e4 (1.1e-12 at
     # mu = 5, 7.5e-11 at mu = 40) and the branch points at m = 3e-3 (5e-13)
     + [(0.0, 1e4, SWITCH_WIDTH, SIGMA), (1e-3, 1.0, SWITCH_WIDTH, SIGMA),
-       (3e-3, 1.0, 0.125, 0.8), (3e-3, math.inf, 0.125, 0.8)],
+       (3e-3, 1.0, 0.125, 0.8), (3e-3, math.inf, 0.125, 0.8)]
+    # past the node cap on the pointwise path (beta = 1e5) or on both paths,
+    # where the period is the largest the cap allows
+    + [(0.0, 1e5, SWITCH_WIDTH, SIGMA), (0.0, 1e6, SWITCH_WIDTH, SIGMA),
+       (1e-7, 1.0, SWITCH_WIDTH, SIGMA), (1e-7, math.inf, SWITCH_WIDTH, SIGMA)],
 )
 def test_exponent_matches_mpmath_on_both_paths(mass, beta, width, sigma):
     # the k step follows the nearest singularity of the integrand, at k = +-i m
@@ -517,10 +507,33 @@ def test_exponent_matches_mpmath_on_both_paths(mass, beta, width, sigma):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
-def test_past_the_node_cap_a_cold_field_is_an_invalid_argument():
-    # the pointwise k grid needs about 11 beta / l nodes: past 2^20 from beta = 1e5 on
-    with pytest.raises(InvalidArgumentError, match="temperature"):
-        charfn_correction(make_scenario(beta=1e5), 40.0)
+@pytest.mark.parametrize("mass, beta", [(0.0, 1.0), (0.0, 1e6), (1e-7, 1.0)])
+def test_past_the_node_cap_a_wide_mu_window_is_an_invalid_argument(mass, beta):
+    # the period is never below |mu| + 4000 l, whatever the nearest singularity
+    s = replace(make_scenario(beta=beta), field=FieldSpec(mass=mass, beta=beta, coupling=LAM))
+    with pytest.raises(InvalidArgumentError, match=r"lower \|mu\|"):
+        charfn_correction(s, 2e6)
+
+
+@pytest.mark.parametrize("case", ["direct sum", "non-uniform FFT"])
+def test_memory_stays_flat_on_a_fine_k_grid(case):
+    # a cold or light field takes 7e5 k nodes: the trig and spreading tables
+    # hold _TABLE_SIZE entries at a time, not a row or 28 rows per node
+    if case == "direct sum":
+        s, mu_max = make_scenario(beta=1e5), 10.0
+        run = lambda: sample_charfn(s, np.sort(np.random.default_rng(3).uniform(-10.0, 10.0, 16)))
+    else:
+        s, mu_max = _massive_scenario(5e-5), 1536.0
+        run = lambda: charfn_grid(s)
+    n_k = _batch_k_grid(s, mu_max).size
+    assert n_k > 5e5
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * _TABLE_SIZE + 10 * n_k)
 
 
 def test_sample_k_grid_follows_the_nearest_singularity():
@@ -544,7 +557,7 @@ def test_grid_memory_stays_within_two_and_a_half_chunks():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * _MU_CHUNK * n_k * 8
+        assert peak <= 2.5 * 256 * n_k * 8  # 2.5 trig tables of 256 rows of a direct sum
 
 
 @pytest.mark.parametrize("mass, beta", [(0.0, 1.0), (0.0, math.inf), (0.6, 1.0)],

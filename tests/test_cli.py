@@ -429,16 +429,28 @@ def test_non_positive_fft_mu_max_is_a_configuration_error(mu_max, config, capsys
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("override, cause", [("field.beta=1e6", "temperature"),
-                                             ("field.mass=1e-7", "mass")])
-@pytest.mark.parametrize("command", ["charfn", "pdf"])
-def test_a_k_grid_past_the_node_cap_is_a_configuration_error(command, override, cause, capsys):
-    # the k step follows the coth poles at +-2 pi i / beta or the branch points at
-    # +-i m: here it would take 5.7e6 and 3.6e8 nodes, past the cap of 2^20
-    code = main([command, "--config", str(CONFIGS / "thermal_beta1.ini"), "--set", override])
+@pytest.mark.parametrize("override", ["field.beta=1e6", "field.mass=1e-7"])
+def test_a_cold_or_light_field_is_sampled_on_the_capped_k_grid(override, capsys):
+    # 32 / kappa would take 5.7e6 or 3.6e8 k nodes; the period stops at the cap
+    code = main(["charfn", "--config", str(CONFIGS / "thermal_beta1.ini"), "--set", override])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert len(out.splitlines()) == 202  # header and the 201 default points
+
+
+@pytest.mark.parametrize("override", ["field.beta=1", "field.beta=1e6", "field.mass=1e-7"])
+@pytest.mark.parametrize(
+    "command, window",
+    [("charfn", ["grids.mu_min=-2e6", "grids.mu_max=2e6"]), ("pdf", ["grids.fft_mu_max=2e6"])],
+)
+def test_a_mu_window_past_the_k_node_cap_is_a_configuration_error(command, window, override, capsys):
+    # the k period is at least |mu| + 4000 l: 2.2e6 nodes here, past the cap of 2^20;
+    # a cold or light field below that width takes the largest period the cap allows
+    sets = [arg for item in window + [override] for arg in ("--set", item)]
+    code = main([command, "--config", str(CONFIGS / "thermal_beta1.ini"), *sets])
     err = capsys.readouterr().err
     assert code == 2
-    assert cause in err.splitlines()[-1]
+    assert "lower |mu| or mu_max" in err.splitlines()[-1]
     assert "Traceback" not in err
 
 
