@@ -607,7 +607,8 @@ def charfn_grid(
     mu_points: int = DEFAULT_MU_POINTS,
     mu_max: float = DEFAULT_MU_MAX,
 ) -> CharFnGrid:
-    """Sample P~ on a DFT-layout mu grid suitable for invert_charfn.
+    """Sample P~ on mu = 0 .. mu_max, the half of a DFT-layout grid of
+    ``mu_points`` points in [-mu_max, mu_max) that invert_charfn takes.
 
     The default window is |mu| <= 1536 with 2^14 points.  For a massless field
     the slowest tail is the 1/mu^2 decay of a vacuum or delta density with a
@@ -619,12 +620,6 @@ def charfn_grid(
     n = int(mu_points)
     if n < 8 or n % 2 != 0:
         raise InvalidArgumentError("charfn_grid: mu_points must be even and >= 8")
-    dmu = 2.0 * mu_max / n
-    mu = (np.arange(n) - n // 2) * dmu
-    # 0 .. mu_max - dmu, then mu_max for the left endpoint, which has no mirror;
-    # the samples stay one uniform grid, so they take the chirp or non-uniform FFT sums
-    vals_half = sample_charfn(s, np.append(mu[n // 2 :], mu_max))
-    vals = np.empty(n, dtype=complex)
-    vals[n // 2 :] = vals_half[:-1]
-    vals[: n // 2] = np.conj(vals_half[1:][::-1])
-    return CharFnGrid(mu=mu, values=vals)
+    # one uniform grid, so that the samples take the chirp or non-uniform FFT sums
+    mu = np.append(np.arange(n // 2) * (2.0 * mu_max / n), mu_max)
+    return CharFnGrid(mu=mu, values=sample_charfn(s, mu))

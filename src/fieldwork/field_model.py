@@ -13,8 +13,6 @@ Localization profiles:
       (t0 = 1/2, s = 1/12).  The delta is the instantaneous coupling,
       chi~ = 1.  The center t0 drops out of every result: the field state is
       stationary, so only |chi~(w)|^2 enters and t0 is a phase e^{i w t0}.
-      `localization_sweep` rescales t0 with s only to keep t0 / s fixed (the
-      reference window sits at t0 = 6 s).
   smearing F(x)     --  spatial profile, a spherically symmetric Gaussian,
       the unit-normalized 3D density
           F(r) = (2 pi sigma^2)^{-3/2} exp(-r^2 / (2 sigma^2)),

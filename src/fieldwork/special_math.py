@@ -5,11 +5,11 @@ Conventions used throughout the package:
     forward  :  P~(mu) = Int P(W) e^{+i mu W} dW
     inverse  :  P(W)   = (1/2pi) Int P~(mu) e^{-i mu W} dmu
 
-A characteristic function sampled on a uniform mu grid that still contains a
-non-decaying constant level corresponds to a point mass (atom) at W = 0.  The
-atom is estimated from the outer 10% of the mu window, where any absolutely
-continuous contribution has dephased, and is subtracted before the discrete
-inverse transform.
+A real distribution has P~(-mu) = conj P~(mu), so a characteristic function
+is sampled on mu >= 0 only (`CharFnGrid`) and inverted by a real inverse FFT.
+An atom at W = 0 is the level that P~ keeps at large mu.  The caller knows
+its weight in closed form and passes it to `invert_charfn`, which subtracts it
+before the transform, so the density is the absolutely continuous part.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "invert_charfn",
 ]
 
-_GRID_CHECK_TOL = 1e-6  # P~(0) = 1 and Hermitian symmetry of a sampled CharFnGrid
+_GRID_CHECK_TOL = 1e-6  # P~(0) = 1 on a sampled CharFnGrid
 _TOL = 1e-11  # integrate_radial: error estimate <= _TOL * max(1, |value|)
 _MAX_K_NODES = 2**20  # bounds the time and the O(N_k) memory of one k grid
 
@@ -103,11 +103,10 @@ def integrate_radial(f, k_max: float, *, step=None, endpoint=None, return_error:
 
 @dataclass
 class CharFnGrid:
-    """Characteristic function sampled on a uniform mu grid.
+    """Characteristic function sampled on the half grid mu_n = n dmu, n = 0 .. N/2.
 
-    The grid follows DFT layout: mu_n = (n - N/2) * dmu for n = 0..N-1 with N
-    even, so mu = 0 is always present and every positive sample except the left
-    endpoint has its mirror image.
+    P~(-mu) = conj P~(mu) gives the other half, so these N/2 + 1 samples are
+    the whole DFT-layout spectrum of N = 2 (len - 1) points.
     """
 
     mu: np.ndarray
@@ -116,11 +115,12 @@ class CharFnGrid:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        n = self.mu.size
-        if n < 8 or n % 2 != 0:
-            raise InvalidArgumentError("CharFnGrid: need an even number (>= 8) of mu samples")
+        if self.mu.ndim != 1 or self.mu.size < 5:
+            raise InvalidArgumentError("CharFnGrid: need a 1-D grid of >= 5 mu samples")
         if self.values.shape != self.mu.shape:
             raise InvalidArgumentError("CharFnGrid: mu/values shape mismatch")
+        if self.mu[0] != 0.0:
+            raise InvalidArgumentError("CharFnGrid: mu grid must start at 0")
         d = np.diff(self.mu)
         if not (d[0] > 0.0 and math.isfinite(math.pi / float(d[0]))):  # pi / dmu bounds |W|
             raise InvalidArgumentError(
@@ -128,15 +128,8 @@ class CharFnGrid:
             )
         if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
             raise InvalidArgumentError("CharFnGrid: mu grid must be uniform")
-        if abs(self.mu[n // 2]) > 1e-12 * d[0]:
-            raise InvalidArgumentError("CharFnGrid: mu grid must contain 0 at index N/2")
-        if abs(self.values[n // 2] - 1.0) > _GRID_CHECK_TOL:
+        if abs(self.values[0] - 1.0) > _GRID_CHECK_TOL:
             raise InvalidArgumentError("CharFnGrid: P~(0) must equal 1")
-        # Hermitian symmetry P~(-mu) = conj P~(mu); left endpoint has no partner
-        v = self.values
-        mirrored = np.conj(v[1:][::-1])
-        if np.max(np.abs(v[1:] - mirrored)) > _GRID_CHECK_TOL:
-            raise InvalidArgumentError("CharFnGrid: P~(-mu) != conj P~(mu)")
 
     @property
     def spacing(self) -> float:
@@ -149,32 +142,32 @@ class CharFnGrid:
 CLAMP_REL_FLOOR = 1e-6
 
 
-def invert_charfn(grid: CharFnGrid) -> WorkDistribution:
-    """Inverse Fourier transform of a sampled characteristic function.
+def invert_charfn(grid: CharFnGrid, atom: float) -> WorkDistribution:
+    """Inverse Fourier transform of a sampled characteristic function with a
+    known atom of weight ``atom`` at W = 0.
 
     The density is returned on the W grid conjugate to the mu grid,
-    w_m = (m - N/2) * 2 pi / (N dmu) for m = 0..N-1, so W = 0 sits at index
-    N/2.  The atom at W = 0 is the non-decaying level of P~, estimated by
-    averaging the samples with |mu| >= 0.9 * mu_max; it is subtracted before
-    the DFT so the returned density is purely the absolutely continuous part.
+    w_m = (m - N/2) * 2 pi / (N dmu) for m = 0..N-1, N = 2 (len(grid.mu) - 1),
+    so W = 0 sits at index N/2.  The atom is subtracted from P~ before the
+    transform, so the density is the absolutely continuous part.  The
+    metadata key ``window_residual``, the largest |P~ - atom| at
+    mu >= 0.9 mu_max, is the level of that part's transform where the window
+    cuts it off.  The real inverse FFT takes P~(-mu) = conj P~(mu), and only
+    Re P~ at mu_max, the Nyquist point.
     """
-    n = grid.mu.size
+    n = 2 * (grid.mu.size - 1)
     dmu = grid.spacing
+    mu_max = float(grid.mu[-1])
     w_grid = (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu))
 
-    mu_max = abs(grid.mu[0])
-    outer = np.abs(grid.mu) >= 0.9 * mu_max
-    atom = float(np.mean(grid.values[outer].real))
-
     f = grid.values - atom
-    # S(w_m) = sum_n f_n exp(-i mu_n w_m): both grids are centred on index N/2,
-    # so the shifts move mu = 0 and W = 0 to index 0 and back.
-    spectrum = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f)))
-    density = (dmu / (2.0 * math.pi)) * spectrum
-    max_imag = float(np.max(np.abs(density.imag)))
-    density = density.real.copy()
+    window_residual = float(np.max(np.abs(f[grid.mu >= 0.9 * mu_max])))
+    # irfft(X)_m = (1/N) Sum_n X_n e^{+2 pi i n m / N} over the Hermitian
+    # extension of X, and mu_n w_m = 2 pi n m / N: with X = conj f it is
+    # (1/N) Sum_n f_n e^{-i mu_n w_m}, and the shift moves W = 0 to index N/2
+    density = np.fft.fftshift(np.fft.irfft(np.conj(f), n)) * (n * dmu / (2.0 * math.pi))
 
-    peak = float(np.max(np.abs(density))) if density.size else 0.0
+    peak = float(np.max(np.abs(density)))
     floor = CLAMP_REL_FLOOR * peak
     neg = density < 0.0
     small_neg = neg & (density >= -floor)
@@ -193,6 +186,6 @@ def invert_charfn(grid: CharFnGrid) -> WorkDistribution:
             "clamped_points": clamped,
             "worst_negative_density": worst_negative,
             "negative_floor_violation": violation,
-            "max_abs_imag_density": max_imag,
+            "window_residual": window_residual,
         },
     )

@@ -92,6 +92,8 @@ def _density_moment(s: Scenario, power: int) -> float:
 
 def _perturbative_mass(s: Scenario) -> float:
     """Density mass p of a perturbative scenario; p > 1 means the expansion broke down."""
+    if s.switching.is_delta:
+        raise RegimeError("the density mass p is defined for smooth switching only")
     p = _density_moment(s, 0)
     if p > 1.0:
         raise RegimeError(
@@ -101,8 +103,7 @@ def _perturbative_mass(s: Scenario) -> float:
 
 
 def delta_weight(s: Scenario) -> float:
-    """Probability mass (1 - p) remaining at W = 0."""
-    _check_analytic_regime(s)
+    """Probability mass (1 - p) remaining at W = 0, for smooth switching and any mass."""
     return 1.0 - _perturbative_mass(s)
 
 
@@ -111,11 +112,16 @@ def distribution_from_charfn(
     mu_points: int = DEFAULT_MU_POINTS,
     mu_max: float = DEFAULT_MU_MAX,
 ) -> WorkDistribution:
-    """Sample P~ on the default mu grid, invert, and assemble the distribution."""
-    if not s.switching.is_delta:  # the delta coupling is exact at any strength
-        _perturbative_mass(s)
+    """Sample P~ on the default mu grid, invert it with the known atom, and
+    assemble the distribution.  The atom is 1 - p for smooth switching, and
+    exp(-lambda^2 Int a_F(k) dk), the large-mu level of the exact delta P~,
+    for delta switching, which is exact at any strength."""
+    if s.switching.is_delta:
+        atom = math.exp(-_density_moment(s, 0))
+    else:
+        atom = delta_weight(s)
     grid = charfn_grid(s, mu_points=mu_points, mu_max=mu_max)
-    dist = invert_charfn(grid)
+    dist = invert_charfn(grid, atom)
     dist.metadata.update(s.fingerprint())
     return dist
 
@@ -253,22 +259,21 @@ def localization_sweep(base: Scenario, widths) -> list[SweepRow]:
     """Moments as the spacetime localization scales of the unitary shrink.
 
     Each entry of `widths` is a (switching width, smearing width) pair; the
-    switching center is rescaled with its width so the window stays at
-    t0 = 6 s inside [0, T].  The physically meaningful growth as the operation
-    localizes shows up in the variance-to-mean column: under a joint rescaling
-    of both widths by c the mean scales as 1/c but the variance as 1/c^2,
-    while std/mean is exactly scale invariant at second order in the coupling.
+    switching center is kept: it is a phase and drops out of every result.
+    The physically meaningful growth as the operation localizes shows up in
+    the variance-to-mean column: under a joint rescaling of both widths by c
+    the mean scales as 1/c but the variance as 1/c^2, while std/mean is
+    exactly scale invariant at second order in the coupling.
     """
     if not base.field.is_vacuum:
         raise RegimeError("localization_sweep is defined for the vacuum field")
     if base.switching.is_delta:
         raise RegimeError("localization_sweep requires Gaussian profiles")
-    center_ratio = base.switching.center / base.switching.width
     rows = []
     for s_w, sigma in widths:
         scen = replace(
             base,
-            switching=replace(base.switching, center=center_ratio * s_w, width=s_w),
+            switching=replace(base.switching, width=s_w),
             smearing=replace(base.smearing, sigma=sigma),
         )
         rep = moments(scen)

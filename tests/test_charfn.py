@@ -200,14 +200,14 @@ def test_sample_charfn_matches_pointwise_quadrature():
 
 
 def test_charfn_grid_layout_and_symmetry():
+    # the grid holds mu = 0 .. mu_max, the half of the 512-point DFT grid; the
+    # other half is P~(-mu) = conj P~(mu), which invert_charfn takes as given
     s = make_scenario(beta=1.0)
     grid = charfn_grid(s, mu_points=512, mu_max=256.0)
-    n = grid.mu.size
-    assert n == 512
-    assert grid.mu[n // 2] == 0.0
-    assert grid.values[n // 2] == 1.0 + 0.0j
-    v = grid.values
-    assert np.max(np.abs(v[1:] - np.conj(v[1:][::-1]))) < 1e-12
+    assert np.array_equal(grid.mu, np.append(np.arange(256) * 1.0, 256.0))
+    assert grid.values[0] == 1.0 + 0.0j
+    mirror = sample_charfn(s, -grid.mu)
+    assert np.max(np.abs(mirror - np.conj(grid.values))) < 1e-12
 
 
 def _massive_scenario(mass=0.6):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fieldwork import CrooksRow, cli
+from fieldwork import CrooksRow, cli, delta_weight
 from fieldwork.cli import main
 
 VACUUM_INI = """\
@@ -427,6 +427,16 @@ def test_non_positive_fft_mu_max_is_a_configuration_error(mu_max, config, capsys
     assert code == 2
     assert "spacing" in err
     assert "Traceback" not in err
+
+
+def test_narrow_fft_window_prints_the_exact_atom(capsys):
+    # at fft_mu_max = 1 the density part of P~ has not dephased; an atom read
+    # off the window edge took 61-79 % of p, the known one is 1 - p
+    config = str(CONFIGS / "vacuum.ini")
+    assert main(["pdf", "--config", config, "--set", "grids.fft_mu_max=1"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    scenario = cli._build_scenario(cli._load_ini(config, []))
+    assert first == f"# atom_weight = {cli._FMT % delta_weight(scenario)}"
 
 
 @pytest.mark.parametrize("override", ["field.beta=1e6", "field.mass=1e-7"])

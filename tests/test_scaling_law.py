@@ -7,7 +7,7 @@ phases become mu w / c, so the exponent obeys
     B(mu; c s, c sigma, c beta, m / c) = B(mu / c; s, sigma, beta, m),
 
 the mean work scales as 1/c, the second moment as 1/c^2, and the density
-mass p is unchanged.  The delta weight a_F(k) dk carries no
+mass p and the atom are unchanged.  The delta weight a_F(k) dk carries no
 |chi~|^2 = 2 pi s^2 e^{-s^2 w^2} and scales as 1/c^2, so the delta case
 scales the coupling by c as well and compares lambda^2 B.  The exponent is
 compared directly, never as P~ - 1, which would cost eps / |lambda^2 B|.
@@ -25,9 +25,10 @@ from fieldwork import (
     SwitchingProfile,
     charfn_correction,
     delta_weight,
+    distribution_from_charfn,
     moments,
 )
-from fieldwork.charfn import _batch_exponent
+from fieldwork.charfn import DEFAULT_MU_MAX, _batch_exponent
 from fieldwork.workdist import _perturbative_mass
 
 SCALES = [0.125, 0.5, 2.0, 8.0, 3.0]
@@ -82,5 +83,22 @@ def test_pointwise_integrals_follow_the_scaling_law(state, c):
     assert got.second_moment * c * c == pytest.approx(ref.second_moment, rel=REL, abs=0.0)
     # the density mass p itself: 1 - delta_weight keeps only eps / p of it
     assert _perturbative_mass(scen) == pytest.approx(_perturbative_mass(base), rel=REL, abs=0.0)
-    if state != "massive":  # delta_weight takes a massless field only
-        assert delta_weight(scen) == pytest.approx(delta_weight(base), rel=0.0, abs=1e-16)
+    assert delta_weight(scen) == pytest.approx(delta_weight(base), rel=0.0, abs=1e-16)
+
+
+# On the DFT grid with mu_max times c, the W grid is the base one over c and
+# the density c times the base one.  A power of 2 scales every sample exactly;
+# c = 3 rounds the mu grid apart from the base one, which moved the density by
+# up to 1.8e-13 of its peak (delta at W = 0; 1.6e-13 massive, 5.6e-16 massless).
+DENSITY_REL = 1e-12
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("state", STATES)
+def test_inverted_density_follows_the_scaling_law(state, c):
+    base = distribution_from_charfn(scaled(state))
+    got = distribution_from_charfn(scaled(state, c), mu_max=DEFAULT_MU_MAX * c)
+    assert got.atom_weight == pytest.approx(base.atom_weight, rel=0.0, abs=1e-16)
+    assert np.allclose(got.w_grid * c, base.w_grid, rtol=1e-15, atol=0.0)
+    peak = np.max(np.abs(base.density))
+    assert np.max(np.abs(got.density / c - base.density)) <= DENSITY_REL * peak

@@ -155,53 +155,55 @@ def test_charfn_kms_integrand_is_called_on_node_batches(monkeypatch):
     assert min(sizes) >= 21
 
 
-def _dft_mu_grid(n, mu_max):
-    dmu = 2.0 * mu_max / n
-    return (np.arange(n) - n // 2) * dmu
+def _half_mu_grid(n, mu_max):
+    """mu = 0 .. mu_max, the half of the n-point DFT grid in [-mu_max, mu_max)."""
+    return np.arange(n // 2 + 1) * (2.0 * mu_max / n)
 
 
 def test_charfn_grid_validation():
-    mu = _dft_mu_grid(16, 8.0)
-    CharFnGrid(mu=mu, values=np.ones(16, dtype=complex))
-    with pytest.raises(InvalidArgumentError):
-        CharFnGrid(mu=mu[:-1], values=np.ones(15, dtype=complex))  # odd length
-    bad = np.ones(16, dtype=complex)
-    bad[8] = 0.5  # P~(0) != 1
-    with pytest.raises(InvalidArgumentError):
+    mu = _half_mu_grid(16, 8.0)
+    CharFnGrid(mu=mu, values=np.ones(9, dtype=complex))
+    CharFnGrid(mu=mu[:5], values=np.ones(5, dtype=complex))  # any length >= 5
+    with pytest.raises(InvalidArgumentError, match=">= 5"):
+        CharFnGrid(mu=mu[:4], values=np.ones(4, dtype=complex))
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        CharFnGrid(mu=mu, values=np.ones(8, dtype=complex))
+    with pytest.raises(InvalidArgumentError, match="start at 0"):
+        CharFnGrid(mu=mu + 1.0, values=np.ones(9, dtype=complex))
+    bad = np.ones(9, dtype=complex)
+    bad[0] = 0.5
+    with pytest.raises(InvalidArgumentError, match="P~"):
         CharFnGrid(mu=mu, values=bad)
-    asym = np.exp(1j * 0.3 * mu)
-    asym[3] = np.conj(asym[3]) + 0.1  # break Hermitian symmetry
-    with pytest.raises(InvalidArgumentError):
-        CharFnGrid(mu=mu, values=asym)
+    with pytest.raises(InvalidArgumentError, match="uniform"):
+        CharFnGrid(mu=mu**1.1, values=np.ones(9, dtype=complex))
     with pytest.raises(InvalidArgumentError, match="spacing"):
         CharFnGrid(mu=np.zeros(8), values=np.ones(8))  # zero spacing: no conjugate W grid
     with pytest.raises(InvalidArgumentError, match="spacing"):
-        CharFnGrid(mu=-mu, values=np.ones(16))  # decreasing
+        CharFnGrid(mu=-mu, values=np.ones(9))  # decreasing
 
 
 def test_invert_constant_charfn_is_pure_atom():
-    mu = _dft_mu_grid(256, 64.0)
+    mu = _half_mu_grid(256, 64.0)
     grid = CharFnGrid(mu=mu, values=np.ones(mu.size, dtype=complex))
-    dist = invert_charfn(grid)
-    n, dmu = mu.size, mu[1] - mu[0]
+    dist = invert_charfn(grid, 1.0)
+    n, dmu = 256, mu[1] - mu[0]
     assert np.array_equal(dist.w_grid, (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu)))
-    assert dist.atom_weight == pytest.approx(1.0, abs=1e-14)
+    assert dist.atom_weight == 1.0
     assert np.max(np.abs(dist.density)) < 1e-14
+    assert dist.metadata["mu_points"] == n and dist.metadata["mu_max"] == 64.0
 
 
 def test_invert_pure_phase_is_shifted_peak():
     # P~(mu) = e^{i mu w0}: a distribution concentrated at W = w0, no atom.
     w0 = 1.0
     n, mu_max = 4096, 256.0
-    mu = _dft_mu_grid(n, mu_max)
+    mu = _half_mu_grid(n, mu_max)
     # Mollified to make the periodic inversion well-conditioned: a narrow
     # Gaussian at w0 instead of an exact delta.
     eps = 0.05
     values = np.exp(1j * mu * w0 - 0.5 * (eps * mu) ** 2)
-    grid = CharFnGrid(mu=mu, values=values)
-    dist = invert_charfn(grid)
+    dist = invert_charfn(CharFnGrid(mu=mu, values=values), 0.0)
     w = dist.w_grid
-    assert abs(dist.atom_weight) < 1e-8
     assert abs(w[np.argmax(dist.density)] - w0) <= 2.0 * (w[1] - w[0])
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-8)
 
@@ -209,25 +211,32 @@ def test_invert_pure_phase_is_shifted_peak():
 def test_invert_then_forward_roundtrip():
     # Smooth test characteristic function: atom + Gaussian density component.
     n, mu_max = 4096, 256.0
-    mu = _dft_mu_grid(n, mu_max)
+    mu = _half_mu_grid(n, mu_max)
     atom = 0.7
-    values = atom + 0.3 * np.exp(1j * mu * 0.8 - 0.5 * (0.2 * mu) ** 2)
-    grid = CharFnGrid(mu=mu, values=values)
-    dist = invert_charfn(grid)
+
+    def charfn(m):
+        return atom + 0.3 * np.exp(1j * m * 0.8 - 0.5 * (0.2 * m) ** 2)
+
+    dist = invert_charfn(CharFnGrid(mu=mu, values=charfn(mu)), atom)
     w = dist.w_grid
-    # Discrete forward transform of the output plus the atom contribution.
-    probe = mu[(np.abs(mu) < 20.0)]
+    # Discrete forward transform of the output plus the atom contribution, on
+    # both signs of mu: the half grid stands for the whole spectrum.
+    probe = np.concatenate((-mu[1:][mu[1:] < 20.0][::-1], mu[mu < 20.0]))
     kernel = np.exp(1j * np.multiply.outer(probe, w))
     forward = dist.atom_weight + np.trapezoid(kernel * dist.density, w, axis=-1)
-    original = atom + 0.3 * np.exp(1j * probe * 0.8 - 0.5 * (0.2 * probe) ** 2)
-    assert np.max(np.abs(forward - original)) < 1e-8
+    assert np.max(np.abs(forward - charfn(probe))) < 1e-8
 
 
 def test_invert_clamps_small_ringing_and_reports_diagnostics():
     n, mu_max = 4096, 256.0
-    mu = _dft_mu_grid(n, mu_max)
+    mu = _half_mu_grid(n, mu_max)
     values = 0.5 + 0.5 * np.exp(1j * mu * 0.8 - 0.5 * (0.2 * mu) ** 2)
-    dist = invert_charfn(CharFnGrid(mu=mu, values=values))
+    dist = invert_charfn(CharFnGrid(mu=mu, values=values), 0.5)
     assert np.all(dist.density >= 0.0)
     assert "clamped_points" in dist.metadata
     assert dist.metadata["negative_floor_violation"] is False
+    # the density part has dephased by 0.9 mu_max: exp(-0.5 (0.2 * 230)^2) underflows;
+    # a wrong atom leaves its error as a constant level of P~ - atom
+    assert dist.metadata["window_residual"] == 0.0
+    wrong = invert_charfn(CharFnGrid(mu=mu, values=values), 0.5 - 1e-3)
+    assert wrong.metadata["window_residual"] == pytest.approx(1e-3, rel=1e-12)

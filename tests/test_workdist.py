@@ -26,6 +26,8 @@ from fieldwork import (
     switching_ft,
     work_density_analytic,
 )
+from fieldwork.charfn import DEFAULT_MU_MAX, charfn_grid
+from fieldwork.special_math import CLAMP_REL_FLOOR
 from fieldwork.workdist import _FD_STEP, _density_moment, _moments_finite_difference
 
 SWITCH_WIDTH = 1.0 / 12.0
@@ -113,6 +115,23 @@ class TestDeltaWeight:
         with pytest.raises(RegimeError):
             delta_weight(make_scenario(coupling=5e4))
 
+    def test_any_mass_but_not_delta_switching(self):
+        s = make_scenario(mass=0.6)
+        assert delta_weight(s) == 1.0 - _density_moment(s, 0)
+        with pytest.raises(RegimeError):
+            delta_weight(_state_scenario("delta"))
+
+
+def _state_scenario(state, coupling=LAM):
+    if state == "delta":
+        return Scenario(
+            field=FieldSpec(coupling=coupling),
+            switching=SwitchingProfile.delta(),
+            smearing=SmearingProfile.gaussian_spherical(SIGMA),
+        )
+    beta = math.inf if state == "vacuum" else 1.0
+    return make_scenario(beta=beta, coupling=coupling, mass=0.6 if state == "massive" else 0.0)
+
 
 class TestDistributionFromCharfn:
     @pytest.mark.parametrize("beta", [1.0, math.inf])
@@ -132,21 +151,45 @@ class TestDistributionFromCharfn:
         assert "beta" in dist.metadata
         assert dist.metadata["beta"] == 1.0
 
-    @pytest.mark.parametrize("state", ["thermal", "vacuum", "delta"])
-    def test_inversion_leaves_no_imaginary_part(self, state):
-        if state == "delta":
-            # coupling 10 puts the perturbative density mass above 1; the delta
-            # coupling is exact there and must not be rejected as a breakdown
-            s = Scenario(
-                field=FieldSpec(coupling=10.0),
-                switching=SwitchingProfile.delta(),
-                smearing=SmearingProfile.gaussian_spherical(SIGMA),
-            )
-        else:
-            s = make_scenario(beta=1.0 if state == "thermal" else math.inf)
+    @pytest.mark.parametrize("state", ["thermal", "vacuum", "delta", "massive"])
+    def test_inversion_matches_the_full_complex_dft(self, state):
+        # the half-spectrum real inverse FFT against the full complex DFT, by FFT,
+        # of the mirrored grid mu_n = (n - N/2) dmu, with the same atom and clamp:
+        # Sum_n f_n e^{-i mu_n w_m} with both grids centred on index N/2.  Delta
+        # coupling 10 puts the perturbative density mass above 1; the delta
+        # coupling is exact there and must not be rejected as a breakdown
+        s = _state_scenario(state, coupling=10.0 if state == "delta" else LAM)
         dist = distribution_from_charfn(s)
-        peak = float(np.max(dist.density))
-        assert dist.metadata["max_abs_imag_density"] <= 1e-14 * peak
+        half = charfn_grid(s).values
+        n = 2 * (half.size - 1)
+        full = np.concatenate((np.conj(half[1:][::-1]), half[:-1])) - dist.atom_weight
+        dmu = 2.0 * DEFAULT_MU_MAX / n
+        ref = (dmu / (2.0 * np.pi)) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(full)))
+        # its imaginary part is (dmu / 2 pi) Im P~(mu_max) (-1)^m, from the
+        # unpaired Nyquist sample, which the real transform leaves out
+        ref = ref.real
+        peak = np.max(np.abs(ref))
+        ref[(ref < 0.0) & (ref >= -CLAMP_REL_FLOOR * peak)] = 0.0
+        assert np.max(np.abs(dist.density - ref)) <= 1e-15 * peak
+
+    @pytest.mark.parametrize("mu_max", [DEFAULT_MU_MAX, 1.0])
+    @pytest.mark.parametrize("state", ["thermal", "vacuum", "massive"])
+    def test_smooth_switching_atom_is_the_delta_weight(self, state, mu_max):
+        # at mu_max = 1 the density part of P~ has not dephased: the atom stays
+        # 1 - p, and the window residual reports what the window cuts off
+        s = _state_scenario(state)
+        dist = distribution_from_charfn(s, mu_max=mu_max)
+        assert dist.atom_weight == delta_weight(s)
+        if mu_max == 1.0:
+            assert dist.metadata["window_residual"] >= 0.5 * (1.0 - dist.atom_weight)
+
+    @pytest.mark.parametrize("coupling", [0.1, 1.0])
+    def test_delta_switching_atom_is_the_closed_form(self, coupling):
+        # the large-mu level of P~ = exp[lambda^2 Int a_F (e^{i mu w} - 1) dk]
+        s = _state_scenario("delta", coupling=coupling)
+        closed = math.exp(-(coupling**2) / (8.0 * math.pi**2 * SIGMA**2))
+        assert distribution_from_charfn(s).atom_weight == pytest.approx(closed, rel=0.0,
+                                                                         abs=1e-15)
 
     def test_vacuum_negative_side_is_empty(self):
         dist = distribution_from_charfn(make_scenario(beta=math.inf))
