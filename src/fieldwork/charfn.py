@@ -104,26 +104,91 @@ def _weight_slope(s: Scenario) -> float:
     return 1.0 / _FOUR_PI_SQ if s.switching.is_delta else s.switching.width**2 / (2.0 * math.pi)
 
 
-def _kink_images(x):
-    """1/(4 sin^2(x/2)) - 1/x^2 - 1/12 at x = mu h (real or complex), a series below
-    |x| = 1e-2.  Times A0 h^2 it is the sum of all trapezoid images of the kink
-    A0 k (e^{i mu k} - 1) at k = 0 (Lyness & Ninham, Math. Comp. 21 (1967) 162)."""
-    x = np.asarray(x)
-    small = np.abs(x) < 1e-2
-    y = np.where(small, 1.0, x)
-    out = 0.25 / np.sin(0.5 * y) ** 2 - 1.0 / (y * y) - 1.0 / 12.0
-    x2 = x * x
-    return np.where(small, x2 / 240.0 + x2 * x2 / 6048.0, out)
+# The W = 0 kink.  A massless vacuum or delta weight is exactly
+# a(k) = A0 k e^{-l^2 k^2}, so the trapezoid rule of step h errs by the images
+# at xi = 2 pi m / h, m != 0, of the transform of A0 |k| e^{-l^2 k^2}
+# (cos(mu k) - 1), the even extension of the real part of its bracket (the
+# imaginary part, A0 k e^{-l^2 k^2} sin(mu k), is even at k = 0 and needs no
+# term).  The large-xi series of the transform of |k| e^{-l^2 k^2},
+# -2 / xi^2 - 12 l^2 / xi^4 - 120 l^4 / xi^6 - ... (DLMF 7.12), and Poisson
+# summation give, at u = mu h / 2,
+#
+#     I - T(h) = A0 (h/2)^2 Sum_j c_j (l h/2)^{2j-2} F_j(u),  c_j = 1, 6, 60,
+#     F_j(u) = Sum_{m != 0} (u + m pi)^{-2j} - 2 zeta(2j) / pi^{2j}
+#
+# (Lyness & Ninham, Math. Comp. 21 (1967) 162).  The series is asymptotic in
+# l / (P - |mu|), P = 2 pi / h: the first term left out falls as (P - |mu|)^-8,
+# from 1.5e-13 of max |B| at a margin of 100 l to round-off at _ALIAS_MARGIN l.
+_KINK_WEIGHTS = (1.0, 6.0, 60.0)
+_KINK_TERMS = 24
+# 2 zeta(2n) / pi^{2n}, n = 1 .. _KINK_TERMS + 3; from n = 4 on by the sum over
+# m <= M, whose tail is below M^{1-2n} / (2n - 1) < 1e-17
+_ZETA_EVEN = (1 / 3, 1 / 45, 2 / 945) + tuple(
+    2.0 * math.fsum((m * math.pi) ** (-2 * n) for m in range(1, 2 + int(10 ** (17 / (2 * n - 1)))))
+    for n in range(4, _KINK_TERMS + 4)
+)
+# F_j(u) = Sum_{n >= 1} C(2n + 2j - 1, 2j - 1) 2 zeta(2n + 2j) / pi^{2n + 2j} u^{2n}
+# (row j, column n), taken below |u| = _KINK_SERIES_MAX, where the closed form
+# cancels; both are within 2e-14 of F_j on either side
+_KINK_SERIES = np.array(
+    [[math.comb(2 * n + 2 * j - 1, 2 * j - 1) * _ZETA_EVEN[n + j - 1]
+      for n in range(1, _KINK_TERMS + 1)] for j in (1, 2, 3)]
+)
+_KINK_SERIES_MAX = 1.2
+
+
+def _image_series(u2):
+    """(F_1, F_2, F_3) by their series in u2 = u^2, a 1-D array."""
+    powers = np.empty((_KINK_TERMS, u2.size), dtype=u2.dtype)
+    powers[0] = u2
+    n = 1
+    while n < _KINK_TERMS:  # u^{2(n + i)} = u^{2i} u^{2n}, i = 1 .. n: doubling
+        m = min(n, _KINK_TERMS - n)
+        np.multiply(powers[:m], powers[n - 1], out=powers[n : n + m])
+        n += m
+    return _KINK_SERIES @ powers
+
+
+def _image_closed(u, sin_u):
+    """(F_1, F_2, F_3) from c = csc^2 u: Sum_m (u + m pi)^{-2j} is c, c^2 - 2c/3
+    and c^3 - c^2 + 2c/15 for j = 1, 2, 3."""
+    c = 1.0 / (sin_u * sin_u)
+    v = 1.0 / (u * u)
+    return (
+        c - v - _ZETA_EVEN[0],
+        c * (c - 2.0 / 3.0) - v * v - _ZETA_EVEN[1],
+        c * (c * (c - 1.0) + 2.0 / 15.0) - v * v * v - _ZETA_EVEN[2],
+    )
+
+
+def _image_sums(u):
+    """(F_1, F_2, F_3) at u = mu h / 2, real or complex, a scalar or a 1-D array.
+    A scalar, four per point on the pointwise path, takes cmath or one power
+    of 24 entries."""
+    if np.ndim(u) == 0:
+        if abs(u) < _KINK_SERIES_MAX:
+            return _KINK_SERIES @ (u * u) ** np.arange(1, _KINK_TERMS + 1)
+        return _image_closed(u, cmath.sin(u))
+    small = np.abs(u) < _KINK_SERIES_MAX
+    large = ~small
+    y = u[large]
+    out = np.empty((3, u.size), dtype=u.dtype)
+    for row, series, closed in zip(out, _image_series(u[small] ** 2), _image_closed(y, np.sin(y))):
+        row[small], row[large] = series, closed
+    return out
 
 
 def _kink_term(s: Scenario, h, mu):
     """I - T(h) for Int a(k) bracket(mu, w_k) dk on k nodes of step h: the sum of the
-    images of the W = 0 kink A0 k (e^{i mu k} - 1) of a massless vacuum or delta
-    weight.  Every other bracket integrand is even at k = 0 and needs none."""
+    images of the W = 0 kink of a massless vacuum or delta weight A0 k e^{-l^2 k^2},
+    above.  Every other bracket integrand is even at k = 0 and needs none."""
     a0 = _weight_slope(s)
     if a0 == 0.0 or not s.field.is_vacuum:
         return 0.0
-    return a0 * h * h * _kink_images(mu * h)
+    q = 0.5 * h
+    r = (q * _decay_length(s)) ** 2
+    f1, f2, f3 = _image_sums(q * mu)
+    return a0 * q * q * (f1 + r * (_KINK_WEIGHTS[1] * f2 + r * _KINK_WEIGHTS[2] * f3))
 
 
 def _spectral_weight(s: Scenario, k, w):
@@ -161,7 +226,8 @@ def _nearest_singularity(s: Scenario) -> float:
 # at dt = 1/16 the error estimate |T(dt) - T(2 dt)| stays below 1e-13 of
 # the value, on at most 640 nodes.  eps >= 1e-16 / l bounds the node count: a
 # singularity nearer than that changes a(k) only where k l < 1e-16, which
-# weighs below 1e-16 of the integral.  A faster phase needs the k grid.
+# weighs below 1e-16 of the integral.  A faster phase needs the k grid.  On
+# mu arrays, such a window of slow phases takes the direct sum (`_batch_exponent`).
 _SINH_STEP = 0.0625  # 2^-4
 _SINH_MU_MAX = 2.0
 
@@ -349,7 +415,9 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # - massive field on a uniform mu grid (w_k is not uniform in k): the phases
 #   mu_z w_n + J x_n, x_n = dmu w_n, make the sums a type-1 non-uniform FFT
 #   in the points x_n mod 2 pi, taken by Gaussian gridding: O(N_k + N_mu log).
-# - any other mu array: a direct sum, one trig row per point and function.
+# - any other mu array, or a window of slow phases, |mu| <= _SINH_MU_MAX l,
+#   where the FFT sums lose digits to Sum a cos(mu w) - Sum a: a direct sum,
+#   one trig row per point and function.
 # The exponent at mu = 0 is set to 0 exactly, so that P~(0) = 1 + 0j.
 # ---------------------------------------------------------------------------
 
@@ -357,16 +425,18 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # decay as e^{-l^2 k^2}, so the image of a phase mu at P carries about
 # e^{l^2 c^2 - c (P - mu)} of the peak for any c < kappa (Trefethen & Weideman,
 # SIAM Rev. 56 (2014) 385).  The margin P - mu_max = 12 l + 32 / kappa keeps it
-# below e^{-32} (take c = min(kappa, 6 / l)).  The W = 0 kink of a massless
-# vacuum or delta weight (kappa = 0) keeps the margin _ALIAS_MARGIN l, beyond
-# which images carry < 1e-13 of the peak.  A cold or nearly massless field
-# (32 / kappa > 4000 l) takes the finer grid it needs up to the node cap of
-# `_radial_nodes`; past the cap, the period is the largest the cap allows, but
-# never below mu_max + _ALIAS_MARGIN l: as kappa -> 0 the singularity weakens
-# to the kink, which that margin serves.  Margins in units of 1 / l (kappa l is
-# scale free too) keep every node count scale free (4459 at mu_max = 0 for
-# kappa = 0).
-_ALIAS_MARGIN = 4000.0
+# below e^{-32} (take c = min(kappa, 6 / l)).  A massless vacuum or delta weight
+# (kappa = 0) is A0 k e^{-l^2 k^2}: the images of its W = 0 kink are summed in
+# closed form to order (l / (P - mu))^6 (`_kink_term`), and all others are
+# Gaussian tails, e^{-(P - mu)^2 / 4 l^2}.  Its margin, _ALIAS_MARGIN l, leaves
+# the first order not summed at round-off.  A cold or nearly massless field
+# (32 / kappa > _ALIAS_MARGIN l) takes the finer grid it needs up to the node
+# cap of `_radial_nodes`; past the cap, the period is the largest the cap
+# allows, but never below the kappa = 0 period mu_max + _ALIAS_MARGIN l, so a
+# window too wide for the cap is refused, not sampled with a smaller margin.
+# Margins in units of 1 / l (kappa l is scale free too) keep every node count
+# scale free (225 at mu_max = 0 for kappa = 0).
+_ALIAS_MARGIN = 200.0
 # Entries of the direct sum's trig table, or of the non-uniform FFT's spreading
 # tables, held at a time (8 MiB each): memory stays flat up to the node cap.
 _TABLE_SIZE = 2**20
@@ -383,16 +453,15 @@ def _k_step(s: Scenario, mu_max: float, estimate: bool = False) -> float:
     """The k step 2 pi / P for phases up to mu_max w_k, P = mu_max + M with the
     margin M above.  With ``estimate``, the rule of step 2h, which gives
     `integrate_radial` its error estimate, keeps its images a margin from every
-    |mu| too: P = 2 (mu_max + M), or P >= 2 mu_max + _ALIAS_MARGIN l / 2 (1000 l)
-    for kappa = 0.  For kappa > 0, P is at most the larger of the kappa = 0
-    period and the largest one the node cap allows.  Raises ConvergenceError
-    where k^2 in a(k) overflows below k_max."""
+    |mu| too: P = 2 (mu_max + M), or P = 2 mu_max + _ALIAS_MARGIN l for
+    kappa = 0 (a margin of 100 l, where the kink series errs by 1.5e-13 of
+    max |B|).  For kappa > 0, P is at most the larger of the kappa = 0 period
+    and the largest one the node cap allows.  Raises ConvergenceError where
+    k^2 in a(k) overflows below k_max."""
     if not math.isfinite(s.k_max * s.k_max):
         raise ConvergenceError(f"below k_max = {s.k_max:g} the integrand is not finite")
     length = _decay_length(s)
-    period = mu_max + _ALIAS_MARGIN * length
-    if estimate:
-        period = max(period, 2.0 * mu_max + 0.5 * _ALIAS_MARGIN * length)
+    period = (2.0 if estimate else 1.0) * mu_max + _ALIAS_MARGIN * length
     kappa = _nearest_singularity(s)
     if kappa > 0.0:
         fitted = (mu_max + 12.0 * length + 32.0 / kappa) * (2.0 if estimate else 1.0)
@@ -421,20 +490,21 @@ def _uniform_step(mu: np.ndarray):
 def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
     """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid).
 
-    On a uniform mu grid a massless field takes the chirp z-transform
-    (`_chirp_sums`) and a massive one the non-uniform FFT (`_nufft_sums`);
-    any other mu array takes the direct sum (`_phase_sums`).  `_kink_term` is
-    added, as on the pointwise path.  The exponent at mu = 0 is 0 exactly on
-    every path.
+    On a uniform mu grid wider than |mu| <= _SINH_MU_MAX l, a massless field
+    takes the chirp z-transform (`_chirp_sums`) and a massive one the
+    non-uniform FFT (`_nufft_sums`); any other mu array takes the direct sum
+    (`_phase_sums`).  `_kink_term` is added, as on the pointwise path.  The
+    exponent at mu = 0 is 0 exactly on every path.
     """
-    k = _batch_k_grid(s, float(np.abs(mu).max()) if mu.size else 0.0)
+    mu_max = float(np.abs(mu).max()) if mu.size else 0.0
+    k = _batch_k_grid(s, mu_max)
     h = k[1] - k[0]
     kk = k[1:]  # integrand vanishes at k = 0, and a(k_max) is e^{-49} of its bulk
     w = dispersion(kk, s.field.mass)
     a_trap = _spectral_weight(s, kk, w) * h
     a_coth = a_trap if math.isinf(s.field.beta) else a_trap * thermal_weight(w, s.field.beta)[0]
 
-    dmu = _uniform_step(mu)
+    dmu = None if mu_max <= _SINH_MU_MAX * _decay_length(s) else _uniform_step(mu)
     if dmu is None:
         out = _phase_sums(w, a_coth, a_trap, mu)
     else:

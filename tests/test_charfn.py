@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import fieldwork.charfn as charfn_module
 from fieldwork import (
     ConvergenceError,
     FieldSpec,
@@ -27,11 +28,21 @@ from fieldwork import (
     charfn_delta_numeric,
     charfn_grid,
     charfn_kms,
+    dawson,
     moments,
     sample_charfn,
     thermal_weight,
 )
-from fieldwork.charfn import _TABLE_SIZE, _batch_exponent, _batch_k_grid, _spectral_weight
+from fieldwork.charfn import (
+    _KINK_SERIES_MAX,
+    _TABLE_SIZE,
+    DEFAULT_MU_MAX,
+    _batch_exponent,
+    _batch_k_grid,
+    _bracket_integral,
+    _image_sums,
+    _spectral_weight,
+)
 from fieldwork.field_model import dispersion
 
 SWITCH_WIDTH = 1.0 / 12.0
@@ -270,6 +281,27 @@ def test_direct_sum_keeps_its_digits_on_a_narrow_window():
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("s", [make_scenario(beta=1.0), _massive_scenario(0.2)], ids=["massless", "massive"])
+def test_a_narrow_uniform_window_takes_the_direct_sum(s):
+    # the chirp z-transform (massless) and the non-uniform FFT (massive) form
+    # Sum a cos(mu w) - Sum a, which lost 1.5e-13 and 3.5e-13 of max |B| here
+    mu = np.linspace(0.0015, 0.006, 4)
+    ref = _long_double_exponent(s, mu)
+    assert np.max(np.abs(_batch_exponent(s, mu) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_wider_uniform_windows_keep_the_fft_sums(monkeypatch):
+    # the direct sum serves windows |mu| <= 2 l, whatever the number of points:
+    # the charfn command's 201 points and the pdf command's 2^14 keep the FFTs
+    def direct_sum(*args):
+        raise AssertionError("a wide uniform window took the direct sum")
+
+    monkeypatch.setattr(charfn_module, "_phase_sums", direct_sum)
+    for s in (make_scenario(1.0), make_scenario(math.inf), delta_scenario(), _massive_scenario()):
+        sample_charfn(s, np.linspace(-10.0, 10.0, 201))
+        charfn_grid(s)
+
+
 @pytest.mark.parametrize("mass", [0.2, 0.6, 1.0])
 @pytest.mark.parametrize("mu", [_DFT_HALF, np.linspace(50.0, 60.0, 201)], ids=["dft-half", "offset"])
 def test_massive_grid_matches_a_long_double_sum(mass, mu):
@@ -321,9 +353,9 @@ def test_uniform_grid_properties(grid_case, state, rng):
     The sums are compared on the exponent B of P~ = 1 + lambda^2 B (of
     P~ = exp(lambda^2 B) for delta), relative to max |B| over the grid and
     over |mu| <= 50.  P~ itself would not do: near mu = 0, 1e-13 of |P~ - 1|
-    is below one ulp of P~.  Nor would the grid alone: on a window
-    |mu| < 0.1 every path, the per-point one included, loses digits to the
-    cancellation Sum a cos(mu k) - Sum a.
+    is below one ulp of P~.  Nor would the grid alone: a window wider than
+    |mu| <= 2 l that stays near mu = 0 takes the chirp or non-uniform FFT,
+    which lose digits to the cancellation Sum a cos(mu k) - Sum a.
     """
     kind, mu = grid_case
     s = _PROPERTY_STATES[state]
@@ -379,13 +411,73 @@ def test_delta_closed_form_rejects_a_sigma_whose_cube_is_not_a_double():
 
 def test_grid_aliasing_of_the_massless_kink():
     # The W = 0 kink of the delta density decays as 1/mu^2, and without the
-    # closed-form sum of its trapezoid images (_kink_images) they reached the
+    # closed-form sum of its trapezoid images (_kink_term) they reached the
     # window edge at ~5e-10.  With it, every sample is at round-off.
     s = delta_scenario(coupling=1.0)
     grid = charfn_grid(s)
     err = np.abs(grid.values - charfn_delta_closed(1.0, SIGMA, grid.mu))
     assert np.max(err) <= 1e-13
     assert np.max(err[np.abs(grid.mu) <= 10.0]) <= 1e-13
+
+
+def _mp_image_sum(u, j):
+    """F_j(u) = Sum_{m != 0} (u + m pi)^{-2j} - 2 zeta(2j) / pi^{2j}, term by term
+    at 25 digits: Sum_{m >= 1} (m pi + u)^{-2j} + (m pi - u)^{-2j} - 2 (m pi)^{-2j}."""
+    with mpmath.workdps(25):
+        u, pi = mpmath.mpmathify(u), mpmath.pi
+        return complex(mpmath.nsum(
+            lambda m: (m * pi + u) ** (-2 * j) + (m * pi - u) ** (-2 * j) - 2 * (m * pi) ** (-2 * j),
+            [1, mpmath.inf], method="richardson",
+        ))
+
+
+def test_image_sums_match_a_brute_force_sum():
+    # real u across (0, pi), on both sides of the switch from the series to the
+    # closed form and near the pole at pi, and complex u; as scalars (the
+    # pointwise path) and as arrays (the grid path)
+    edge = _KINK_SERIES_MAX
+    real = [1e-6, 1e-3, 0.05, 0.5, edge * (1 - 1e-12), edge, edge * (1 + 1e-12), 2.0, 3.0,
+            math.pi - 1e-2, math.pi - 3e-4]
+    complex_ = [0.3 + 0.2j, 1.1 + 0.3j, 2.0 + 0.5j, 1.2j]
+    for us in (real, complex_):
+        rows = _image_sums(np.array(us))
+        for i, u in enumerate(us):
+            for j in (1, 2, 3):
+                ref = _mp_image_sum(u, j)
+                for got in (rows[j - 1][i], _image_sums(u)[j - 1], _image_sums(complex(u))[j - 1]):
+                    assert abs(got - ref) <= 5e-14 * abs(ref)
+
+
+def _dawson_exponent(s, mu):
+    """A0 Int_0^inf k e^{-l^2 k^2} (e^{i mu k} - 1) dk, the exponent of a massless
+    vacuum or delta weight A0 k e^{-l^2 k^2}, by the Dawson form (x = mu / 2 l)."""
+    if s.switching.is_delta:
+        a0, length = 1.0 / (4.0 * math.pi**2), s.smearing.sigma
+    else:
+        a0, length = s.switching.width**2 / (2.0 * math.pi), math.hypot(s.switching.width, s.smearing.sigma)
+    x = np.asarray(mu) / (2.0 * length)
+    return a0 * x / length**2 * (-dawson(x) + 0.5j * math.sqrt(math.pi) * np.exp(-x * x))
+
+
+@pytest.mark.parametrize("window", [10.0, 1536.0, 20000.0])
+@pytest.mark.parametrize(
+    "width, sigma",
+    [(SWITCH_WIDTH, SIGMA), (1.0 / 96.0, 1.0 / 8.0), (None, 1.0), (None, 1.0 / 8.0)],
+    ids=["vacuum", "vacuum-narrow", "delta", "delta-narrow"],
+)
+def test_kink_exponents_match_the_dawson_form(width, sigma, window):
+    # the k grid keeps a margin of 200 l beyond |mu| (4000 l when only the
+    # leading kink images were summed); the pointwise rule's error estimate
+    # T(h) - T(2h) meets the tolerance, else these calls would raise
+    switching = SwitchingProfile.delta() if width is None else SwitchingProfile.gaussian(0.5, width)
+    s = Scenario(field=FieldSpec(mass=0.0, beta=math.inf, coupling=LAM), switching=switching,
+                 smearing=SmearingProfile.gaussian_spherical(sigma))
+    mu = np.linspace(-window, window, 201)
+    ref = _dawson_exponent(s, mu)
+    assert np.max(np.abs(_batch_exponent(s, mu) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for point in (0.3 * window, 0.77 * window, window):  # |mu| > 2 l: the k grid
+        ref = _dawson_exponent(s, point)
+        assert abs(_bracket_integral(s, complex(point)) - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("mu", [1000.0, 3000.0])
@@ -509,7 +601,7 @@ def test_exponent_matches_mpmath_on_both_paths(mass, beta, width, sigma):
 
 @pytest.mark.parametrize("mass, beta", [(0.0, 1.0), (0.0, 1e6), (1e-7, 1.0)])
 def test_past_the_node_cap_a_wide_mu_window_is_an_invalid_argument(mass, beta):
-    # the period is never below |mu| + 4000 l, whatever the nearest singularity
+    # the period is never below |mu| + 200 l, whatever the nearest singularity
     s = replace(make_scenario(beta=beta), field=FieldSpec(mass=mass, beta=beta, coupling=LAM))
     with pytest.raises(InvalidArgumentError, match=r"lower \|mu\|"):
         charfn_correction(s, 2e6)
@@ -537,14 +629,15 @@ def test_memory_stays_flat_on_a_fine_k_grid(case):
 
 
 def test_sample_k_grid_follows_the_nearest_singularity():
-    # the charfn command's 201-point window |mu| <= 10, at the reference widths
-    for s in [make_scenario(beta) for beta in (0.5, 1.0, 2.0)] + [
+    # the charfn command's 201-point window |mu| <= 10 and the pdf command's 2^14
+    # grid |mu| <= 1536, at the reference widths; the W = 0 kink of a massless
+    # vacuum or delta weight has its images summed in closed form
+    states = [make_scenario(beta) for beta in (0.5, 1.0, 2.0, math.inf)] + [
         _massive_scenario(mass) for mass in (0.2, 0.6, 1.0)
-    ]:
+    ] + [delta_scenario()]
+    for s in states:
         assert _batch_k_grid(s, 10.0).size <= 256
-    # the W = 0 kink of a massless vacuum or delta weight keeps the margin 4000 l
-    for s in (make_scenario(math.inf), delta_scenario()):
-        assert _batch_k_grid(s, 10.0).size == 4469
+        assert _batch_k_grid(s, DEFAULT_MU_MAX).size <= 2048
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fieldwork import CrooksRow, cli, delta_weight
+from fieldwork import CharFnGrid, CrooksRow, charfn_delta_closed, cli, delta_weight, invert_charfn
+from fieldwork.charfn import DEFAULT_MU_MAX
 from fieldwork.cli import main
 
 VACUUM_INI = """\
@@ -439,6 +440,19 @@ def test_narrow_fft_window_prints_the_exact_atom(capsys):
     assert first == f"# atom_weight = {cli._FMT % delta_weight(scenario)}"
 
 
+def test_delta_pdf_is_the_inverted_closed_form(tmp_path):
+    # the delta density has a kink at W = 0; with only the leading term of its
+    # trapezoid images summed, the fixed 4000 l margin left 4.7e-12 of the peak
+    out = tmp_path / "pdf.csv"
+    assert main(["pdf", "--config", str(CONFIGS / "delta_coupling.ini"), "--output", str(out)]) == 0
+    comments, _, rows = read_csv(out)
+    atom = float(comments[0].split("=")[1])
+    mu = np.append(np.arange(2**13) * (2.0 * DEFAULT_MU_MAX / 2**14), DEFAULT_MU_MAX)
+    ref = invert_charfn(CharFnGrid(mu=mu, values=charfn_delta_closed(0.1, 1.0, mu)), atom)
+    assert np.array_equal(rows[:, 0], ref.w_grid)
+    assert np.max(np.abs(rows[:, 1] - ref.density)) <= 1e-14 * np.max(ref.density)
+
+
 @pytest.mark.parametrize("override", ["field.beta=1e6", "field.mass=1e-7"])
 def test_a_cold_or_light_field_is_sampled_on_the_capped_k_grid(override, capsys):
     # 32 / kappa would take 5.7e6 or 3.6e8 k nodes; the period stops at the cap
@@ -454,7 +468,7 @@ def test_a_cold_or_light_field_is_sampled_on_the_capped_k_grid(override, capsys)
     [("charfn", ["grids.mu_min=-2e6", "grids.mu_max=2e6"]), ("pdf", ["grids.fft_mu_max=2e6"])],
 )
 def test_a_mu_window_past_the_k_node_cap_is_a_configuration_error(command, window, override, capsys):
-    # the k period is at least |mu| + 4000 l: 2.2e6 nodes here, past the cap of 2^20;
+    # the k period is at least |mu| + 200 l: 2.2e6 nodes here, past the cap of 2^20;
     # a cold or light field below that width takes the largest period the cap allows
     sets = [arg for item in window + [override] for arg in ("--set", item)]
     code = main([command, "--config", str(CONFIGS / "thermal_beta1.ini"), *sets])

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from fieldwork import (
     FieldSpec,
@@ -38,21 +39,21 @@ UNIFORM_MU = np.linspace(-10.0, 10.0, 201)
 SCATTERED_MU = np.array([-7.3, -0.2, 0.05, 1.0, 3.3, 9.9, 17.0, 40.0])
 
 
+def build(mass: float, beta: float, delta: bool, c: float = 1.0) -> Scenario:
+    """The reference scenario of a mass, beta and switching, its widths and beta
+    times c and its mass over c (a delta switching: its coupling times c too)."""
+    field = FieldSpec(mass=mass / c, beta=beta * c, coupling=0.3 * c if delta else 0.01)
+    smearing = SmearingProfile.gaussian_spherical(c)
+    if delta:
+        return Scenario(field=field, switching=SwitchingProfile.delta(), smearing=smearing)
+    switching = SwitchingProfile.gaussian(center=0.5 * c, width=c / 12.0)
+    return Scenario(field=field, switching=switching, smearing=smearing)
+
+
 def scaled(state: str, c: float = 1.0) -> Scenario:
-    """A reference scenario of each state, its widths and beta times c, its mass over c."""
+    """A reference scenario of each state, scaled by c as in `build`."""
     beta = 1.0 if state in ("thermal", "massive") else math.inf
-    mass = 0.6 if state == "massive" else 0.0
-    if state == "delta":
-        return Scenario(
-            field=FieldSpec(mass=0.0, beta=math.inf, coupling=0.3 * c),
-            switching=SwitchingProfile.delta(),
-            smearing=SmearingProfile.gaussian_spherical(c),
-        )
-    return Scenario(
-        field=FieldSpec(mass=mass / c, beta=beta * c, coupling=0.01),
-        switching=SwitchingProfile.gaussian(center=0.5 * c, width=c / 12.0),
-        smearing=SmearingProfile.gaussian_spherical(c),
-    )
+    return build(0.6 if state == "massive" else 0.0, beta, state == "delta", c)
 
 
 def _lam2_exponent(s: Scenario, mu) -> np.ndarray:
@@ -69,6 +70,24 @@ def test_grid_exponent_follows_the_scaling_law(state, c, mu):
     base = _lam2_exponent(scaled(state), mu / c)
     got = _lam2_exponent(scaled(state, c), mu)
     assert np.max(np.abs(got - base)) <= REL * np.max(np.abs(base))
+
+
+# (mass, beta, delta switching): a delta switching is treated on the vacuum only
+_SWEEP_STATES = [(m, b, False) for m in (0.0, 0.6) for b in (1.0, math.inf)] + [
+    (m, math.inf, True) for m in (0.0, 0.6)
+]
+
+
+@seed(20191019)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.floats(0.125, 8.0), st.sampled_from(_SWEEP_STATES))
+def test_grid_exponent_follows_the_scaling_law_at_any_scale(c, state):
+    # any c in [1/8, 8]: the mu grid, the k grid and the widths all round apart
+    # from the base ones
+    for mu in (UNIFORM_MU, SCATTERED_MU):
+        base = _lam2_exponent(build(*state), mu / c)
+        got = _lam2_exponent(build(*state, c), mu)
+        assert np.max(np.abs(got - base)) <= REL * np.max(np.abs(base))
 
 
 @pytest.mark.parametrize("c", SCALES)
