@@ -34,9 +34,9 @@ from fieldwork import (
     thermal_weight,
 )
 from fieldwork.charfn import (
+    DEFAULT_MU_MAX,
     _KINK_SERIES_MAX,
     _TABLE_SIZE,
-    DEFAULT_MU_MAX,
     _batch_exponent,
     _batch_k_grid,
     _bracket_integral,
@@ -281,7 +281,9 @@ def test_direct_sum_keeps_its_digits_on_a_narrow_window():
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("s", [make_scenario(beta=1.0), _massive_scenario(0.2)], ids=["massless", "massive"])
+@pytest.mark.parametrize(
+    "s", [make_scenario(beta=1.0), _massive_scenario(0.2)], ids=["massless", "massive"]
+)
 def test_a_narrow_uniform_window_takes_the_direct_sum(s):
     # the chirp z-transform (massless) and the non-uniform FFT (massive) form
     # Sum a cos(mu w) - Sum a, which lost 1.5e-13 and 3.5e-13 of max |B| here
@@ -425,10 +427,10 @@ def _mp_image_sum(u, j):
     at 25 digits: Sum_{m >= 1} (m pi + u)^{-2j} + (m pi - u)^{-2j} - 2 (m pi)^{-2j}."""
     with mpmath.workdps(25):
         u, pi = mpmath.mpmathify(u), mpmath.pi
-        return complex(mpmath.nsum(
-            lambda m: (m * pi + u) ** (-2 * j) + (m * pi - u) ** (-2 * j) - 2 * (m * pi) ** (-2 * j),
-            [1, mpmath.inf], method="richardson",
-        ))
+        def term(m):
+            return (m * pi + u) ** (-2 * j) + (m * pi - u) ** (-2 * j) - 2 * (m * pi) ** (-2 * j)
+
+        return complex(mpmath.nsum(term, [1, mpmath.inf], method="richardson"))
 
 
 def test_image_sums_match_a_brute_force_sum():
@@ -451,10 +453,12 @@ def test_image_sums_match_a_brute_force_sum():
 def _dawson_exponent(s, mu):
     """A0 Int_0^inf k e^{-l^2 k^2} (e^{i mu k} - 1) dk, the exponent of a massless
     vacuum or delta weight A0 k e^{-l^2 k^2}, by the Dawson form (x = mu / 2 l)."""
+    sigma = s.smearing.sigma
     if s.switching.is_delta:
-        a0, length = 1.0 / (4.0 * math.pi**2), s.smearing.sigma
+        a0, length = 1.0 / (4.0 * math.pi**2), sigma
     else:
-        a0, length = s.switching.width**2 / (2.0 * math.pi), math.hypot(s.switching.width, s.smearing.sigma)
+        width = s.switching.width
+        a0, length = width**2 / (2.0 * math.pi), math.hypot(width, sigma)
     x = np.asarray(mu) / (2.0 * length)
     return a0 * x / length**2 * (-dawson(x) + 0.5j * math.sqrt(math.pi) * np.exp(-x * x))
 
