@@ -403,21 +403,20 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # The k step h puts the aliasing images of the transform at multiples of
 # P = 2 pi / h in mu (`_k_step`); the trapezoid rule is spectrally accurate
 # because the integrand is even at k = 0, or has the closed-form kink term,
-# and has decayed by k_max.  Every path below sums the same k nodes with the
-# same weights; the path is chosen from the field and the mu array (mu_z is
-# the grid point nearest 0, at index z, and J = j - z):
+# and has decayed by k_max.  Every path below sums the k nodes of
+# `_batch_k_grid` with the same weights; the path is chosen from the field and
+# the mu array (mu_z is the grid point nearest 0, at index z, and J = j - z):
 #
-# - massless field (w_k = k_n = n dk) on a uniform mu grid: the phases
-#   mu_j k_n = mu_z k_n + alpha J n, alpha = dmu dk, make the sums a chirp
-#   z-transform.  With J n = (J^2 + n^2 - (J - n)^2) / 2 it becomes a
-#   pre-chirp, one convolution with e^{-i alpha m^2 / 2} by FFT and a
-#   post-chirp (Bluestein): O((N_k + N_mu) log) in place of O(N_k N_mu).
+# - massless field (w_k = k_n = n h) on a uniform mu grid: h = 2 pi / (r L |dmu|),
+#   so that on each residue class mod r the phases mu_j k_n differ by exact
+#   multiples of 2 pi n / L: one L-point FFT per class of the weights folded
+#   mod L (`_dft_sums`), O(r (N_k + L log L)) in place of O(N_k N_mu).
 # - massive field on a uniform mu grid (w_k is not uniform in k): the phases
 #   mu_z w_n + J x_n, x_n = dmu w_n, make the sums a type-1 non-uniform FFT
 #   in the points x_n mod 2 pi, taken by Gaussian gridding: O(N_k + N_mu log).
-# - any other mu array, or a window of slow phases, |mu| <= _SINH_MU_MAX l,
-#   where the FFT sums lose digits to Sum a cos(mu w) - Sum a: a direct sum,
-#   one trig row per point and function.
+# - any other mu array, a window of slow phases, |mu| <= _SINH_MU_MAX l,
+#   where the FFT sums lose digits to Sum a cos(mu w) - Sum a, or a massless grid
+#   with r L > N_mu N_k: a direct sum, one trig row per point and function.
 # The exponent at mu = 0 is set to 0 exactly, so that P~(0) = 1 + 0j.
 # ---------------------------------------------------------------------------
 
@@ -437,8 +436,8 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # Margins in units of 1 / l (kappa l is scale free too) keep every node count
 # scale free (225 at mu_max = 0 for kappa = 0).
 _ALIAS_MARGIN = 200.0
-# Entries of the direct sum's trig table, or of the non-uniform FFT's spreading
-# tables, held at a time (8 MiB each): memory stays flat up to the node cap.
+# Entries of the direct sum's trig table, of the non-uniform FFT's spreading
+# tables or of a folded DFT, held at a time: memory stays flat up to the node cap.
 _TABLE_SIZE = 2**20
 # Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443): each node is
 # spread onto 2 * _SPREAD_HALF_WIDTH points of a grid _OVERSAMPLING times the
@@ -470,9 +469,23 @@ def _k_step(s: Scenario, mu_max: float, estimate: bool = False) -> float:
     return 2.0 * math.pi / period
 
 
-def _batch_k_grid(s: Scenario, mu_max: float) -> np.ndarray:
-    """The k nodes 0 .. k_max of the mu-grid sums with phases up to mu_max w_k."""
-    return _radial_nodes(s.k_max, _k_step(s, mu_max))
+def _batch_k_grid(s: Scenario, mu_max: float, dmu=None) -> np.ndarray:
+    """The k nodes k_n = n h, n = 0 .. 2M, of the mu-grid sums with phases up to
+    mu_max w_k: h = k_max / 2M <= `_k_step` (the grid the node cap checks), or for
+    a massless field on a uniform grid of step ``dmu`` h = 2 pi / (N |dmu|), N the
+    least 2^a 3^b 5^c >= 2 pi / (`_k_step` |dmu|) or, past the node cap, the largest
+    below if that keeps the period mu_max + _ALIAS_MARGIN l (nodes to k_max + 2h)."""
+    step = _k_step(s, mu_max)
+    nodes = _radial_nodes(s.k_max, step)
+    if dmu is None or s.field.mass != 0.0:
+        return nodes
+    cells = 2.0 * math.pi / (step * abs(dmu))
+    size = _smooth_len(math.ceil(cells))
+    if s.k_max * size * abs(dmu) >= 2.0 * math.pi * _MAX_K_NODES:
+        below = _smooth_len(math.floor(cells), down=True)
+        size = below if below * abs(dmu) >= mu_max + _ALIAS_MARGIN * _decay_length(s) else size
+    h = 2.0 * math.pi / (size * abs(dmu))
+    return np.arange(2 * math.ceil(0.5 * s.k_max / h) + 1) * h
 
 
 def _uniform_step(mu: np.ndarray):
@@ -491,86 +504,72 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
     """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid).
 
     On a uniform mu grid wider than |mu| <= _SINH_MU_MAX l, a massless field
-    takes the chirp z-transform (`_chirp_sums`) and a massive one the
-    non-uniform FFT (`_nufft_sums`); any other mu array takes the direct sum
-    (`_phase_sums`).  `_kink_term` is added, as on the pointwise path.  The
-    exponent at mu = 0 is 0 exactly on every path.
+    takes the folded DFT (`_dft_sums`), unless the direct sum is shorter, and
+    a massive one the non-uniform FFT (`_nufft_sums`); any other mu array takes
+    the direct sum (`_phase_sums`).  `_kink_term` is added, as on the pointwise
+    path.  The exponent at mu = 0 is 0 exactly on every path.
     """
     mu_max = float(np.abs(mu).max()) if mu.size else 0.0
-    k = _batch_k_grid(s, mu_max)
+    dmu = None if mu_max <= _SINH_MU_MAX * _decay_length(s) else _uniform_step(mu)
+    k = _batch_k_grid(s, mu_max, dmu)
     h = k[1] - k[0]
     kk = k[1:]  # integrand vanishes at k = 0, and a(k_max) is e^{-49} of its bulk
     w = dispersion(kk, s.field.mass)
     a_trap = _spectral_weight(s, kk, w) * h
     a_coth = a_trap if math.isinf(s.field.beta) else a_trap * thermal_weight(w, s.field.beta)[0]
 
-    dmu = None if mu_max <= _SINH_MU_MAX * _decay_length(s) else _uniform_step(mu)
-    if dmu is None:
+    if dmu is None or (s.field.mass == 0.0 and mu.size * kk.size < 2.0 * math.pi / (h * abs(dmu))):
         out = _phase_sums(w, a_coth, a_trap, mu)
     else:
-        if s.field.mass == 0.0:
-            cos_sum, sin_sum = _chirp_sums(h, a_coth, a_trap, mu, dmu)
-        else:
-            cos_sum, sin_sum = _nufft_sums(w, a_coth, a_trap, mu, dmu)
+        sums = _dft_sums if s.field.mass == 0.0 else _nufft_sums  # w_k = k_n if massless
+        cos_sum, sin_sum = sums(w, a_coth, a_trap, mu, dmu)
         out = cos_sum - a_coth.sum() + 1j * sin_sum
     out += _kink_term(s, h, mu)
     out[mu == 0.0] = 0.0
     return out
 
 
-def _smooth_len(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n: an FFT length that pocketfft handles fast."""
-    best = 1 << (n - 1).bit_length()
+def _smooth_len(n: int, down: bool = False) -> int:
+    """The least 2^a 3^b 5^c >= n, or with ``down`` the largest <= n: an FFT
+    length that pocketfft handles fast."""
+    lens = []
     p5 = 1
-    while p5 < best:
+    while p5 < 2 * n:
         p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+        while p35 < 2 * n:  # p35 2^a <= n < p35 2^{a+1}, or a = 0 where p35 > n
+            a = max(0, (n // p35).bit_length() - 1)
+            lens += [p35 << a, p35 << a + 1]
             p35 *= 3
         p5 *= 5
-    return best
+    return max(x for x in lens if x <= n) if down else min(x for x in lens if x >= n)
 
 
-def _chirp(c: float, m: np.ndarray) -> np.ndarray:
-    """e^{i c m^2} for integer-valued m, to a few ulp however large c m^2 is.
-
-    c = h + l with h cut to so few bits that h m^2 is exact: the large phase
-    is then rounded only inside the argument reduction of cos and sin, and
-    l m^2 is small.
+def _dft_sums(k, a_coth, a_trap, mu, dmu):
+    """(Sum_n a_coth_n cos(mu_j k_n), Sum_n a_trap_n sin(mu_j k_n)) for k_n = n h,
+    n = 1 .. N_k, on the uniform grid mu_j = mu_0 + j dmu, h = 2 pi / (r L |dmu|)
+    with r the least divisor of r L that leaves L <= _TABLE_SIZE.  On the points
+    j = b + r q of one residue class the phases are exactly
+    mu_b k_n + 2 pi sgn(dmu) q n / L, mu_b the class's point nearest 0: one
+    L-point DFT of a_n e^{i mu_b k_n}, node n added into slot n mod L.
     """
-    m2 = m * m
-    bits = 53 - int(m2.max()).bit_length()
-    e = math.frexp(c)[1]
-    h = math.ldexp(round(math.ldexp(c, bits - e)), e - bits)
-    return np.exp(1j * (h * m2)) * np.exp(1j * ((c - h) * m2))
-
-
-def _chirp_sums(dk, a_coth, a_trap, mu, dmu):
-    """(Sum_n a_coth_n cos(mu_j k_n), Sum_n a_trap_n sin(mu_j k_n)) for k_n = n dk,
-    n = 1 .. N_k, on the uniform grid mu_j = mu_z + (j - z) dmu.
-
-    Bluestein's chirp z-transform, anchored at the point mu_z nearest 0:
-    with alpha = dmu dk and J = j - z, Sum_n x_n e^{i alpha J n} is
-    e^{i alpha J^2/2} times the convolution of x_n e^{i alpha n^2/2} with
-    e^{-i alpha m^2/2}, taken for both weight rows in one 2-row FFT.
-    """
-    n_k, n_mu = a_coth.size, mu.size
-    z = int(np.argmin(np.abs(mu)))
-    half_alpha = 0.5 * dmu * dk
-    size = _smooth_len(n_k + n_mu - 1)
-    m = np.arange(-z - n_k, n_mu - z - 1, dtype=float)  # every J - n
-    kernel = np.fft.fft(_chirp(-half_alpha, m), size)
-    n = np.arange(1, n_k + 1, dtype=float)
-    pre = np.exp(1j * (mu[z] * dk * n)) * _chirp(half_alpha, n)
-    x = np.zeros((2, size), dtype=complex)
-    np.multiply(a_coth, pre, out=x[0, :n_k])
-    np.multiply(a_trap, pre, out=x[1, :n_k])
-    del m, n, pre
-    x = np.fft.fft(x, axis=1)
-    x *= kernel
-    conv = np.fft.ifft(x, axis=1)[:, n_k - 1 : n_k - 1 + n_mu]
-    conv *= _chirp(half_alpha, np.arange(-z, n_mu - z, dtype=float))
-    return conv[0].real, conv[1].imag
+    size = round(2.0 * math.pi / (k[0] * abs(dmu)))  # r L, exactly
+    r = next(d for d in range(-(-size // _TABLE_SIZE), size + 1) if size % d == 0)
+    length = size // r
+    out = np.empty(mu.size, dtype=complex)
+    f, g = rows = np.empty((2, length), dtype=complex)
+    for b in range(min(r, mu.size)):
+        j = np.arange(b, mu.size, r)
+        jb = j[np.argmin(np.abs(mu[j]))]
+        rows.fill(0.0)
+        for start in range(-1, k.size, length):  # nodes start + 1 .. start + length
+            lo, hi = max(start, 0), min(start + length, k.size)
+            c = np.exp(1j * mu[jb] * k[lo:hi])
+            f[lo - start : hi - start] += a_coth[lo:hi] * c
+            g[lo - start : hi - start] += a_trap[lo:hi] * c
+        del c
+        q = (jb - j) // r * (1 if dmu > 0 else -1) % length
+        out[j] = np.fft.fft(f)[q].real + 1j * np.fft.fft(g)[q].imag
+    return out.real, out.imag
 
 
 def _nufft_sums(w, a_coth, a_trap, mu, dmu):
@@ -690,6 +689,6 @@ def charfn_grid(
     n = int(mu_points)
     if n < 8 or n % 2 != 0:
         raise InvalidArgumentError("charfn_grid: mu_points must be even and >= 8")
-    # one uniform grid, so that the samples take the chirp or non-uniform FFT sums
+    # one uniform grid, so that the samples take the folded DFT or non-uniform FFT sums
     mu = np.append(np.arange(n // 2) * (2.0 * mu_max / n), mu_max)
     return CharFnGrid(mu=mu, values=sample_charfn(s, mu))

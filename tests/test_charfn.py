@@ -235,21 +235,24 @@ _DFT_HALF = np.append(np.arange(2**13) * (2.0 * 1536.0 / 2**14), 1536.0)  # char
 @pytest.mark.parametrize(
     "mu",
     [np.linspace(-10.0, 10.0, 201), np.linspace(-3.0, 10.0, 131),
-     0.05 + 0.1 * np.arange(100), _DFT_HALF],
-    ids=["symmetric", "asymmetric", "zero-free", "dft-half"],
+     0.05 + 0.1 * np.arange(100), _DFT_HALF, np.linspace(10.0, -3.0, 131),
+     np.linspace(-10.0, 10.0, 2**17 + 1)],
+    ids=["symmetric", "asymmetric", "zero-free", "dft-half", "descending", "two-classes"],
 )
 def test_uniform_grid_matches_the_per_point_sum(mu):
-    """A uniform grid takes the chirp z-transform for a massless field and the
+    """A uniform grid takes the folded DFT for a massless field and the
     non-uniform FFT for a massive one; the same points shuffled are not
-    uniform and take the direct sum."""
+    uniform and take the direct sum.  The descending grid has dmu < 0.  On the
+    finest window the vacuum and delta periods are about 1.4e6 steps dmu, more
+    than _TABLE_SIZE, so the grid splits into two residue classes of one DFT each."""
     order = np.random.default_rng(7).permutation(mu.size)
+    if mu.size > 2**14:  # 250 points of the finest window
+        order = order[:250]
     for s in (make_scenario(1.0), make_scenario(math.inf), delta_scenario(1.0),
               _massive_scenario()):
         grid = sample_charfn(s, mu)
-        per_point = np.empty_like(grid)
-        per_point[order] = sample_charfn(s, mu[order])
         scale = np.max(np.abs(grid - 1.0))
-        assert np.max(np.abs(grid - per_point)) <= 1e-13 * scale
+        assert np.max(np.abs(grid[order] - sample_charfn(s, mu[order]))) <= 1e-13 * scale
         if 0.0 in mu:
             assert grid[mu == 0.0][0] == 1.0 + 0.0j
         if mu[0] == -mu[-1]:
@@ -285,8 +288,8 @@ def test_direct_sum_keeps_its_digits_on_a_narrow_window():
     "s", [make_scenario(beta=1.0), _massive_scenario(0.2)], ids=["massless", "massive"]
 )
 def test_a_narrow_uniform_window_takes_the_direct_sum(s):
-    # the chirp z-transform (massless) and the non-uniform FFT (massive) form
-    # Sum a cos(mu w) - Sum a, which lost 1.5e-13 and 3.5e-13 of max |B| here
+    # the FFT sums, massless and massive, form Sum a cos(mu w) - Sum a, which
+    # lost 1.5e-13 and 3.5e-13 of max |B| here
     mu = np.linspace(0.0015, 0.006, 4)
     ref = _long_double_exponent(s, mu)
     assert np.max(np.abs(_batch_exponent(s, mu) - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -356,7 +359,7 @@ def test_uniform_grid_properties(grid_case, state, rng):
     P~ = exp(lambda^2 B) for delta), relative to max |B| over the grid and
     over |mu| <= 50.  P~ itself would not do: near mu = 0, 1e-13 of |P~ - 1|
     is below one ulp of P~.  Nor would the grid alone: a window wider than
-    |mu| <= 2 l that stays near mu = 0 takes the chirp or non-uniform FFT,
+    |mu| <= 2 l that stays near mu = 0 takes the folded DFT or non-uniform FFT,
     which lose digits to the cancellation Sum a cos(mu k) - Sum a.
     """
     kind, mu = grid_case
@@ -634,18 +637,33 @@ def test_memory_stays_flat_on_a_fine_k_grid(case):
 
 def test_sample_k_grid_follows_the_nearest_singularity():
     # the charfn command's 201-point window |mu| <= 10 and the pdf command's 2^14
-    # grid |mu| <= 1536, at the reference widths; the W = 0 kink of a massless
-    # vacuum or delta weight has its images summed in closed form
+    # grid |mu| <= 1536, at the reference widths, on the nodes their uniform
+    # steps take; the W = 0 kink of a massless vacuum or delta weight has its
+    # images summed in closed form
     states = [make_scenario(beta) for beta in (0.5, 1.0, 2.0, math.inf)] + [
         _massive_scenario(mass) for mass in (0.2, 0.6, 1.0)
     ] + [delta_scenario()]
     for s in states:
-        assert _batch_k_grid(s, 10.0).size <= 256
-        assert _batch_k_grid(s, DEFAULT_MU_MAX).size <= 2048
+        assert _batch_k_grid(s, 10.0, 0.1).size <= 256
+        assert _batch_k_grid(s, DEFAULT_MU_MAX, _DFT_HALF[1]).size <= 2048
+
+
+def test_grid_memory_at_the_node_cap():
+    # beta = 1e6 takes the capped 2^20 k nodes; the folded DFT holds two rows of
+    # at most _TABLE_SIZE complex slots, where a Bluestein transform, with FFTs
+    # of length N_k + N_mu, peaked at 136 MiB
+    s = make_scenario(beta=1e6)
+    tracemalloc.start()
+    try:
+        charfn_grid(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 2**20
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():
-    # thermal takes the chirp z-transform, massive the non-uniform FFT
+    # thermal takes the folded DFT, massive the non-uniform FFT
     for s in (make_scenario(beta=1.0), _massive_scenario()):
         n_k = _batch_k_grid(s, 12288.0).size
         tracemalloc.start()

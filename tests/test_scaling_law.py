@@ -65,7 +65,7 @@ def _lam2_exponent(s: Scenario, mu) -> np.ndarray:
 @pytest.mark.parametrize("state", STATES)
 @pytest.mark.parametrize("mu", [UNIFORM_MU, SCATTERED_MU], ids=["uniform", "scattered"])
 def test_grid_exponent_follows_the_scaling_law(state, c, mu):
-    # a uniform array takes the chirp z-transform (massless) or the non-uniform
+    # a uniform array takes the folded DFT (massless) or the non-uniform
     # FFT (massive); a scattered one the direct sum
     base = _lam2_exponent(scaled(state), mu / c)
     got = _lam2_exponent(scaled(state, c), mu)
