@@ -411,12 +411,12 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 #   so that on each residue class mod r the phases mu_j k_n differ by exact
 #   multiples of 2 pi n / L: one L-point FFT per class of the weights folded
 #   mod L (`_dft_sums`), O(r (N_k + L log L)) in place of O(N_k N_mu).
-# - massive field on a uniform mu grid (w_k is not uniform in k): the phases
-#   mu_z w_n + J x_n, x_n = dmu w_n, make the sums a type-1 non-uniform FFT
-#   in the points x_n mod 2 pi, taken by Gaussian gridding: O(N_k + N_mu log).
-# - any other mu array, a window of slow phases, |mu| <= _SINH_MU_MAX l,
-#   where the FFT sums lose digits to Sum a cos(mu w) - Sum a, or a massless grid
-#   with r L > N_mu N_k: a direct sum, one trig row per point and function.
+# - massive field (w_k is not uniform in k) on a uniform mu grid, or a massless
+#   grid with r L > N_mu N_k: the phases mu_z w_n + J x_n, x_n = dmu w_n, make the
+#   sums a type-1 non-uniform FFT in x_n mod 2 pi, by Gaussian gridding: O(N_k + N_mu log).
+# - any other mu array, or a window of slow phases, |mu| <= _SINH_MU_MAX l,
+#   where the FFT sums lose digits to Sum a cos(mu w) - Sum a: a direct sum,
+#   one trig row per point and function.
 # The exponent at mu = 0 is set to 0 exactly, so that P~(0) = 1 + 0j.
 # ---------------------------------------------------------------------------
 
@@ -504,9 +504,9 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
     """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid).
 
     On a uniform mu grid wider than |mu| <= _SINH_MU_MAX l, a massless field
-    takes the folded DFT (`_dft_sums`), unless the direct sum is shorter, and
-    a massive one the non-uniform FFT (`_nufft_sums`); any other mu array takes
-    the direct sum (`_phase_sums`).  `_kink_term` is added, as on the pointwise
+    takes the folded DFT (`_dft_sums`) and a massive one, or a massless one
+    finer than the DFT serves, the non-uniform FFT (`_nufft_sums`); any other mu
+    array takes the direct sum (`_phase_sums`).  `_kink_term` is added, as on the pointwise
     path.  The exponent at mu = 0 is 0 exactly on every path.
     """
     mu_max = float(np.abs(mu).max()) if mu.size else 0.0
@@ -518,11 +518,11 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
     a_trap = _spectral_weight(s, kk, w) * h
     a_coth = a_trap if math.isinf(s.field.beta) else a_trap * thermal_weight(w, s.field.beta)[0]
 
-    if dmu is None or (s.field.mass == 0.0 and mu.size * kk.size < 2.0 * math.pi / (h * abs(dmu))):
+    if dmu is None:
         out = _phase_sums(w, a_coth, a_trap, mu)
-    else:
-        sums = _dft_sums if s.field.mass == 0.0 else _nufft_sums  # w_k = k_n if massless
-        cos_sum, sin_sum = sums(w, a_coth, a_trap, mu, dmu)
+    else:  # w_k = k_n if massless
+        folded = s.field.mass == 0.0 and mu.size * kk.size >= 2.0 * math.pi / (h * abs(dmu))
+        cos_sum, sin_sum = (_dft_sums if folded else _nufft_sums)(w, a_coth, a_trap, mu, dmu)
         out = cos_sum - a_coth.sum() + 1j * sin_sum
     out += _kink_term(s, h, mu)
     out[mu == 0.0] = 0.0
@@ -548,10 +548,9 @@ def _dft_sums(k, a_coth, a_trap, mu, dmu):
     """(Sum_n a_coth_n cos(mu_j k_n), Sum_n a_trap_n sin(mu_j k_n)) for k_n = n h,
     n = 1 .. N_k, on the uniform grid mu_j = mu_0 + j dmu, h = 2 pi / (r L |dmu|)
     with r the least divisor of r L that leaves L <= _TABLE_SIZE.  On the points
-    j = b + r q of one residue class the phases are exactly
-    mu_b k_n + 2 pi sgn(dmu) q n / L, mu_b the class's point nearest 0: one
-    L-point DFT of a_n e^{i mu_b k_n}, node n added into slot n mod L.
-    """
+    j = b + r q of one residue class the phases are exactly mu_b k_n +
+    2 pi sgn(dmu) q n / L, mu_b the class's point nearest 0: an L-point FFT of
+    a_n e^{i mu_b k_n}, node n added into slot n mod L, for each weight row."""
     size = round(2.0 * math.pi / (k[0] * abs(dmu)))  # r L, exactly
     r = next(d for d in range(-(-size // _TABLE_SIZE), size + 1) if size % d == 0)
     length = size // r
@@ -568,7 +567,8 @@ def _dft_sums(k, a_coth, a_trap, mu, dmu):
             g[lo - start : hi - start] += a_trap[lo:hi] * c
         del c
         q = (jb - j) // r * (1 if dmu > 0 else -1) % length
-        out[j] = np.fft.fft(f)[q].real + 1j * np.fft.fft(g)[q].imag
+        y = np.fft.fft(f)[q]
+        out[j] = y.real + 1j * (y if a_coth is a_trap else np.fft.fft(g)[q]).imag
     return out.real, out.imag
 
 

@@ -236,17 +236,21 @@ _DFT_HALF = np.append(np.arange(2**13) * (2.0 * 1536.0 / 2**14), 1536.0)  # char
     "mu",
     [np.linspace(-10.0, 10.0, 201), np.linspace(-3.0, 10.0, 131),
      0.05 + 0.1 * np.arange(100), _DFT_HALF, np.linspace(10.0, -3.0, 131),
-     np.linspace(-10.0, 10.0, 2**17 + 1)],
-    ids=["symmetric", "asymmetric", "zero-free", "dft-half", "descending", "two-classes"],
+     np.linspace(-10.0, 10.0, 2**17 + 1), 3.0 + 1e-5 * np.arange(201)],
+    ids=["symmetric", "asymmetric", "zero-free", "dft-half", "descending", "two-classes",
+         "fine"],
 )
 def test_uniform_grid_matches_the_per_point_sum(mu):
     """A uniform grid takes the folded DFT for a massless field and the
     non-uniform FFT for a massive one; the same points shuffled are not
     uniform and take the direct sum.  The descending grid has dmu < 0.  On the
-    finest window the vacuum and delta periods are about 1.4e6 steps dmu, more
-    than _TABLE_SIZE, so the grid splits into two residue classes of one DFT each."""
+    2^17-point window the vacuum and delta periods are about 1.4e6 steps dmu,
+    more than _TABLE_SIZE, so the grid splits into two residue classes of one
+    DFT each.  On the fine window the period is about 400 times more steps dmu
+    than the direct sum has entries, and a massless field takes the non-uniform
+    FFT."""
     order = np.random.default_rng(7).permutation(mu.size)
-    if mu.size > 2**14:  # 250 points of the finest window
+    if mu.size > 2**14:  # 250 points of the 2^17-point window
         order = order[:250]
     for s in (make_scenario(1.0), make_scenario(math.inf), delta_scenario(1.0),
               _massive_scenario()):
