@@ -550,7 +550,7 @@ def _dft_sums(k, a_coth, a_trap, mu, dmu):
     with r the least divisor of r L that leaves L <= _TABLE_SIZE.  On the points
     j = b + r q of one residue class the phases are exactly mu_b k_n +
     2 pi sgn(dmu) q n / L, mu_b the class's point nearest 0: an L-point FFT of
-    a_n e^{i mu_b k_n}, node n added into slot n mod L, for each weight row."""
+    a_n e^{i mu_b k_n}, node n added into slot n mod L, per distinct weight array."""
     size = round(2.0 * math.pi / (k[0] * abs(dmu)))  # r L, exactly
     r = next(d for d in range(-(-size // _TABLE_SIZE), size + 1) if size % d == 0)
     length = size // r
