@@ -8,9 +8,11 @@ lambda^2 Int_0^inf dk a(k) g(w_k), over the spectral weight
 (`_spectral_weight`); only the real factor g changes.  Each integral is a
 trapezoid rule: with a fast phase in g (`_bracket_part`) on the k nodes of
 the mu-grid sums (`_batch_k_grid`), else (`_sinh_integral`) on the nodes
-k = eps sinh t.  The angular reduction Int d^3k -> 4 pi Int k^2 dk is
-applied in a(k), once; its prefactor 4 pi / ((2 pi)^3 * 2) = 1/(4 pi^2) is the
-single point of truth for the 2-pi bookkeeping in this package.
+k = eps sinh t.  The phase integral of a massless vacuum or delta weight is
+taken in closed form instead (`_vacuum_exponent`).  The angular reduction
+Int d^3k -> 4 pi Int k^2 dk is applied in a(k), once; its prefactor
+4 pi / ((2 pi)^3 * 2) = 1/(4 pi^2) is the single point of truth for the 2-pi
+bookkeeping in this package.
 
 Perturbative regime (smooth switching, coupling lambda small), thermal state
 of inverse temperature beta, n_k = 1 / (e^{beta w_k} - 1) (0 for the vacuum):
@@ -31,8 +33,8 @@ with a_F(k) the weight a(k) without |chi~|^2:
 
     P~(mu) = exp[ lambda^2 Int_0^inf dk a_F(k) (e^{i mu w_k} - 1) ],
 
-with a closed form in terms of the Dawson integral for a massless field and
-Gaussian smearing.
+which for a massless field is `_vacuum_exponent`; `charfn_delta_closed`
+writes it independently, with the Dawson integral, for real mu.
 """
 
 from __future__ import annotations
@@ -104,93 +106,6 @@ def _weight_slope(s: Scenario) -> float:
     return 1.0 / _FOUR_PI_SQ if s.switching.is_delta else s.switching.width**2 / (2.0 * math.pi)
 
 
-# The W = 0 kink.  A massless vacuum or delta weight is exactly
-# a(k) = A0 k e^{-l^2 k^2}, so the trapezoid rule of step h errs by the images
-# at xi = 2 pi m / h, m != 0, of the transform of A0 |k| e^{-l^2 k^2}
-# (cos(mu k) - 1), the even extension of the real part of its bracket (the
-# imaginary part, A0 k e^{-l^2 k^2} sin(mu k), is even at k = 0 and needs no
-# term).  The large-xi series of the transform of |k| e^{-l^2 k^2},
-# -2 / xi^2 - 12 l^2 / xi^4 - 120 l^4 / xi^6 - ... (DLMF 7.12), and Poisson
-# summation give, at u = mu h / 2,
-#
-#     I - T(h) = A0 (h/2)^2 Sum_j c_j (l h/2)^{2j-2} F_j(u),  c_j = 1, 6, 60,
-#     F_j(u) = Sum_{m != 0} (u + m pi)^{-2j} - 2 zeta(2j) / pi^{2j}
-#
-# (Lyness & Ninham, Math. Comp. 21 (1967) 162).  The series is asymptotic in
-# l / (P - |mu|), P = 2 pi / h: the first term left out falls as (P - |mu|)^-8,
-# from 1.5e-13 of max |B| at a margin of 100 l to round-off at _ALIAS_MARGIN l.
-_KINK_WEIGHTS = (1.0, 6.0, 60.0)
-_KINK_TERMS = 24
-# 2 zeta(2n) / pi^{2n}, n = 1 .. _KINK_TERMS + 3; from n = 4 on by the sum over
-# m <= M, whose tail is below M^{1-2n} / (2n - 1) < 1e-17
-_ZETA_EVEN = (1 / 3, 1 / 45, 2 / 945) + tuple(
-    2.0 * math.fsum((m * math.pi) ** (-2 * n) for m in range(1, 2 + int(10 ** (17 / (2 * n - 1)))))
-    for n in range(4, _KINK_TERMS + 4)
-)
-# F_j(u) = Sum_{n >= 1} C(2n + 2j - 1, 2j - 1) 2 zeta(2n + 2j) / pi^{2n + 2j} u^{2n}
-# (row j, column n), taken below |u| = _KINK_SERIES_MAX, where the closed form
-# cancels; both are within 2e-14 of F_j on either side
-_KINK_SERIES = np.array(
-    [[math.comb(2 * n + 2 * j - 1, 2 * j - 1) * _ZETA_EVEN[n + j - 1]
-      for n in range(1, _KINK_TERMS + 1)] for j in (1, 2, 3)]
-)
-_KINK_SERIES_MAX = 1.2
-
-
-def _image_series(u2):
-    """(F_1, F_2, F_3) by their series in u2 = u^2, a 1-D array."""
-    powers = np.empty((_KINK_TERMS, u2.size), dtype=u2.dtype)
-    powers[0] = u2
-    n = 1
-    while n < _KINK_TERMS:  # u^{2(n + i)} = u^{2i} u^{2n}, i = 1 .. n: doubling
-        m = min(n, _KINK_TERMS - n)
-        np.multiply(powers[:m], powers[n - 1], out=powers[n : n + m])
-        n += m
-    return _KINK_SERIES @ powers
-
-
-def _image_closed(u, sin_u):
-    """(F_1, F_2, F_3) from c = csc^2 u: Sum_m (u + m pi)^{-2j} is c, c^2 - 2c/3
-    and c^3 - c^2 + 2c/15 for j = 1, 2, 3."""
-    c = 1.0 / (sin_u * sin_u)
-    v = 1.0 / (u * u)
-    return (
-        c - v - _ZETA_EVEN[0],
-        c * (c - 2.0 / 3.0) - v * v - _ZETA_EVEN[1],
-        c * (c * (c - 1.0) + 2.0 / 15.0) - v * v * v - _ZETA_EVEN[2],
-    )
-
-
-def _image_sums(u):
-    """(F_1, F_2, F_3) at u = mu h / 2, real or complex, a scalar or a 1-D array.
-    A scalar, four per point on the pointwise path, takes cmath or one power
-    of 24 entries."""
-    if np.ndim(u) == 0:
-        if abs(u) < _KINK_SERIES_MAX:
-            return _KINK_SERIES @ (u * u) ** np.arange(1, _KINK_TERMS + 1)
-        return _image_closed(u, cmath.sin(u))
-    small = np.abs(u) < _KINK_SERIES_MAX
-    large = ~small
-    y = u[large]
-    out = np.empty((3, u.size), dtype=u.dtype)
-    for row, series, closed in zip(out, _image_series(u[small] ** 2), _image_closed(y, np.sin(y))):
-        row[small], row[large] = series, closed
-    return out
-
-
-def _kink_term(s: Scenario, h, mu):
-    """I - T(h) for Int a(k) bracket(mu, w_k) dk on k nodes of step h: the sum of the
-    images of the W = 0 kink of a massless vacuum or delta weight A0 k e^{-l^2 k^2},
-    above.  Every other bracket integrand is even at k = 0 and needs none."""
-    a0 = _weight_slope(s)
-    if a0 == 0.0 or not s.field.is_vacuum:
-        return 0.0
-    q = 0.5 * h
-    r = (q * _decay_length(s)) ** 2
-    f1, f2, f3 = _image_sums(q * mu)
-    return a0 * q * q * (f1 + r * (_KINK_WEIGHTS[1] * f2 + r * _KINK_WEIGHTS[2] * f3))
-
-
 def _spectral_weight(s: Scenario, k, w):
     """a(k) without the coupling^2 factor, at k > 0 with w = w_k (scalars or arrays).
     A Gaussian switching of width s has |chi~(w)|^2 = 2 pi s^2 e^{-(s w)^2}, its
@@ -212,6 +127,25 @@ def _nearest_singularity(s: Scenario) -> float:
     if s.field.mass > 0.0:
         return s.field.mass
     return 0.0 if s.field.is_vacuum else 2.0 * math.pi / s.field.beta
+
+
+def _vacuum_exponent(s: Scenario, mu):
+    """Int a(k) (e^{i mu k} - 1) dk in closed form for a massless vacuum or delta
+    weight a(k) = A0 k e^{-l^2 k^2} (kappa = 0): A0 / 2 l^2 * i sqrt(pi) z w(z),
+    z = mu / 2 l, w the Faddeeva function, for real or complex mu (Im mu >= 0),
+    scalar or array.  A0 / 2 l^2 is (s / l)^2 / 4 pi, or 1 / 8 pi^2 divided twice
+    by sigma, so that tiny widths do not pass through subnormals.  scipy is
+    imported here, as in `dawson`."""
+    import scipy.special
+
+    length = _decay_length(s)
+    if s.switching.is_delta:
+        scale = 0.5 / _FOUR_PI_SQ / length / length
+    else:
+        scale = (s.switching.width / length) ** 2 / (4.0 * math.pi)
+    z = np.asarray(mu) / (2.0 * length)
+    with np.errstate(invalid="ignore"):  # a scale of inf gives nan at mu = 0: callers check
+        return (scale * math.sqrt(math.pi)) * 1j * z * scipy.special.wofz(z)
 
 
 # Integrals without a fast phase, the moments and the bracket at
@@ -306,10 +240,12 @@ def _check_mu(mu, beta):
 
 
 def _bracket_part(s: Scenario, mu, part) -> float:
-    """part (np.real or np.imag) of Int a(k) bracket(mu, w_k) dk: by
-    `_sinh_integral` where |Re mu| <= _SINH_MU_MAX l, else by the trapezoid rule
-    on the k nodes of the mu-grid sums plus `_kink_term`."""
+    """part (np.real or np.imag) of Int a(k) bracket(mu, w_k) dk: `_vacuum_exponent`
+    for kappa = 0, by `_sinh_integral` where |Re mu| <= _SINH_MU_MAX l, else by the
+    trapezoid rule on the k nodes of the mu-grid sums."""
     mass, beta = s.field.mass, s.field.beta
+    if _nearest_singularity(s) == 0.0:
+        return float(part(_vacuum_exponent(s, mu)))
 
     def g(w):
         return _bracket(mu, w, beta, part)
@@ -321,12 +257,7 @@ def _bracket_part(s: Scenario, mu, part) -> float:
         w = dispersion(k, mass)
         return _spectral_weight(s, k, w) * g(w)
 
-    return integrate_radial(
-        integrand,
-        s.k_max,
-        step=_k_step(s, abs(mu), estimate=True),
-        endpoint=lambda h: part(_kink_term(s, h, mu)),
-    )
+    return integrate_radial(integrand, s.k_max, step=_k_step(s, abs(mu), estimate=True))
 
 
 def _bracket_integral(s: Scenario, mu) -> complex:
@@ -360,7 +291,8 @@ def charfn_kms(s: Scenario, mu) -> complex:
 
 
 def charfn_delta_numeric(s: Scenario, mu) -> complex:
-    """Non-perturbative characteristic function for chi = delta on the vacuum."""
+    """Non-perturbative characteristic function for chi = delta on the vacuum: the
+    closed form `_vacuum_exponent` if massless, else the trapezoid rule in k."""
     if not s.switching.is_delta:
         raise RegimeError("charfn_delta_numeric requires a delta switching")
     if not s.field.is_vacuum:
@@ -368,6 +300,8 @@ def charfn_delta_numeric(s: Scenario, mu) -> complex:
     mu_c = _check_mu(mu, 0.0)
     lam = s.field.coupling
     exponent = lam * lam * _bracket_integral(s, mu_c)
+    if not cmath.isfinite(exponent):
+        raise RegimeError(f"charfn: lambda^2 B is not finite at coupling {lam:g}")
     return complex(np.exp(exponent))
 
 
@@ -400,14 +334,14 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # ---------------------------------------------------------------------------
 # Batch evaluation on mu grids (trapezoid in k, vectorized over mu).
 #
-# The k step h puts the aliasing images of the transform at multiples of
+# A massless vacuum or delta weight takes `_vacuum_exponent`.  For any other the
+# k step h puts the aliasing images of the transform at multiples of
 # P = 2 pi / h in mu (`_k_step`); the trapezoid rule is spectrally accurate
-# because the integrand is even at k = 0, or has the closed-form kink term,
-# and has decayed by k_max.  Every path below sums the k nodes of
-# `_batch_k_grid` with the same weights; the path is chosen from the field and
-# the mu array (mu_z is the grid point nearest 0, at index z, and J = j - z):
+# because the integrand is even at k = 0 and has decayed by k_max.  Every path
+# below sums the k nodes of `_batch_k_grid` with the same weights; the path is
+# chosen from the field and the mu array (mu_z the point nearest 0, J = j - z):
 #
-# - massless field (w_k = k_n = n h) on a uniform mu grid: h = 2 pi / (r L |dmu|),
+# - massless thermal field (w_k = k_n = n h) on a uniform mu grid: h = 2 pi / (r L |dmu|),
 #   so that on each residue class mod r the phases mu_j k_n differ by exact
 #   multiples of 2 pi n / L: one L-point FFT per class of the weights folded
 #   mod L (`_dft_sums`), O(r (N_k + L log L)) in place of O(N_k N_mu).
@@ -424,17 +358,14 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # decay as e^{-l^2 k^2}, so the image of a phase mu at P carries about
 # e^{l^2 c^2 - c (P - mu)} of the peak for any c < kappa (Trefethen & Weideman,
 # SIAM Rev. 56 (2014) 385).  The margin P - mu_max = 12 l + 32 / kappa keeps it
-# below e^{-32} (take c = min(kappa, 6 / l)).  A massless vacuum or delta weight
-# (kappa = 0) is A0 k e^{-l^2 k^2}: the images of its W = 0 kink are summed in
-# closed form to order (l / (P - mu))^6 (`_kink_term`), and all others are
-# Gaussian tails, e^{-(P - mu)^2 / 4 l^2}.  Its margin, _ALIAS_MARGIN l, leaves
-# the first order not summed at round-off.  A cold or nearly massless field
+# below e^{-32} (take c = min(kappa, 6 / l)).  A cold or nearly massless field
 # (32 / kappa > _ALIAS_MARGIN l) takes the finer grid it needs up to the node
 # cap of `_radial_nodes`; past the cap, the period is the largest the cap
-# allows, but never below the kappa = 0 period mu_max + _ALIAS_MARGIN l, so a
-# window too wide for the cap is refused, not sampled with a smaller margin.
-# Margins in units of 1 / l (kappa l is scale free too) keep every node count
-# scale free (225 at mu_max = 0 for kappa = 0).
+# allows, but never below mu_max + _ALIAS_MARGIN l, so that a window too wide
+# for the cap is refused, not sampled with a margin that shrinks to 0 at its
+# edge.  200 l was the massless vacuum's margin on its k grid, kept so that the
+# same windows are refused.  Margins in units of 1 / l (kappa l is scale free
+# too) keep every node count scale free.
 _ALIAS_MARGIN = 200.0
 # Entries of the direct sum's trig table, of the non-uniform FFT's spreading
 # tables or of a folded DFT, held at a time: memory stays flat up to the node cap.
@@ -449,24 +380,19 @@ _OVERSAMPLING = 3
 
 
 def _k_step(s: Scenario, mu_max: float, estimate: bool = False) -> float:
-    """The k step 2 pi / P for phases up to mu_max w_k, P = mu_max + M with the
-    margin M above.  With ``estimate``, the rule of step 2h, which gives
-    `integrate_radial` its error estimate, keeps its images a margin from every
-    |mu| too: P = 2 (mu_max + M), or P = 2 mu_max + _ALIAS_MARGIN l for
-    kappa = 0 (a margin of 100 l, where the kink series errs by 1.5e-13 of
-    max |B|).  For kappa > 0, P is at most the larger of the kappa = 0 period
-    and the largest one the node cap allows.  Raises ConvergenceError where
-    k^2 in a(k) overflows below k_max."""
+    """The k step 2 pi / P for phases up to mu_max w_k, kappa > 0: P = mu_max + M
+    with the margin M above, or with ``estimate`` P = 2 (mu_max + M), so that the
+    rule of step 2h, which gives `integrate_radial` its error estimate, keeps its
+    images a margin from every |mu| too.  P is at most the larger of the floor
+    (2 mu_max + _ALIAS_MARGIN l with ``estimate``) and the largest period the
+    node cap allows.  Raises ConvergenceError where k^2 in a(k) overflows below k_max."""
     if not math.isfinite(s.k_max * s.k_max):
         raise ConvergenceError(f"below k_max = {s.k_max:g} the integrand is not finite")
     length = _decay_length(s)
-    period = (2.0 if estimate else 1.0) * mu_max + _ALIAS_MARGIN * length
-    kappa = _nearest_singularity(s)
-    if kappa > 0.0:
-        fitted = (mu_max + 12.0 * length + 32.0 / kappa) * (2.0 if estimate else 1.0)
-        capped = 2.0 * math.pi * (_MAX_K_NODES - 2) / s.k_max
-        period = min(fitted, max(capped, period))
-    return 2.0 * math.pi / period
+    floor = (2.0 if estimate else 1.0) * mu_max + _ALIAS_MARGIN * length
+    fitted = (mu_max + 12.0 * length + 32.0 / _nearest_singularity(s)) * (2.0 if estimate else 1.0)
+    capped = 2.0 * math.pi * (_MAX_K_NODES - 2) / s.k_max
+    return 2.0 * math.pi / min(fitted, max(capped, floor))
 
 
 def _batch_k_grid(s: Scenario, mu_max: float, dmu=None) -> np.ndarray:
@@ -501,14 +427,17 @@ def _uniform_step(mu: np.ndarray):
 
 
 def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
-    """Int a(k) * bracket(mu, w_k) dk for an array of real mu (trapezoid).
+    """Int a(k) * bracket(mu, w_k) dk for an array of real mu.
 
-    On a uniform mu grid wider than |mu| <= _SINH_MU_MAX l, a massless field
-    takes the folded DFT (`_dft_sums`) and a massive one, or a massless one
+    A massless vacuum or delta weight takes its closed form (`_vacuum_exponent`).
+    Otherwise, on a uniform mu grid wider than |mu| <= _SINH_MU_MAX l, a massless
+    field takes the folded DFT (`_dft_sums`) and a massive one, or a massless one
     finer than the DFT serves, the non-uniform FFT (`_nufft_sums`); any other mu
-    array takes the direct sum (`_phase_sums`).  `_kink_term` is added, as on the pointwise
-    path.  The exponent at mu = 0 is 0 exactly on every path.
+    array takes the direct sum (`_phase_sums`), all by the trapezoid rule in k.
+    The exponent at mu = 0 is 0 exactly on every path.
     """
+    if _nearest_singularity(s) == 0.0:
+        return np.where(mu == 0.0, 0.0, _vacuum_exponent(s, mu))
     mu_max = float(np.abs(mu).max()) if mu.size else 0.0
     dmu = None if mu_max <= _SINH_MU_MAX * _decay_length(s) else _uniform_step(mu)
     k = _batch_k_grid(s, mu_max, dmu)
@@ -524,7 +453,6 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
         folded = s.field.mass == 0.0 and mu.size * kk.size >= 2.0 * math.pi / (h * abs(dmu))
         cos_sum, sin_sum = (_dft_sums if folded else _nufft_sums)(w, a_coth, a_trap, mu, dmu)
         out = cos_sum - a_coth.sum() + 1j * sin_sum
-    out += _kink_term(s, h, mu)
     out[mu == 0.0] = 0.0
     return out
 
@@ -550,7 +478,7 @@ def _dft_sums(k, a_coth, a_trap, mu, dmu):
     with r the least divisor of r L that leaves L <= _TABLE_SIZE.  On the points
     j = b + r q of one residue class the phases are exactly mu_b k_n +
     2 pi sgn(dmu) q n / L, mu_b the class's point nearest 0: an L-point FFT of
-    a_n e^{i mu_b k_n}, node n added into slot n mod L, per distinct weight array."""
+    a_n e^{i mu_b k_n}, node n added into slot n mod L, per weight array."""
     size = round(2.0 * math.pi / (k[0] * abs(dmu)))  # r L, exactly
     r = next(d for d in range(-(-size // _TABLE_SIZE), size + 1) if size % d == 0)
     length = size // r
@@ -568,7 +496,7 @@ def _dft_sums(k, a_coth, a_trap, mu, dmu):
         del c
         q = (jb - j) // r * (1 if dmu > 0 else -1) % length
         y = np.fft.fft(f)[q]
-        out[j] = y.real + 1j * (y if a_coth is a_trap else np.fft.fft(g)[q]).imag
+        out[j] = y.real + 1j * np.fft.fft(g)[q].imag
     return out.real, out.imag
 
 

@@ -79,9 +79,12 @@ def _count(where: str, text: str) -> int:
 
 
 def _numbers(where: str, text: str, convert=float) -> list:
-    return _convert(
+    values = _convert(
         where, text, lambda t: [convert(p) for p in t.replace(",", " ").split()], "a number list"
     )
+    if not values:
+        raise ConfigError(f"{where} = {text!r}: an empty list")
+    return values
 
 
 def _counts(where: str, text: str) -> list[int]:

@@ -23,7 +23,7 @@ The field is replaced by a finite set of radial modes (cell weight
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,8 +280,8 @@ def continuum_convergence(
 ) -> ConvergenceReport:
     """|simulated P~_N(mu) - continuum P~(mu)| for increasing mode counts N.
 
-    The reference is the adaptive-quadrature evaluation of the instantaneous
-    coupling's characteristic function; the discrete errors must decrease
+    The reference is `charfn_delta_numeric`, the instantaneous coupling's
+    characteristic function in closed form; the discrete errors must decrease
     monotonically and end below `tolerance`.
     """
     scenario = Scenario(

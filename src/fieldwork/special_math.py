@@ -153,7 +153,10 @@ def invert_charfn(grid: CharFnGrid, atom: float) -> WorkDistribution:
     metadata key ``window_residual``, the largest |P~ - atom| at
     mu >= 0.9 mu_max, is the level of that part's transform where the window
     cuts it off.  The real inverse FFT takes P~(-mu) = conj P~(mu), and only
-    Re P~ at mu_max, the Nyquist point.
+    Re P~ at mu_max, the Nyquist point.  With phi = (P~ - atom) / (1 - atom),
+    Re phi(dmu) ~ 1 - dmu^2 <W^2> / 2; below 1 - pi^2 / 50 the window
+    |W| <= pi / dmu ends within about 5 rms of the density, which then aliases
+    into it, and InvalidArgumentError is raised.
     """
     n = 2 * (grid.mu.size - 1)
     dmu = grid.spacing
@@ -161,6 +164,12 @@ def invert_charfn(grid: CharFnGrid, atom: float) -> WorkDistribution:
     w_grid = (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu))
 
     f = grid.values - atom
+    phi = (f[1] / (1.0 - atom)).real if atom < 1.0 else 1.0
+    if not phi >= 1.0 - math.pi**2 / 50.0:
+        raise InvalidArgumentError(
+            f"invert_charfn: the density is wider than the W window |W| <= {math.pi / dmu:.3g} "
+            f"(Re phi(dmu) = {phi:.3g}); raise the number of points or lower mu_max"
+        )
     window_residual = float(np.max(np.abs(f[grid.mu >= 0.9 * mu_max])))
     # irfft(X)_m = (1/N) Sum_n X_n e^{+2 pi i n m / N} over the Hermitian
     # extension of X, and mu_n w_m = 2 pi n m / N: with X = conj f it is

@@ -3,7 +3,8 @@
 Every name a module lists in ``__all__`` must resolve, and the package's
 export list is pinned so that the public-name count changes only on purpose.
 Every function the benchmark's tracer wraps must exist under its name.
-Every module-level private name must be used somewhere in the package.
+Every module-level private name must be used somewhere in the package, and
+every module-level import in the module that makes it.
 Importing the package does not import scipy.
 """
 
@@ -120,8 +121,36 @@ def test_every_private_name_is_used():
     assert sorted(defined - used) == []
 
 
+def _unread_imports(tree):
+    """Names bound by the module-level imports of ``tree`` that it never reads;
+    ``__future__`` imports and the names it lists in ``__all__`` are exempt."""
+    bound = set()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - read - exported
+
+
+def test_every_module_level_import_is_read():
+    unread = {
+        p.name: sorted(names)
+        for p in sorted(Path(fieldwork.__file__).parent.glob("*.py"))
+        if (names := _unread_imports(ast.parse(p.read_text())))
+    }
+    assert unread == {}
+
+
 def test_importing_the_package_leaves_scipy_unloaded():
-    # scipy.special serves only dawson, which imports it on first use
+    # scipy.special serves dawson and the Faddeeva function wofz of the vacuum
+    # exponent, which import it on first use
     src = str(Path(fieldwork.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (

@@ -35,12 +35,10 @@ from fieldwork import (
 )
 from fieldwork.charfn import (
     DEFAULT_MU_MAX,
-    _KINK_SERIES_MAX,
     _TABLE_SIZE,
     _batch_exponent,
     _batch_k_grid,
     _bracket_integral,
-    _image_sums,
     _spectral_weight,
 )
 from fieldwork.field_model import dispersion
@@ -241,19 +239,19 @@ _DFT_HALF = np.append(np.arange(2**13) * (2.0 * 1536.0 / 2**14), 1536.0)  # char
          "fine"],
 )
 def test_uniform_grid_matches_the_per_point_sum(mu):
-    """A uniform grid takes the folded DFT for a massless field and the
+    """A uniform grid takes the folded DFT for a massless thermal field and the
     non-uniform FFT for a massive one; the same points shuffled are not
-    uniform and take the direct sum.  The descending grid has dmu < 0.  On the
-    2^17-point window the vacuum and delta periods are about 1.4e6 steps dmu,
-    more than _TABLE_SIZE, so the grid splits into two residue classes of one
-    DFT each.  On the fine window the period is about 400 times more steps dmu
-    than the direct sum has entries, and a massless field takes the non-uniform
-    FFT."""
+    uniform and take the direct sum.  The vacuum and delta take their closed
+    form on both.  The descending grid has dmu < 0.  On the 2^17-point window
+    the period at beta = 40 is about 1.5e6 steps dmu, more than _TABLE_SIZE,
+    so the grid splits into two residue classes of one DFT each.  On the fine
+    window the period is about 400 times more steps dmu than the direct sum
+    has entries, and a massless field takes the non-uniform FFT."""
     order = np.random.default_rng(7).permutation(mu.size)
     if mu.size > 2**14:  # 250 points of the 2^17-point window
         order = order[:250]
-    for s in (make_scenario(1.0), make_scenario(math.inf), delta_scenario(1.0),
-              _massive_scenario()):
+    for s in (make_scenario(1.0), make_scenario(40.0), make_scenario(math.inf),
+              delta_scenario(1.0), _massive_scenario()):
         grid = sample_charfn(s, mu)
         scale = np.max(np.abs(grid - 1.0))
         assert np.max(np.abs(grid[order] - sample_charfn(s, mu[order]))) <= 1e-13 * scale
@@ -388,16 +386,33 @@ def test_sample_charfn_rejects_non_finite_mu():
             sample_charfn(s, [0.0, bad, 1.0])
 
 
-@pytest.mark.parametrize("state", ["thermal", "vacuum", "delta"])
-def test_sample_charfn_reports_a_non_finite_spectral_weight(state):
-    # widths of 1e-160 put the cutoff 7 / sqrt(s^2 + sigma^2) (7 / sigma for
-    # delta) above 1e160; from about 1e155 on, k^2 in the spectral weight overflows
-    s = _PROPERTY_STATES[state]
-    huge = replace(s, smearing=SmearingProfile.gaussian_spherical(1e-160))
-    if not s.switching.is_delta:
-        huge = replace(huge, switching=SwitchingProfile.gaussian(center=0.0, width=1e-160))
+def _tiny_widths(s):
+    """s with both widths (sigma alone for delta) at 1e-160."""
+    tiny = replace(s, smearing=SmearingProfile.gaussian_spherical(1e-160))
+    if s.switching.is_delta:
+        return tiny
+    return replace(tiny, switching=SwitchingProfile.gaussian(center=0.0, width=1e-160))
+
+
+def test_sample_charfn_reports_a_non_finite_spectral_weight():
+    # widths of 1e-160 put the cutoff 7 / sqrt(s^2 + sigma^2) above 1e160; from
+    # about 1e155 on, k^2 in the spectral weight overflows
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
-        sample_charfn(huge, np.linspace(-10.0, 10.0, 21))
+        sample_charfn(_tiny_widths(make_scenario(1.0)), np.linspace(-10.0, 10.0, 21))
+
+
+def test_tiny_widths_take_the_closed_form_without_a_k_grid():
+    # the vacuum takes no k grid: its exponent is A0 / 2 l^2 i sqrt(pi) z w(z),
+    # z = mu / 2 l, with A0 / 2 l^2 = (s / l)^2 / 4 pi = 1 / 8 pi at s = sigma.
+    # At |z| >= 3.5e158 (mu != 0), i sqrt(pi) z w(z) = -1 - 1 / 2 z^2 + ... is -1
+    mu = np.linspace(-10.0, 10.0, 21)
+    got = sample_charfn(_tiny_widths(make_scenario(math.inf)), mu)
+    ref = np.where(mu == 0.0, 1.0, 1.0 - LAM**2 / (8.0 * math.pi))
+    assert np.max(np.abs(got - ref)) <= 1e-16
+    # delta: lambda^2 / 8 pi^2 sigma^2 overflows
+    for evaluate in (sample_charfn, charfn_delta_numeric):
+        with pytest.raises(RegimeError, match="lambda\\^2 B is not finite"):
+            evaluate(_tiny_widths(delta_scenario()), mu if evaluate is sample_charfn else 1.0)
 
 
 def test_overflowing_second_order_term_is_a_regime_error():
@@ -418,43 +433,15 @@ def test_delta_closed_form_rejects_a_sigma_whose_cube_is_not_a_double():
         assert np.all(np.isfinite(charfn_delta_closed(0.1, sigma, mu)))
 
 
-def test_grid_aliasing_of_the_massless_kink():
-    # The W = 0 kink of the delta density decays as 1/mu^2, and without the
-    # closed-form sum of its trapezoid images (_kink_term) they reached the
-    # window edge at ~5e-10.  With it, every sample is at round-off.
+def test_delta_grid_matches_the_dawson_form():
+    # The W = 0 kink of the delta density makes P~ decay as 1/mu^2, which the
+    # images of a k grid alias; the closed form has none: every sample is at
+    # round-off.
     s = delta_scenario(coupling=1.0)
     grid = charfn_grid(s)
     err = np.abs(grid.values - charfn_delta_closed(1.0, SIGMA, grid.mu))
     assert np.max(err) <= 1e-13
     assert np.max(err[np.abs(grid.mu) <= 10.0]) <= 1e-13
-
-
-def _mp_image_sum(u, j):
-    """F_j(u) = Sum_{m != 0} (u + m pi)^{-2j} - 2 zeta(2j) / pi^{2j}, term by term
-    at 25 digits: Sum_{m >= 1} (m pi + u)^{-2j} + (m pi - u)^{-2j} - 2 (m pi)^{-2j}."""
-    with mpmath.workdps(25):
-        u, pi = mpmath.mpmathify(u), mpmath.pi
-        def term(m):
-            return (m * pi + u) ** (-2 * j) + (m * pi - u) ** (-2 * j) - 2 * (m * pi) ** (-2 * j)
-
-        return complex(mpmath.nsum(term, [1, mpmath.inf], method="richardson"))
-
-
-def test_image_sums_match_a_brute_force_sum():
-    # real u across (0, pi), on both sides of the switch from the series to the
-    # closed form and near the pole at pi, and complex u; as scalars (the
-    # pointwise path) and as arrays (the grid path)
-    edge = _KINK_SERIES_MAX
-    real = [1e-6, 1e-3, 0.05, 0.5, edge * (1 - 1e-12), edge, edge * (1 + 1e-12), 2.0, 3.0,
-            math.pi - 1e-2, math.pi - 3e-4]
-    complex_ = [0.3 + 0.2j, 1.1 + 0.3j, 2.0 + 0.5j, 1.2j]
-    for us in (real, complex_):
-        rows = _image_sums(np.array(us))
-        for i, u in enumerate(us):
-            for j in (1, 2, 3):
-                ref = _mp_image_sum(u, j)
-                for got in (rows[j - 1][i], _image_sums(u)[j - 1], _image_sums(complex(u))[j - 1]):
-                    assert abs(got - ref) <= 5e-14 * abs(ref)
 
 
 def _dawson_exponent(s, mu):
@@ -477,18 +464,53 @@ def _dawson_exponent(s, mu):
     ids=["vacuum", "vacuum-narrow", "delta", "delta-narrow"],
 )
 def test_kink_exponents_match_the_dawson_form(width, sigma, window):
-    # the k grid keeps a margin of 200 l beyond |mu| (4000 l when only the
-    # leading kink images were summed); the pointwise rule's error estimate
-    # T(h) - T(2h) meets the tolerance, else these calls would raise
+    # both paths take the closed form in the Faddeeva function; the Dawson form
+    # is an independent writing of it for real mu
     switching = SwitchingProfile.delta() if width is None else SwitchingProfile.gaussian(0.5, width)
     s = Scenario(field=FieldSpec(mass=0.0, beta=math.inf, coupling=LAM), switching=switching,
                  smearing=SmearingProfile.gaussian_spherical(sigma))
     mu = np.linspace(-window, window, 201)
     ref = _dawson_exponent(s, mu)
     assert np.max(np.abs(_batch_exponent(s, mu) - ref)) <= 1e-13 * np.max(np.abs(ref))
-    for point in (0.3 * window, 0.77 * window, window):  # |mu| > 2 l: the k grid
+    for point in (0.3 * window, 0.77 * window, window):
         ref = _dawson_exponent(s, point)
         assert abs(_bracket_integral(s, complex(point)) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("window", [10.0, 1536.0, 20000.0])
+def test_thermal_sine_sums_match_the_vacuum_closed_form(window):
+    # Im B = Int a(k) sin(mu k) dk does not depend on beta, so the thermal sine
+    # sums, on the folded DFT and on the pointwise k grid, are the vacuum's
+    thermal, vacuum = make_scenario(1.0), make_scenario(math.inf)
+    mu = np.linspace(-window, window, 201)
+    ref = _dawson_exponent(vacuum, mu)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(_batch_exponent(thermal, mu).imag - ref.imag)) <= 1e-13 * scale
+    for point in (0.3 * window, 0.77 * window, window):  # |mu| > 2 l: the k grid
+        got = _bracket_integral(thermal, complex(point)).imag
+        assert abs(got - _dawson_exponent(vacuum, point).imag) <= 1e-13 * scale
+
+
+def _mp_vacuum_exponent(a0, length, mu):
+    """A0 Int_0^inf k e^{-l^2 k^2} (e^{i mu k} - 1) dk at 30 digits, by quadrature."""
+    with mpmath.workdps(30):
+        a0, length, mu = mpmath.mpf(a0), mpmath.mpf(length), mpmath.mpc(mu)
+
+        def f(k):
+            return a0 * k * mpmath.exp(-length * length * k * k) * mpmath.expm1(1j * mu * k)
+
+        cells = int(abs(mu.real)) + 8  # pieces of about one period of e^{i Re(mu) k}
+        return complex(mpmath.quad(f, mpmath.linspace(0, 12 / length, cells)))
+
+
+@pytest.mark.parametrize("mu", [0.3 + 0.1j, 5 + 3j, 30 + 0.5j, 1 + 50j, 2j, 1e-3 * (1 + 1j)])
+def test_complex_vacuum_and_delta_exponents_match_mpmath(mu):
+    vacuum, delta = make_scenario(math.inf), delta_scenario()
+    length = math.hypot(SWITCH_WIDTH, SIGMA)
+    ref = _mp_vacuum_exponent(SWITCH_WIDTH**2 / (2.0 * math.pi), length, mu)
+    assert abs(_bracket_integral(vacuum, mu) - ref) <= 1e-13 * abs(ref)
+    ref = _mp_vacuum_exponent(1.0 / (4.0 * math.pi**2), SIGMA, mu)
+    assert abs(_bracket_integral(delta, mu) - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("mu", [1000.0, 3000.0])
@@ -642,11 +664,10 @@ def test_memory_stays_flat_on_a_fine_k_grid(case):
 def test_sample_k_grid_follows_the_nearest_singularity():
     # the charfn command's 201-point window |mu| <= 10 and the pdf command's 2^14
     # grid |mu| <= 1536, at the reference widths, on the nodes their uniform
-    # steps take; the W = 0 kink of a massless vacuum or delta weight has its
-    # images summed in closed form
-    states = [make_scenario(beta) for beta in (0.5, 1.0, 2.0, math.inf)] + [
+    # steps take; a massless vacuum or delta weight takes no k grid
+    states = [make_scenario(beta) for beta in (0.5, 1.0, 2.0)] + [
         _massive_scenario(mass) for mass in (0.2, 0.6, 1.0)
-    ] + [delta_scenario()]
+    ]
     for s in states:
         assert _batch_k_grid(s, 10.0, 0.1).size <= 256
         assert _batch_k_grid(s, DEFAULT_MU_MAX, _DFT_HALF[1]).size <= 2048

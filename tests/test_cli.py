@@ -6,11 +6,12 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fieldwork import CharFnGrid, CrooksRow, charfn_delta_closed, cli, delta_weight, invert_charfn
+from fieldwork import CharFnGrid, CrooksRow, cli, delta_weight, invert_charfn
 from fieldwork.charfn import DEFAULT_MU_MAX
 from fieldwork.cli import main
 
@@ -144,9 +145,21 @@ class TestConfigHandling:
         assert override.split("=")[0].split(".")[1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key", [("charfn", "mu_max"), ("pdf", "fft_mu_max")])
-    def test_huge_mu_window_rejected_before_allocating(self, vacuum_config, command, key, capsys):
-        assert main([command, "--config", vacuum_config, "--set", f"grids.{key}=1e300"]) == 2
+    def test_huge_mu_window_rejected_before_allocating(self, command, key, capsys):
+        # a thermal field takes a k grid, which refuses the window; the vacuum's
+        # closed form answers it
+        config = str(CONFIGS / "thermal_beta1.ini")
+        assert main([command, "--config", config, "--set", f"grids.{key}=1e300"]) == 2
         assert "mu_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("ramsey", "mode_counts"), ("sweep", "widths")])
+    def test_empty_list_rejected(self, command, key, capsys):
+        # an empty mode_counts simulated nothing and exited 4; an empty widths
+        # printed a header alone
+        config = str(CONFIGS / ("delta_coupling.ini" if command == "ramsey" else "vacuum.ini"))
+        assert main([command, "--config", config, "--set", f"grids.{key}="]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: [grids] {key} = '': an empty list\n"
 
     def test_overflowing_mu_span_rejected_without_numpy_warnings(self, vacuum_config, capsys):
         span = ["--set", "grids.mu_min=-1.7e308", "--set", "grids.mu_max=1.7e308"]
@@ -402,9 +415,25 @@ def test_moments_of_narrow_or_slow_profiles_match_the_closed_form(override, caps
                                  rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
-@pytest.mark.parametrize("command", ["charfn", "pdf"])
-def test_non_finite_k_grid_integrand_is_a_convergence_error(command, config, capsys):
+# (command, shipped config) -> exit code and last stderr line at widths of 1e-160
+_TINY_WIDTHS = {
+    # the vacuum's closed form needs no k grid; the atom's moment integral does
+    ("charfn", "vacuum.ini"): (0, ""),
+    ("pdf", "vacuum.ini"): (4, "convergence error: radial quadrature: the integrand is not finite"),
+    # lambda^2 / 8 pi^2 sigma^2 overflows
+    ("charfn", "delta_coupling.ini"):
+        (3, "regime error: sample_charfn: lambda^2 B is not finite at coupling 0.1"),
+    ("pdf", "delta_coupling.ini"):
+        (4, "convergence error: radial quadrature: the integrand is not finite"),
+    ("charfn", "thermal_beta1.ini"):
+        (4, "convergence error: below k_max = 4.94975e+160 the integrand is not finite"),
+    ("pdf", "thermal_beta1.ini"):
+        (4, "convergence error: radial quadrature: the integrand is not finite"),
+}
+
+
+@pytest.mark.parametrize("command, config", sorted(_TINY_WIDTHS))
+def test_widths_of_1e_160_exit_with_a_documented_code(command, config, capsys):
     # widths of 1e-160 put the cutoff 7 / sqrt(s^2 + sigma^2) (7 / sigma for delta)
     # above 1e160; from about 1e155 on, k^2 in the spectral weight overflows
     widths = ["--set", "smearing.sigma=1e-160"]
@@ -412,10 +441,13 @@ def test_non_finite_k_grid_integrand_is_a_convergence_error(command, config, cap
         widths += ["--set", "switching.width=1e-160"]
     with np.errstate(all="ignore"):
         code = main([command, "--config", str(CONFIGS / config), *widths])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert "the integrand is not finite" in err.splitlines()[-1]
+    out, err = capsys.readouterr()
+    assert (code, (err.splitlines() or [""])[-1]) == _TINY_WIDTHS[command, config]
     assert "Traceback" not in err
+    if code == 0:  # at |z| = |mu| / 2 l >= 3.5e158 the exponent is -A0 / 2 l^2 = -1 / 8 pi
+        rows = np.array([[float(c) for c in line.split(",")] for line in out.splitlines()[1:]])
+        ref = np.where(rows[:, 0] == 0.0, 1.0, 1.0 - 0.01**2 / (8.0 * math.pi))
+        assert np.max(np.abs(rows[:, 1] - ref)) <= 1e-16 and np.all(rows[:, 2] == 0.0)
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
@@ -440,17 +472,55 @@ def test_narrow_fft_window_prints_the_exact_atom(capsys):
     assert first == f"# atom_weight = {cli._FMT % delta_weight(scenario)}"
 
 
+def _mp_dawson(x):
+    """D(x) at the working precision: e^{-x^2} erfi(x) sqrt(pi) / 2 below x = 20,
+    above by the asymptotic series (1 / 2x) Sum_n (2n - 1)!! / (2 x^2)^n, whose
+    terms fall below 1e-25 of the sum within 12 terms."""
+    if x < 20:
+        return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+    term = total = 1 / (2 * x)
+    n = 0
+    while term > 1e-25 * total:
+        n += 1
+        term *= (2 * n - 1) / (2 * x * x)
+        total += term
+    return total
+
+
 def test_delta_pdf_is_the_inverted_closed_form(tmp_path):
-    # the delta density has a kink at W = 0; with only the leading term of its
-    # trapezoid images summed, the fixed 4000 l margin left 4.7e-12 of the peak
+    # against P~ from the Dawson form at 20 digits, inverted with the same atom:
+    # P~ in double precision carries about 4e-13 of the peak into the density
     out = tmp_path / "pdf.csv"
     assert main(["pdf", "--config", str(CONFIGS / "delta_coupling.ini"), "--output", str(out)]) == 0
     comments, _, rows = read_csv(out)
     atom = float(comments[0].split("=")[1])
     mu = np.append(np.arange(2**13) * (2.0 * DEFAULT_MU_MAX / 2**14), DEFAULT_MU_MAX)
-    ref = invert_charfn(CharFnGrid(mu=mu, values=charfn_delta_closed(0.1, 1.0, mu)), atom)
+    with mpmath.workdps(20):
+        c = mpmath.mpf(0.1) ** 2 / (4 * mpmath.pi**2)  # lambda = 0.1, sigma = 1
+
+        def charfn(m):
+            x = m / 2
+            i_mu = -m * _mp_dawson(x) / 2 + 1j * mpmath.sqrt(mpmath.pi) * m * mpmath.exp(-x * x) / 4
+            return complex(mpmath.exp(c * i_mu))
+
+        values = np.array([charfn(mpmath.mpf(m)) for m in mu.tolist()])
+    ref = invert_charfn(CharFnGrid(mu=mu, values=values), atom)
     assert np.array_equal(rows[:, 0], ref.w_grid)
-    assert np.max(np.abs(rows[:, 1] - ref.density)) <= 1e-14 * np.max(ref.density)
+    assert np.max(np.abs(rows[:, 1] - ref.density)) <= 1e-12 * np.max(ref.density)
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
+    [("vacuum.ini", ["switching.width=0.00083", "smearing.sigma=0.01"]),  # mean 4.85e-6
+     ("delta_coupling.ini", ["field.coupling=1e3"])],  # mean work 1.1e4
+)
+def test_a_density_wider_than_the_w_window_is_a_configuration_error(config, overrides, capsys):
+    # the W window |W| <= pi / dmu = 16.75 aliased these densities: the inverted
+    # mean read -5.7e-11, and the delta density was flat at 0.0298
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["pdf", "--config", str(CONFIGS / config), *sets]) == 2
+    err = capsys.readouterr().err
+    assert "wider than the W window" in err and "raise the number of points" in err
 
 
 @pytest.mark.parametrize("override", ["field.beta=1e6", "field.mass=1e-7"])

@@ -22,7 +22,6 @@ from fieldwork import (
     integrate_radial,
     invert_charfn,
 )
-from fieldwork.charfn import _KINK_WEIGHTS, _ZETA_EVEN, _image_sums
 
 # Dawson integral reference values computed from the defining integral
 # D(x) = e^{-x^2} Int_0^x e^{y^2} dy with 50-digit arithmetic (mpmath).
@@ -110,25 +109,18 @@ def test_integrate_radial_convergence_failure_carries_estimate(f, step):
 
 
 @pytest.mark.parametrize("mu", [0.1, 5.0, 17.0, 40.0])
-def test_integrate_radial_error_bound_covers_the_dawson_closed_form(mu):
-    # Int_0^inf k e^{-k^2} cos(mu k) dk = 1/2 - mu D(mu/2) / 2; the tail past 7 is
-    # e^{-49}.  The integrand is k near 0, a kink, and the closed-form sum of its
-    # trapezoid images, (h/2)^2 Sum_j c_j (h/2)^{2j-2} (F_j(mu h/2) + 2 zeta(2j) / pi^{2j}),
-    # is the endpoint term.  The step is the package's pointwise one, with
+def test_integrate_radial_error_bound_covers_a_gaussian_closed_form(mu):
+    # Int_0^inf k^2 e^{-k^2} cos(mu k) dk = (sqrt(pi) / 8) (2 - mu^2) e^{-mu^2 / 4};
+    # the tail past 7 is e^{-49}.  The integrand is even at k = 0, so the rule
+    # needs no endpoint term.  The step is the package's pointwise one, with
     # images beyond 2 mu + 200.
-    def endpoint(h):
-        q = 0.5 * h
-        images = zip(_KINK_WEIGHTS, _image_sums(q * mu), _ZETA_EVEN)
-        return q * q * sum(c * q ** (2 * j) * (f + z) for j, (c, f, z) in enumerate(images))
-
     value, bound = integrate_radial(
-        lambda k: k * np.exp(-k * k) * np.cos(mu * k),
+        lambda k: k * k * np.exp(-k * k) * np.cos(mu * k),
         7.0,
         step=2.0 * math.pi / (2.0 * mu + 200.0),
-        endpoint=endpoint,
         return_error=True,
     )
-    ref = 0.5 - mu * dawson(mu / 2.0) / 2.0
+    ref = math.sqrt(math.pi) / 8.0 * (2.0 - mu * mu) * math.exp(-mu * mu / 4.0)
     assert abs(value - ref) <= max(bound, 2e-16)
     assert bound <= fieldwork.special_math._TOL
 
