@@ -2,8 +2,9 @@
 
 The package computes the characteristic function of the work probability
 distribution produced by a spatially smeared, temporally switched unitary
-kick on a relativistic scalar field in a thermal (or vacuum) state, inverts
-it into a work density with a delta atom at W = 0, evaluates moments and
+kick on a relativistic scalar field in a thermal (or vacuum) state, and the
+work density with a delta atom at W = 0 (in closed form for smooth switching,
+by FFT inversion for the instantaneous one), evaluates moments and
 fluctuation-theorem checks, and cross-validates everything against an
 independent discrete-mode simulation of the Ramsey interferometric
 measurement protocol.

@@ -129,23 +129,30 @@ def _nearest_singularity(s: Scenario) -> float:
     return 0.0 if s.field.is_vacuum else 2.0 * math.pi / s.field.beta
 
 
-def _vacuum_exponent(s: Scenario, mu):
-    """Int a(k) (e^{i mu k} - 1) dk in closed form for a massless vacuum or delta
-    weight a(k) = A0 k e^{-l^2 k^2} (kappa = 0): A0 / 2 l^2 * i sqrt(pi) z w(z),
-    z = mu / 2 l, w the Faddeeva function, for real or complex mu (Im mu >= 0),
-    scalar or array.  A0 / 2 l^2 is (s / l)^2 / 4 pi, or 1 / 8 pi^2 divided twice
-    by sigma, so that tiny widths do not pass through subnormals.  scipy is
-    imported here, as in `dawson`."""
-    import scipy.special
-
+def _vacuum_mass(s: Scenario) -> float:
+    """Int a(k) dk = A0 / 2 l^2 for a massless vacuum or delta weight
+    a(k) = A0 k e^{-l^2 k^2} (kappa = 0): (s / l)^2 / 4 pi, or 1 / 8 pi^2 divided
+    twice by sigma, so that tiny widths do not pass through subnormals."""
     length = _decay_length(s)
     if s.switching.is_delta:
-        scale = 0.5 / _FOUR_PI_SQ / length / length
-    else:
-        scale = (s.switching.width / length) ** 2 / (4.0 * math.pi)
-    z = np.asarray(mu) / (2.0 * length)
-    with np.errstate(invalid="ignore"):  # a scale of inf gives nan at mu = 0: callers check
-        return (scale * math.sqrt(math.pi)) * 1j * z * scipy.special.wofz(z)
+        return 0.5 / _FOUR_PI_SQ / length / length
+    return (s.switching.width / length) ** 2 / (4.0 * math.pi)
+
+
+def _vacuum_exponent(s: Scenario, mu):
+    """Int a(k) (e^{i mu k} - 1) dk in closed form for a massless vacuum or delta
+    weight (kappa = 0): A0 / 2 l^2 * i sqrt(pi) z w(z), z = mu / 2 l, w the
+    Faddeeva function, for real or complex mu (Im mu >= 0), scalar or array.
+    Where z is not finite, its limit -A0 / 2 l^2.  scipy is imported here, as
+    in `dawson`."""
+    import scipy.special
+
+    scale = _vacuum_mass(s)
+    # a scale of inf gives nan at mu = 0: callers check
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.asarray(mu) / (2.0 * _decay_length(s))
+        out = (scale * math.sqrt(math.pi)) * 1j * z * scipy.special.wofz(z)
+    return np.where(np.isfinite(z), out, -scale)
 
 
 # Integrals without a fast phase, the moments and the bracket at
@@ -189,7 +196,10 @@ def _sinh_integral(s: Scenario, g, at_zero: float = 0.0) -> float:
 
 def _moment_integral(s: Scenario, power: int) -> float:
     """Int a(k) w_k^power [(1 + n) + (-1)^power n] dk, the bracket being
-    coth(beta w/2) for even power and 1 for odd power."""
+    coth(beta w/2) for even power and 1 for odd power; the mass of a massless
+    vacuum or delta weight in closed form."""
+    if power == 0 and _nearest_singularity(s) == 0.0:
+        return _vacuum_mass(s)
     beta = s.field.beta
     thermal = power % 2 == 0 and not s.field.is_vacuum
 
@@ -509,8 +519,10 @@ def _nufft_sums(w, a_coth, a_trap, mu, dmu):
     as in a direct sum.  With J = j - z and c_n = a_n e^{i mu_z w_n}, the sum
     Sum_n c_n e^{i J x_n} is sqrt(pi / tau) e^{J^2 tau} times the J-th Fourier
     coefficient of Sum_n c_n g(x - x_n), g the 2 pi-periodic Gaussian
-    e^{-x^2 / 4 tau}.  Both weight rows are spread onto one oversampled grid
-    and taken to Fourier coefficients in one 2-row inverse FFT.
+    e^{-x^2 / 4 tau}.  Both weight rows, as 2 or 4 real rows, are spread onto
+    one oversampled grid and taken to Fourier coefficients by one real FFT:
+    for a real row x, ifft(x)[J] = conj(rfft(x)[J]) / size at J >= 0, and
+    rfft(x)[-J] / size at J < 0.
     """
     n_mu = mu.size
     z = int(np.argmin(np.abs(mu)))
@@ -551,10 +563,12 @@ def _nufft_sums(w, a_coth, a_trap, mu, dmu):
     grid = padded[:, half - 1 : half - 1 + size]
     grid[:, size - half + 1 :] += padded[:, : half - 1]
     grid[:, :half] += padded[:, size + half - 1 :]
-    if len(grid) == 4:
-        grid = grid[:2] + 1j * grid[2:]
     J = np.arange(-z, n_mu - z)
-    sums = np.fft.ifft(grid, axis=1)[:, J % size] * (math.sqrt(math.pi / tau) * np.exp(J * J * tau))
+    coef = np.fft.rfft(grid, axis=1)[:, np.abs(J)]
+    np.conjugate(coef, out=coef, where=J >= 0)
+    if len(coef) == 4:
+        coef = coef[:2] + 1j * coef[2:]
+    sums = coef * (math.sqrt(math.pi / tau) / size * np.exp(J * J * tau))
     return sums[0].real, sums[1].imag
 
 
@@ -612,11 +626,18 @@ def charfn_grid(
     kink at W = 0, which has fallen below 1e-6 of its peak there.  For m > 0
     the square-root thresholds of the density at |W| = m make P~ decay only as
     |mu|^{-3/2}; the window cuts that tail off, so the inverted density rings
-    near |W| = m.
+    near |W| = m.  `distribution_from_charfn` samples P~ here for delta
+    switching only; smooth switching takes its density in closed form.
     """
+    # one uniform grid, so that the samples take the folded DFT or non-uniform FFT sums
+    mu = _half_grid(mu_points, mu_max)
+    return CharFnGrid(mu=mu, values=sample_charfn(s, mu))
+
+
+def _half_grid(mu_points, mu_max: float) -> np.ndarray:
+    """mu = n dmu, n = 0 .. N/2, dmu = 2 mu_max / N: the half of the DFT-layout grid
+    of N = ``mu_points`` points in [-mu_max, mu_max)."""
     n = int(mu_points)
     if n < 8 or n % 2 != 0:
         raise InvalidArgumentError("charfn_grid: mu_points must be even and >= 8")
-    # one uniform grid, so that the samples take the folded DFT or non-uniform FFT sums
-    mu = np.append(np.arange(n // 2) * (2.0 * mu_max / n), mu_max)
-    return CharFnGrid(mu=mu, values=sample_charfn(s, mu))
+    return np.append(np.arange(n // 2) * (2.0 * mu_max / n), mu_max)

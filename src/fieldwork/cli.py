@@ -195,9 +195,13 @@ def _build_scenario(config: dict) -> Scenario:
 
 
 def _write_csv(path: str | None, header: str, rows, comments=()) -> None:
-    row_format = ",".join([_FMT] * (header.count(",") + 1))  # the header names every column
-    lines = list(comments) + [header] + [row_format % row for row in rows]
-    text = "\n".join(lines) + "\n"
+    """Write the comment lines, the header and ``rows`` (a 2-D array or a sequence
+    of equal-length rows of numbers; a bool prints as 0 or 1), every cell with
+    _FMT, by one % over all cells."""
+    # the header names every column
+    cells = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+    table = (",".join([_FMT] * cells.shape[1]) + "\n") * len(cells) % tuple(cells.ravel().tolist())
+    text = "".join(line + "\n" for line in [*comments, header]) + table
     if path is None:
         sys.stdout.write(text)
         return
@@ -225,7 +229,7 @@ def _cmd_charfn(cfg: RunConfig) -> int:
     _write_csv(
         cfg.output_path,
         "mu [1/energy],re_charfn [dimensionless],im_charfn [dimensionless]",
-        zip(mu, values.real, values.imag),
+        np.column_stack((mu, values.real, values.imag)),
     )
     return 0
 
@@ -239,7 +243,7 @@ def _cmd_pdf(cfg: RunConfig) -> int:
     _write_csv(
         cfg.output_path,
         "w [energy],density [1/energy]",
-        zip(dist.w_grid, dist.density),
+        np.column_stack((dist.w_grid, dist.density)),
         comments=[f"# atom_weight = {_FMT % dist.atom_weight}"],
     )
     return 0

@@ -101,6 +101,31 @@ def integrate_radial(f, k_max: float, *, step=None, endpoint=None, return_error:
     return (value, bound) if return_error else value
 
 
+def _check_spacing(dmu: float) -> None:
+    """A mu grid step must be > 0 with pi / dmu, the edge of the conjugate W grid, finite."""
+    if not (dmu > 0.0 and math.isfinite(math.pi / dmu)):
+        raise InvalidArgumentError(
+            f"CharFnGrid: mu spacing must be > 0 with pi / spacing finite, not {dmu:g}"
+        )
+
+
+def _w_grid(n: int, dmu: float) -> np.ndarray:
+    """The W grid w_m = (m - N/2) 2 pi / (N dmu), m = 0 .. N-1, conjugate to N mu
+    points of step dmu: W = 0 sits at index N/2."""
+    return (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu))
+
+
+def _check_window(phi: float, dmu: float) -> None:
+    """With phi = (P~ - atom) / (1 - atom), Re phi(dmu) ~ 1 - dmu^2 <W^2> / 2; below
+    1 - pi^2 / 50 the window |W| <= pi / dmu ends within about 5 rms of the density,
+    which then aliases into it, and InvalidArgumentError is raised."""
+    if not phi >= 1.0 - math.pi**2 / 50.0:
+        raise InvalidArgumentError(
+            f"invert_charfn: the density is wider than the W window |W| <= {math.pi / dmu:.3g} "
+            f"(Re phi(dmu) = {phi:.3g}); raise the number of points or lower mu_max"
+        )
+
+
 @dataclass
 class CharFnGrid:
     """Characteristic function sampled on the half grid mu_n = n dmu, n = 0 .. N/2.
@@ -122,10 +147,7 @@ class CharFnGrid:
         if self.mu[0] != 0.0:
             raise InvalidArgumentError("CharFnGrid: mu grid must start at 0")
         d = np.diff(self.mu)
-        if not (d[0] > 0.0 and math.isfinite(math.pi / float(d[0]))):  # pi / dmu bounds |W|
-            raise InvalidArgumentError(
-                f"CharFnGrid: mu spacing must be > 0 with pi / spacing finite, not {d[0]:g}"
-            )
+        _check_spacing(float(d[0]))
         if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
             raise InvalidArgumentError("CharFnGrid: mu grid must be uniform")
         if abs(self.values[0] - 1.0) > _GRID_CHECK_TOL:
@@ -153,23 +175,16 @@ def invert_charfn(grid: CharFnGrid, atom: float) -> WorkDistribution:
     metadata key ``window_residual``, the largest |P~ - atom| at
     mu >= 0.9 mu_max, is the level of that part's transform where the window
     cuts it off.  The real inverse FFT takes P~(-mu) = conj P~(mu), and only
-    Re P~ at mu_max, the Nyquist point.  With phi = (P~ - atom) / (1 - atom),
-    Re phi(dmu) ~ 1 - dmu^2 <W^2> / 2; below 1 - pi^2 / 50 the window
-    |W| <= pi / dmu ends within about 5 rms of the density, which then aliases
-    into it, and InvalidArgumentError is raised.
+    Re P~ at mu_max, the Nyquist point.  A density wider than the W window is
+    refused (`_check_window`, from the first sample).
     """
     n = 2 * (grid.mu.size - 1)
     dmu = grid.spacing
     mu_max = float(grid.mu[-1])
-    w_grid = (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu))
+    w_grid = _w_grid(n, dmu)
 
     f = grid.values - atom
-    phi = (f[1] / (1.0 - atom)).real if atom < 1.0 else 1.0
-    if not phi >= 1.0 - math.pi**2 / 50.0:
-        raise InvalidArgumentError(
-            f"invert_charfn: the density is wider than the W window |W| <= {math.pi / dmu:.3g} "
-            f"(Re phi(dmu) = {phi:.3g}); raise the number of points or lower mu_max"
-        )
+    _check_window((f[1] / (1.0 - atom)).real if atom < 1.0 else 1.0, dmu)
     window_residual = float(np.max(np.abs(f[grid.mu >= 0.9 * mu_max])))
     # irfft(X)_m = (1/N) Sum_n X_n e^{+2 pi i n m / N} over the Hermitian
     # extension of X, and mu_n w_m = 2 pi n m / N: with X = conj f it is

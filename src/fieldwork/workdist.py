@@ -1,19 +1,23 @@
 """Work probability distributions, moments and fluctuation-theorem checks.
 
-With the spectral weight a(k) and the Bose factor n = 1/(e^{beta w} - 1) of
-`charfn`, the perturbative characteristic function inverts to a mixed
-distribution
+With the spectral weight a(k) and the Bose factor n(w) = 1/(e^{beta w} - 1) of
+`charfn`, the perturbative characteristic function 1 + lambda^2 B(mu) is the
+transform of a mixed distribution
 
     P(W) = (1 - p) delta(W) + rho(W),
-    rho(W) = lambda^2 a(|W|) (1 + n(|W|))    for W > 0,
-    rho(W) = lambda^2 a(|W|) n(|W|)          for W < 0,
+    rho(W) = lambda^2 a(k) (w / k) (1 + n(w))    for W = w > m,
+    rho(W) = lambda^2 a(k) (w / k) n(w)          for W = -w < -m,
 
-written here for a massless field, where w_k = k and a(|W|) is a(k) at
-k = |W|.  The vacuum sets n = 0, so rho = 0 for W < 0.  Detailed balance
+with k = sqrt(w^2 - m^2) the momentum of a mode of energy w: a(k) dk written
+in W, so that w / k = dk / dw is the Jacobian, 1 for a massless field.  rho is 0
+for |W| <= m: no mode has less energy than the mass.  The vacuum sets n = 0, so
+rho = 0 for W < 0.  As W -> 0 a massless thermal rho tends to lambda^2 A0 / beta,
+A0 = lim a(k) / k; every other rho tends to 0.  Detailed balance
 rho(W)/rho(-W) = (1 + n)/n = e^{beta W} is an algebraic identity of this
-expression, which is why Crooks checks use the analytic density (tolerance
-1e-10) while comparisons against the inverted density carry the looser
-grid-resolution tolerance.
+expression at any mass, which is why Crooks checks use it (tolerance 1e-10).
+Smooth switching takes this density in closed form (`distribution_from_charfn`);
+only delta switching, whose P~ = exp(lambda^2 B) holds every number of jumps,
+is inverted by FFT.
 
 The moments of rho are radial integrals over the same weight, for any mass:
 
@@ -37,15 +41,17 @@ from .charfn import (
     DEFAULT_MU_POINTS,
     Scenario,
     _bracket_part,
+    _half_grid,
     _moment_integral,
     _spectral_weight,
+    _weight_slope,
     charfn_grid,
     charfn_kms,
 )
 from .distribution import WorkDistribution
-from .errors import InconsistencyError, InvalidArgumentError, RegimeError
+from .errors import ConvergenceError, InconsistencyError, InvalidArgumentError, RegimeError
 from .field_model import thermal_weight
-from .special_math import invert_charfn
+from .special_math import _check_spacing, _check_window, _w_grid, invert_charfn
 
 __all__ = [
     "WorkDistribution",
@@ -63,12 +69,33 @@ __all__ = [
 def _check_analytic_regime(s: Scenario):
     if s.switching.is_delta:
         raise RegimeError("the closed-form density applies to the perturbative regime only")
-    if s.field.mass != 0.0:
-        raise RegimeError("the closed-form density requires a massless field")
+
+
+# Past sigma k = 40 the smearing factor e^{-(sigma k)^2 / 2} of a(k) is 0 in
+# double precision, while k^2 / w may overflow: rho is set to 0 there.
+_SMEARING_ZERO = 40.0
+
+
+def _jump_factors(s: Scenario, energy: np.ndarray):
+    """(lambda^2 a(k) w / k, n(w)) at the energies w > 0 of a 1-D array: rho(W)
+    is the first times 1 + n(w) at W = w and times n(w) at W = -w.  The first is
+    0 where w <= m, and past the smearing cutoff."""
+    mass = s.field.mass
+    inside = energy > mass
+    w = energy[inside]
+    # sqrt(w - m) sqrt(w + m) does not overflow where w^2 would; k is w if massless
+    k = np.sqrt(w - mass) * np.sqrt(w + mass) if mass else w
+    keep = k * s.smearing.sigma < _SMEARING_ZERO
+    inside[inside] = keep
+    w, k = w[keep], k[keep]
+    lam = s.field.coupling
+    rate = np.zeros(energy.shape)
+    rate[inside] = lam * lam * (_spectral_weight(s, k, w) * (w / k))
+    return rate, thermal_weight(energy, s.field.beta)[1]
 
 
 def work_density_analytic(s: Scenario, w):
-    """Non-atom part of the work density at W != 0 (massless field).
+    """The one-jump density rho(W) of the module docstring at W != 0, any mass.
 
     Accepts scalar or array W; every entry must be nonzero (the atom at W = 0
     is handled by delta_weight).
@@ -77,11 +104,10 @@ def work_density_analytic(s: Scenario, w):
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr == 0.0) or not np.all(np.isfinite(w_arr)):
         raise InvalidArgumentError("work_density_analytic: W must be finite and nonzero")
-    w_abs = np.abs(w_arr)
-    _, bose = thermal_weight(w_abs, s.field.beta)
-    lam = s.field.coupling
-    out = lam * lam * _spectral_weight(s, w_abs, w_abs) * np.where(w_arr > 0.0, 1.0 + bose, bose)
-    return float(out) if np.ndim(w) == 0 else out
+    flat = w_arr.ravel()
+    rate, bose = _jump_factors(s, np.abs(flat))
+    out = rate * np.where(flat > 0.0, 1.0 + bose, bose)
+    return float(out[0]) if np.ndim(w) == 0 else out.reshape(w_arr.shape)
 
 
 def _density_moment(s: Scenario, power: int) -> float:
@@ -112,18 +138,64 @@ def distribution_from_charfn(
     mu_points: int = DEFAULT_MU_POINTS,
     mu_max: float = DEFAULT_MU_MAX,
 ) -> WorkDistribution:
-    """Sample P~ on the default mu grid, invert it with the known atom, and
-    assemble the distribution.  The atom is 1 - p for smooth switching, and
-    exp(-lambda^2 Int a_F(k) dk), the large-mu level of the exact delta P~,
-    for delta switching, which is exact at any strength."""
+    """The work distribution on the W grid conjugate to the DFT-layout mu grid of
+    ``mu_points`` points in [-mu_max, mu_max): w_m = (m - N/2) 2 pi / (N dmu),
+    dmu = 2 mu_max / N, as `invert_charfn` returns it.
+
+    Smooth switching, at any mass, takes the atom 1 - p and the one-jump density
+    rho of the module docstring in closed form, with no mu samples: rho at every
+    W != 0 (0 for |W| <= m), and at W = 0 its limit, lambda^2 A0 / beta for a
+    massless thermal field and 0 otherwise.  A density wider than the W window
+    is refused as in `invert_charfn`, from Re P~(dmu).  The metadata reads no
+    clamping; ``window_residual`` is |p - dW Sum rho|, the mass the W samples
+    miss, which by Poisson summation is the level of rho~ at the multiples of
+    2 mu_max.
+
+    Delta switching samples P~ = exp(lambda^2 B) (`charfn_grid`) and inverts it
+    with the known atom exp(-lambda^2 Int a_F(k) dk), its large-mu level, which
+    is exact at any strength."""
     if s.switching.is_delta:
         atom = math.exp(-_density_moment(s, 0))
+        dist = invert_charfn(charfn_grid(s, mu_points=mu_points, mu_max=mu_max), atom)
     else:
-        atom = delta_weight(s)
-    grid = charfn_grid(s, mu_points=mu_points, mu_max=mu_max)
-    dist = invert_charfn(grid, atom)
+        dist = _one_jump_distribution(s, mu_points, mu_max)
     dist.metadata.update(s.fingerprint())
     return dist
+
+
+def _one_jump_distribution(s: Scenario, mu_points, mu_max: float) -> WorkDistribution:
+    p = _perturbative_mass(s)
+    atom = 1.0 - p
+    mu = _half_grid(mu_points, mu_max)
+    n, dmu = 2 * (mu.size - 1), float(mu[1])
+    _check_spacing(dmu)
+    lam = s.field.coupling
+    if atom < 1.0:  # phi = (P~(dmu) - atom) / (1 - atom), as invert_charfn reads it
+        _check_window((1.0 + lam * lam * _bracket_part(s, dmu, np.real) - atom) / (1.0 - atom), dmu)
+    w_grid = _w_grid(n, dmu)
+    # the grid is symmetric about W = 0 (index N/2): a(k) once per energy |W|
+    half = n // 2
+    rate, bose = _jump_factors(s, -w_grid[half - 1 :: -1])
+    density = np.empty(n)
+    density[half - 1 :: -1] = rate * bose
+    density[half] = lam * lam * _weight_slope(s) / s.field.beta  # rho at W -> 0
+    density[half + 1 :] = (rate * (1.0 + bose))[:-1]
+    if not np.all(np.isfinite(density)):
+        raise ConvergenceError("work density: the spectral weight is not finite on the W grid")
+    dw = 2.0 * math.pi / (n * dmu)
+    return WorkDistribution(
+        atom_weight=atom,
+        w_grid=w_grid,
+        density=density,
+        metadata={
+            "mu_max": float(mu[-1]),
+            "mu_points": n,
+            "clamped_points": 0,
+            "worst_negative_density": 0.0,
+            "negative_floor_violation": False,
+            "window_residual": abs(p - dw * float(density.sum())),
+        },
+    )
 
 
 @dataclass(frozen=True)

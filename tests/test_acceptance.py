@@ -17,11 +17,14 @@ from fieldwork import (
     SwitchingProfile,
     charfn_delta_closed,
     charfn_delta_numeric,
+    charfn_grid,
     charfn_kms,
     continuum_convergence,
     crooks_check,
+    delta_weight,
     distribution_from_charfn,
     first_order_qubit_correction,
+    invert_charfn,
     localization_sweep,
     moments,
     simulate_delta_ramsey,
@@ -94,11 +97,13 @@ def test_criterion_03_crooks_detailed_balance():
 
 
 def test_criterion_04_transform_matches_analytic_density():
+    # distribution_from_charfn returns the analytic density itself: the round trip
+    # inverts the sampled P~ with the known atom
     ok = True
     details = []
     for beta in (1.0, math.inf):
         s = scenario(beta)
-        dist = distribution_from_charfn(s)
+        dist = invert_charfn(charfn_grid(s), delta_weight(s))
         analytic = np.zeros_like(dist.density)
         nonzero = dist.w_grid != 0.0
         analytic[nonzero] = work_density_analytic(s, dist.w_grid[nonzero])

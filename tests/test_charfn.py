@@ -7,6 +7,7 @@ every 2-pi power in the analytic implementation.
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple, replace
 
 import mpmath
@@ -42,6 +43,7 @@ from fieldwork.charfn import (
     _spectral_weight,
 )
 from fieldwork.field_model import dispersion
+from fieldwork.workdist import _density_moment
 
 SWITCH_WIDTH = 1.0 / 12.0
 SWITCH_CENTER = 0.5
@@ -310,13 +312,30 @@ def test_wider_uniform_windows_keep_the_fft_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("mass", [0.2, 0.6, 1.0])
-@pytest.mark.parametrize("mu", [_DFT_HALF, np.linspace(50.0, 60.0, 201)], ids=["dft-half", "offset"])
-def test_massive_grid_matches_a_long_double_sum(mass, mu):
-    # The benchmark checks no massive distribution, so this is the independent
-    # check of the non-uniform FFT on charfn_grid's samples.  The offset window
-    # puts the FFT's alias images near mu = 0, where the sums are largest.
+@pytest.mark.parametrize(
+    "mu",
+    [_DFT_HALF, np.linspace(50.0, 60.0, 201), np.linspace(-60.0, 60.0, 241),
+     -3.05 + 0.1 * np.arange(131)],
+    ids=["dft-half", "offset", "through-zero", "straddle"],
+)
+def test_massive_grid_matches_a_long_double_sum(mass, mu, monkeypatch):
+    # The independent check of the non-uniform FFT on charfn_grid's samples and
+    # on windows either side of mu = 0.  The offset window puts the FFT's alias
+    # images near mu = 0, where the sums are largest.  Its Fourier coefficients
+    # come from real FFTs of the spread rows: 2 rows where the anchor mu_z is 0
+    # (dft-half, through-zero), 4 where it is not (offset, straddle); coefficients
+    # J = j - z of both signs on the through-zero and straddle windows.
     s = _massive_scenario(mass)
+    nufft = charfn_module._nufft_sums
+    rows = []
+
+    def spy(w, a_coth, a_trap, grid, dmu):
+        rows.append(2 if grid[np.argmin(np.abs(grid))] == 0.0 else 4)
+        return nufft(w, a_coth, a_trap, grid, dmu)
+
+    monkeypatch.setattr(charfn_module, "_nufft_sums", spy)
     got = _batch_exponent(s, mu)
+    assert rows == [2 if 0.0 in mu else 4]
     rng = np.random.default_rng(2019)
     picks = np.union1d([1, 2, mu.size - 1], rng.choice(mu.size, min(mu.size, 250), replace=False))
     ref = _long_double_exponent(s, mu[picks])
@@ -413,6 +432,22 @@ def test_tiny_widths_take_the_closed_form_without_a_k_grid():
     for evaluate in (sample_charfn, charfn_delta_numeric):
         with pytest.raises(RegimeError, match="lambda\\^2 B is not finite"):
             evaluate(_tiny_widths(delta_scenario()), mu if evaluate is sample_charfn else 1.0)
+
+
+def test_an_infinite_z_takes_the_limit_of_the_vacuum_exponent():
+    # at widths of 1e-300, z = mu / 2 l is not finite at |mu| = 1e10: the exponent
+    # is its limit -A0 / 2 l^2 = -1 / 8 pi, not nan; mu = 0 stays exactly 0
+    s = replace(make_scenario(math.inf), smearing=SmearingProfile.gaussian_spherical(1e-300),
+                switching=SwitchingProfile.gaussian(center=0.0, width=1e-300))
+    mu = np.array([-1e10, 0.0, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _batch_exponent(s, mu)
+        ref = np.array([-1.0, 0.0, -1.0]) / (8.0 * math.pi)
+        assert got[1] == 0.0 and np.max(np.abs(got - ref)) <= 1e-15 / (8.0 * math.pi)
+        assert charfn_correction(s, 1e10) == pytest.approx(LAM**2 * ref[0], rel=1e-15)
+        p = _density_moment(s, 0)  # the closed form, where k^2 of a sinh-node integral overflows
+        assert p == pytest.approx(LAM**2 / (8.0 * math.pi), rel=1e-15)
 
 
 def test_overflowing_second_order_term_is_a_regime_error():

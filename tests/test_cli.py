@@ -320,19 +320,26 @@ class TestCommands:
 
 class TestDeterminism:
     def test_row_format_writes_the_per_cell_bytes(self, capsys):
-        cells = [-0.0, 5e-324, 1e-300, math.nan, math.inf, -math.inf]
+        # the one % over every cell against the per-row join of per-cell formats
+        cells = [-0.0, 5e-324, 1e-300, math.nan, math.inf, -math.inf, 0.0,
+                 1.6688285284775185e-136]
         tables = [
             [tuple(cells), tuple(np.float64(c) for c in cells)],
             [(0.5, -0.0, 5e-324, math.nan, 0.0), (1.0, 1e-300, math.inf, -math.inf, 1.0)],
             [CrooksRow(0.5, -0.0, 5e-324, math.nan, False), CrooksRow(1.0, 1e-300, 1.0, 0.0, True)],
+            np.column_stack((np.array(cells), np.array(cells[::-1]))),
         ]
         for rows in tables:
             header = ",".join(f"c{i}" for i in range(len(rows[0])))
-            cli._write_csv(None, header, rows)
-            expected = [header] + [",".join("%.17g" % float(c) for c in row) for row in rows]
+            cli._write_csv(None, header, rows, comments=["# atom_weight = 1"])
+            per_row = [",".join("%.17g" % float(c) for c in row) for row in rows]
+            expected = ["# atom_weight = 1", header] + per_row
             assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        assert "%.17g" % True == "1" and "%.17g" % False == "0"  # as the per-row join printed ok
         cli._write_csv(None, "jarzynski_deviation = 1e-10", ())  # header only
         assert capsys.readouterr().out == "jarzynski_deviation = 1e-10\n"
+        cli._write_csv(None, "a,b,c", np.empty((0, 3)))  # zero rows under a 3-column header
+        assert capsys.readouterr().out == "a,b,c\n"
 
     def test_identical_config_gives_byte_identical_csv(self, vacuum_config, tmp_path):
         out1 = tmp_path / "run1.csv"
@@ -417,14 +424,17 @@ def test_moments_of_narrow_or_slow_profiles_match_the_closed_form(override, caps
 
 # (command, shipped config) -> exit code and last stderr line at widths of 1e-160
 _TINY_WIDTHS = {
-    # the vacuum's closed form needs no k grid; the atom's moment integral does
+    # the vacuum's closed forms (exponent and mass) need no k grid; its density
+    # spreads over |W| ~ 1 / l = 1e160, far past the W window
     ("charfn", "vacuum.ini"): (0, ""),
-    ("pdf", "vacuum.ini"): (4, "convergence error: radial quadrature: the integrand is not finite"),
+    ("pdf", "vacuum.ini"):
+        (2, "error: invert_charfn: the density is wider than the W window |W| <= 16.8 "
+            "(Re phi(dmu) = 0); raise the number of points or lower mu_max"),
     # lambda^2 / 8 pi^2 sigma^2 overflows
     ("charfn", "delta_coupling.ini"):
         (3, "regime error: sample_charfn: lambda^2 B is not finite at coupling 0.1"),
     ("pdf", "delta_coupling.ini"):
-        (4, "convergence error: radial quadrature: the integrand is not finite"),
+        (3, "regime error: sample_charfn: lambda^2 B is not finite at coupling 0.1"),
     ("charfn", "thermal_beta1.ini"):
         (4, "convergence error: below k_max = 4.94975e+160 the integrand is not finite"),
     ("pdf", "thermal_beta1.ini"):
@@ -539,12 +549,17 @@ def test_a_cold_or_light_field_is_sampled_on_the_capped_k_grid(override, capsys)
 )
 def test_a_mu_window_past_the_k_node_cap_is_a_configuration_error(command, window, override, capsys):
     # the k period is at least |mu| + 200 l: 2.2e6 nodes here, past the cap of 2^20;
-    # a cold or light field below that width takes the largest period the cap allows
+    # a cold or light field below that width takes the largest period the cap allows.
+    # pdf samples no such window: its W window |W| <= pi / dmu = 0.013 is refused first
     sets = [arg for item in window + [override] for arg in ("--set", item)]
     code = main([command, "--config", str(CONFIGS / "thermal_beta1.ini"), *sets])
     err = capsys.readouterr().err
     assert code == 2
-    assert "lower |mu| or mu_max" in err.splitlines()[-1]
+    last = err.splitlines()[-1]
+    if command == "pdf":
+        assert "wider than the W window" in last and "raise the number of points" in last
+    else:
+        assert "lower |mu| or mu_max" in last
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fieldwork import (
+    ConvergenceError,
     FieldSpec,
     InconsistencyError,
     InvalidArgumentError,
@@ -26,8 +27,9 @@ from fieldwork import (
     switching_ft,
     work_density_analytic,
 )
+import fieldwork.workdist as workdist_module
 from fieldwork.charfn import DEFAULT_MU_MAX, charfn_grid
-from fieldwork.special_math import CLAMP_REL_FLOOR
+from fieldwork.special_math import CLAMP_REL_FLOOR, invert_charfn
 from fieldwork.workdist import _FD_STEP, _density_moment, _moments_finite_difference
 
 SWITCH_WIDTH = 1.0 / 12.0
@@ -91,8 +93,6 @@ class TestAnalyticDensity:
         s = make_scenario(beta=1.0)
         with pytest.raises(InvalidArgumentError):
             work_density_analytic(s, 0.0)  # the atom is handled separately
-        with pytest.raises(RegimeError):
-            work_density_analytic(make_scenario(mass=0.5), 1.0)
         delta = Scenario(
             field=FieldSpec(coupling=0.1),
             switching=SwitchingProfile.delta(),
@@ -100,6 +100,77 @@ class TestAnalyticDensity:
         )
         with pytest.raises(RegimeError):
             work_density_analytic(delta, 1.0)
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_massive_value_carries_the_jacobian(self, beta):
+        # rho(W) = (lam^2 / 4 pi^2) k |chi~(W)|^2 |F~(k)|^2 (1 + n(W)), k = sqrt(W^2 - m^2):
+        # a(k) = (lam^2 / 4 pi^2) (k^2 / w) |chi~|^2 |F~|^2 times dk / dw = w / k
+        mass, w = 0.5, 1.3
+        s = make_scenario(beta=beta, mass=mass)
+        k = math.sqrt(w * w - mass * mass)
+        n = 0.0 if math.isinf(beta) else 1.0 / math.expm1(beta * w)
+        common = (LAM**2 / (4.0 * math.pi**2) * k * abs(switching_ft(s.switching, w)) ** 2
+                  * smearing_ft(s.smearing, k) ** 2)
+        assert work_density_analytic(s, w) == pytest.approx(common * (1.0 + n), rel=1e-14)
+        assert work_density_analytic(s, -w) == pytest.approx(common * n, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mass", [0.2, 0.6, 1.0])
+    def test_massive_density_vanishes_below_the_threshold(self, mass):
+        s = make_scenario(beta=1.0, mass=mass)
+        below = np.array([-mass, -0.5 * mass, -1e-9, 1e-9, 0.5 * mass, mass])
+        assert np.all(work_density_analytic(s, below) == 0.0)
+        # past it rho rises as k = sqrt(W^2 - m^2): four times as far, twice as high
+        for sign in (-1.0, 1.0):
+            near, far = work_density_analytic(s, sign * mass * (1.0 + np.array([1e-9, 4e-9])))
+            assert near > 0.0 and far / near == pytest.approx(2.0, rel=1e-6)
+
+    def test_far_samples_are_zero_where_the_smearing_factor_underflows(self):
+        # k^2 / w overflows from W of about 1.3e154, where F~(k)^2 = 0: rho is 0, not nan
+        for s in (make_scenario(beta=1.0), make_scenario(beta=1.0, mass=0.6)):
+            got = work_density_analytic(s, [-1e300, -45.0, 45.0, 1e200])
+            assert np.all(got == 0.0)
+
+
+def _mp_density(mass, beta, w):
+    """rho(W) from the one-jump formula at 30 digits, written out in W:
+    (lam^2 / 4 pi^2) k |chi~(w)|^2 |F~(k)|^2 times 1 + n(w) (W = w > m) or n(w) (W = -w)."""
+    wa = abs(w)
+    k = mpmath.sqrt(wa * wa - mass * mass)
+    s = mpmath.mpf(SWITCH_WIDTH)
+    chi2 = 2 * mpmath.pi * s * s * mpmath.exp(-(s * wa) ** 2)
+    common = LAM**2 / (4 * mpmath.pi**2) * k * chi2 * mpmath.exp(-((SIGMA * k) ** 2))
+    n = 0 if beta == math.inf else 1 / mpmath.expm1(beta * wa)
+    return common * ((1 + n) if w > 0 else n)
+
+
+class TestMassiveDensityOracle:
+    """The transform of rho over |W| > m, by mpmath at 30 digits in W, is
+    lambda^2 B(mu) + p, with B from the pointwise P~ and p the density mass."""
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    @pytest.mark.parametrize("mass", [0.0, 0.2, 0.6, 1.0])
+    def test_transform_of_rho_is_the_characteristic_function(self, mass, beta):
+        s = make_scenario(beta=beta, mass=mass)
+        p = _density_moment(s, 0)
+        sides = (1,) if math.isinf(beta) else (1, -1)
+        with mpmath.workdps(30):
+            m = mpmath.mpf(mass)
+            for w in (-2.5, -1.1, 1.1, 2.5, 7.0):  # the package's rho, pointwise
+                if abs(w) > mass and (w > 0 or not math.isinf(beta)):
+                    ref = _mp_density(m, beta, mpmath.mpf(w))
+                    assert work_density_analytic(s, w) == pytest.approx(float(ref), rel=1e-13)
+            # W = sign (m + u^2) takes the square-root threshold off the integrand;
+            # past W = 12 rho is below e^{-140} of its peak
+            cuts = [mpmath.sqrt(c) for c in (0, 0.25, 0.5, 1, 2, 3, 4, 6, 8, 12 - mass)]
+            for mu in (0.5, 3.0, 17.0):
+                total = mpmath.mpc(0)
+                for sign in sides:
+                    def f(u, sign=sign):
+                        w = sign * (m + u * u)
+                        return _mp_density(m, beta, w) * mpmath.expj(mu * w) * 2 * u
+                    total += mpmath.quad(f, cuts)
+                want = charfn_correction(s, mu) + p
+                assert abs(complex(total) - want) <= 1e-10 * p
 
 
 class TestDeltaWeight:
@@ -146,6 +217,67 @@ class TestDistributionFromCharfn:
             work_density_analytic(s, w_peak), rel=1e-6
         )
 
+    @pytest.mark.parametrize("state", ["thermal", "vacuum", "massive"])
+    def test_smooth_switching_takes_the_closed_form(self, state, monkeypatch):
+        # no mu samples and no inversion: rho itself at every W != 0, and its
+        # limit at W = 0, on invert_charfn's W grid
+        s = _state_scenario(state)
+        ref = invert_charfn(charfn_grid(s), delta_weight(s))
+
+        def sampled(*args, **kwargs):
+            raise AssertionError("the smooth-switching distribution sampled or inverted P~")
+
+        monkeypatch.setattr(workdist_module, "charfn_grid", sampled)
+        monkeypatch.setattr(workdist_module, "invert_charfn", sampled)
+        dist = distribution_from_charfn(s)
+        assert np.array_equal(dist.w_grid, ref.w_grid)
+        zero = dist.w_grid == 0.0
+        assert np.flatnonzero(zero).tolist() == [dist.w_grid.size // 2]
+        assert np.array_equal(dist.density[~zero], work_density_analytic(s, dist.w_grid[~zero]))
+        limit = LAM**2 * SWITCH_WIDTH**2 / (2.0 * math.pi) if state == "thermal" else 0.0
+        assert dist.density[zero][0] == pytest.approx(limit, rel=1e-15, abs=0.0)
+        if state == "thermal":  # the limit continues the samples either side of W = 0
+            i = dist.w_grid.size // 2
+            assert dist.density[i] == pytest.approx(
+                0.5 * (dist.density[i - 1] + dist.density[i + 1]), rel=1e-4)
+        meta = dist.metadata
+        assert meta["clamped_points"] == 0 and meta["worst_negative_density"] == 0.0
+        assert meta["negative_floor_violation"] is False
+        assert set(meta) >= set(ref.metadata)
+        # the mass the W samples miss: the transform of rho at the multiples of
+        # 2 mu_max, 1e-16 of p for the smooth thermal rho, 7e-7 for the vacuum's
+        # kink at W = 0 and 2e-6 for the massive thresholds
+        p = _density_moment(s, 0)
+        n = dist.w_grid.size
+        dw = 2.0 * math.pi / (n * (2.0 * DEFAULT_MU_MAX / n))  # as the W grid's step is formed
+        assert meta["window_residual"] == abs(p - dw * dist.density.sum())
+        assert meta["window_residual"] <= 1e-5 * p
+
+    @pytest.mark.parametrize("state", ["thermal", "vacuum", "massive"])
+    def test_closed_form_density_keeps_the_input_errors(self, state):
+        s = _state_scenario(state)
+        with pytest.raises(InvalidArgumentError, match="mu_points must be even"):
+            distribution_from_charfn(s, mu_points=1001)
+        with pytest.raises(InvalidArgumentError, match="spacing"):
+            distribution_from_charfn(s, mu_max=0.0)
+        with pytest.raises(InvalidArgumentError, match="wider than the W window"):
+            distribution_from_charfn(s, mu_points=64)
+
+    def test_a_far_w_grid_stays_finite_or_is_a_convergence_error(self):
+        # at mu_max = 1e-200 the W samples lie past the smearing cutoff, where k^2 / w
+        # overflows: rho is 0 there.  At widths of 1e-160 rho is not 0 where k^2
+        # overflows (from W of about 1.3e154), and the density is refused
+        for state in ("thermal", "massive"):
+            dist = distribution_from_charfn(_state_scenario(state), mu_max=1e-200)
+            assert np.all(np.isfinite(dist.density))
+        tiny = Scenario(
+            field=FieldSpec(coupling=LAM),
+            switching=SwitchingProfile.gaussian(center=0.0, width=1e-160),
+            smearing=SmearingProfile.gaussian_spherical(1e-160),
+        )
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+            distribution_from_charfn(tiny, mu_max=1e-158)
+
     def test_metadata_carries_scenario_fingerprint(self):
         dist = distribution_from_charfn(make_scenario(beta=1.0))
         assert "beta" in dist.metadata
@@ -159,7 +291,10 @@ class TestDistributionFromCharfn:
         # coupling 10 puts the perturbative density mass above 1; the delta
         # coupling is exact there and must not be rejected as a breakdown
         s = _state_scenario(state, coupling=10.0 if state == "delta" else LAM)
-        dist = distribution_from_charfn(s)
+        if state == "delta":
+            dist = distribution_from_charfn(s)
+        else:  # smooth switching takes rho in closed form: invert its sampled P~ here
+            dist = invert_charfn(charfn_grid(s), delta_weight(s))
         half = charfn_grid(s).values
         n = 2 * (half.size - 1)
         full = np.concatenate((np.conj(half[1:][::-1]), half[:-1])) - dist.atom_weight
@@ -312,6 +447,14 @@ class TestCrooks:
         assert max(abs(r.deviation) for r in rows) <= 1e-12
         for r in rows:
             assert r.beta_w == pytest.approx(beta * r.w, rel=1e-15)
+
+    @pytest.mark.parametrize("mass", [0.2, 0.6, 1.0])
+    def test_detailed_balance_at_any_mass(self, mass):
+        # criterion 03's tolerance, on samples past the threshold |W| = m
+        s = make_scenario(beta=1.0, mass=mass)
+        rows = crooks_check(s, np.linspace(mass + 0.05, 3.0, 20))
+        assert all(r.ok for r in rows)
+        assert max(abs(r.deviation) for r in rows) <= 1e-10
 
     def test_underflow_samples_are_flagged_not_silently_wrong(self):
         s = make_scenario(beta=1.0)
