@@ -6,7 +6,7 @@ lambda^2 Int_0^inf dk a(k) g(w_k), over the spectral weight
     a(k) = (1 / 4 pi^2) * (k^2 / w_k) * |chi~(w_k)|^2 * |F~(k)|^2
 
 (`_spectral_weight`); only the real factor g changes.  Each integral is a
-trapezoid rule: with a fast phase in g (`_bracket_part`) on the k nodes of
+trapezoid rule: with a fast phase in g (`_bracket_parts`) on the k nodes of
 the mu-grid sums (`_batch_k_grid`), else (`_sinh_integral`) on the nodes
 k = eps sinh t.  The phase integral of a massless vacuum or delta weight is
 taken in closed form instead (`_vacuum_exponent`).  The angular reduction
@@ -25,8 +25,8 @@ the (1+n)/n split is kept because it stays numerically exact on the imaginary
 axis, where the Jarzynski evaluation P~(i beta) = 1 relies on the cancellation
 (1+n)(e^{-bw}-1) + n(e^{bw}-1) = 0.  Where e^{Im(mu) w} overflows, the second
 term is taken as n(e^{-z} - 1) = e^{-z-bw} / (1 - e^{-bw}) - n, z = i mu w,
-which is bounded on the strip 0 <= Im mu <= beta.  The real and imaginary
-parts of the bracket are integrated as two real factors g.
+which is bounded on the strip 0 <= Im mu <= beta.  Each part of the bracket is
+a real factor g; on the sinh nodes, parts share one stack (`_bracket_parts`).
 
 Non-perturbative regime (instantaneous switching chi = delta, vacuum field),
 with a_F(k) the weight a(k) without |chi~|^2:
@@ -173,10 +173,11 @@ _SINH_STEP = 0.0625  # 2^-4
 _SINH_MU_MAX = 2.0
 
 
-def _sinh_integral(s: Scenario, g, at_zero: float = 0.0) -> float:
-    """Int a(k) g(w_k) dk by the trapezoid rule in t on k = eps sinh t, where
-    a(k) g(w_k) is ``at_zero`` at k = 0.  The coupling^2 is left to the caller,
-    so the tolerance applies on the same scale for every quantity."""
+def _sinh_integral(s: Scenario, g, at_zero=None):
+    """Int a(k) g(w_k) dk, or the list of them for each row of an (R, N) stack
+    g(w), by the trapezoid rule in t on k = eps sinh t, where a(k) g_r(w_k) is
+    ``at_zero[r]`` (or 0) at k = 0.  The coupling^2 is left to the caller, so
+    the tolerance applies on the same scale for every quantity."""
     mass = s.field.mass
     length = _decay_length(s)
     eps = min(max(_nearest_singularity(s), 1e-16 / length), 1.0 / length)
@@ -187,46 +188,50 @@ def _sinh_integral(s: Scenario, g, at_zero: float = 0.0) -> float:
         return _spectral_weight(s, k, w) * g(w) * (eps * np.cosh(t))
 
     # the rule of step dt misses the half node at t = 0
-    endpoint = (lambda dt: 0.5 * dt * eps * at_zero) if at_zero != 0.0 else None
+    endpoint = None if at_zero is None else (lambda dt: 0.5 * dt * eps * at_zero)
     # t_max a multiple of 2 dt makes every node t = n dt exact: a rounded t
     # near 37 (k l = 1 at eps l = 1e-16) would move k by 4e-15 of itself
     t_max = 2.0 * _SINH_STEP * math.ceil(math.asinh(s.k_max / eps) / (2.0 * _SINH_STEP))
     return integrate_radial(integrand, t_max, step=_SINH_STEP, endpoint=endpoint)
 
 
-def _moment_integral(s: Scenario, power: int) -> float:
-    """Int a(k) w_k^power [(1 + n) + (-1)^power n] dk, the bracket being
-    coth(beta w/2) for even power and 1 for odd power; the mass of a massless
-    vacuum or delta weight in closed form."""
-    if power == 0 and _nearest_singularity(s) == 0.0:
-        return _vacuum_mass(s)
-    beta = s.field.beta
-    thermal = power % 2 == 0 and not s.field.is_vacuum
+def _moment_integral(s: Scenario, *powers: int) -> list:
+    """[Int a(k) w_k^j [(1 + n) + (-1)^j n] dk for j in powers], the bracket being
+    coth(beta w/2) for even j and 1 for odd j, as one stacked integral; the mass
+    (j = 0) of a massless vacuum or delta weight in closed form."""
+    closed = _nearest_singularity(s) == 0.0
+    rows = [j for j in powers if j or not closed]
+    beta, thermal = s.field.beta, not s.field.is_vacuum
 
     def g(w):
-        return w**power * thermal_weight(w, beta)[0] if thermal else w**power
+        coth = thermal_weight(w, beta)[0] if thermal else 1.0
+        return np.array([w**j * coth if j % 2 == 0 else w**j for j in rows])
 
     # massless and thermal, a(k) coth(beta w/2) is 2 A0 / beta at k = 0
-    at_zero = 2.0 * _weight_slope(s) / beta if thermal and power == 0 else 0.0
-    return _sinh_integral(s, g, at_zero)
+    at_zero = np.array([2.0 * _weight_slope(s) / beta if thermal and j == 0 else 0.0 for j in rows])
+    values = _sinh_integral(s, g, at_zero) if rows else []
+    if len(rows) < len(powers):
+        values.insert(powers.index(0), _vacuum_mass(s))
+    return values
 
 
-def _bracket(mu, omega, beta, part):
+def _bracket(mu, omega, beta, part, weights=None):
     """part (np.real or np.imag) of the thermal phase bracket
-    (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1).  For real mu only that part of
-    coth(beta w/2)(cos(mu w) - 1) + i sin(mu w) is computed, the real one as
-    -2 coth sin^2(mu w / 2), which keeps its digits at small mu w."""
+    (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1); ``weights`` is thermal_weight(w, beta)
+    if at hand.  For real mu only that part of coth(beta w/2)(cos(mu w) - 1) +
+    i sin(mu w) is computed, the real one as -2 coth sin^2(mu w / 2), which
+    keeps its digits at small mu w."""
     w = np.asarray(omega, dtype=float)
+    if mu.imag == 0.0 and part is np.imag:
+        return np.sin(mu.real * w)
+    vacuum = math.isinf(beta)
+    coth, bose = (1.0, 0.0) if vacuum else thermal_weight(w, beta) if weights is None else weights
     if mu.imag == 0.0:
-        if part is np.imag:
-            return np.sin(mu.real * w)
-        coth = 1.0 if math.isinf(beta) else thermal_weight(w, beta)[0]
         return -2.0 * coth * np.sin(0.5 * mu.real * w) ** 2
     z = 1j * mu * w
     e_plus = np.expm1(z)
-    if math.isinf(beta):
+    if vacuum:
         return part(e_plus)
-    _, bose = thermal_weight(omega, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         minus = bose * np.expm1(-z)
     far = ~np.isfinite(minus)  # e^{-z} overflows from Im(mu) w = 709 on, where n may be 0
@@ -249,30 +254,50 @@ def _check_mu(mu, beta):
     return mu_c
 
 
-def _bracket_part(s: Scenario, mu, part) -> float:
-    """part (np.real or np.imag) of Int a(k) bracket(mu, w_k) dk: `_vacuum_exponent`
-    for kappa = 0, by `_sinh_integral` where |Re mu| <= _SINH_MU_MAX l, else by the
-    trapezoid rule on the k nodes of the mu-grid sums."""
-    mass, beta = s.field.mass, s.field.beta
+def _bracket_parts(s: Scenario, terms) -> list:
+    """[part(Int a(k) bracket(mu, w_k) dk) for mu, part in terms], part np.real or
+    np.imag: one `_vacuum_exponent` call for kappa = 0; one stacked `_sinh_integral`,
+    coth and n evaluated once, where every |Re mu| <= _SINH_MU_MAX l; else each
+    term alone, a faster phase by the trapezoid rule on the k nodes of the mu-grid sums."""
+    beta = s.field.beta
     if _nearest_singularity(s) == 0.0:
-        return float(part(_vacuum_exponent(s, mu)))
+        # a lone mu stays a scalar: complex products on arrays may round differently
+        mus = [mu for mu, _ in terms]
+        values = _vacuum_exponent(s, mus[0] if len(mus) == 1 else np.array(mus)).reshape(-1)
+        return [float(part(v)) for v, (_, part) in zip(values, terms)]
+    if all(abs(mu.real) <= _SINH_MU_MAX * _decay_length(s) for mu, _ in terms):
+        thermal = not math.isinf(beta) and any(mu.imag or p is np.real for mu, p in terms)
 
-    def g(w):
-        return _bracket(mu, w, beta, part)
+        def g(w):  # a lone term stays 1-D: a stack of one costs more
+            weights = thermal_weight(w, beta) if thermal else None
+            rows = [_bracket(mu, w, beta, part, weights) for mu, part in terms]
+            return np.array(rows) if len(rows) > 1 else rows[0]
 
-    if abs(mu.real) <= _SINH_MU_MAX * _decay_length(s):
-        return _sinh_integral(s, g)
+        values = _sinh_integral(s, g)
+        return values if len(terms) > 1 else [values]
+    if len(terms) > 1:
+        return [_bracket_parts(s, [term])[0] for term in terms]
+    [(mu, part)] = terms
 
     def integrand(k):
-        w = dispersion(k, mass)
-        return _spectral_weight(s, k, w) * g(w)
+        w = dispersion(k, s.field.mass)
+        return _spectral_weight(s, k, w) * _bracket(mu, w, beta, part)
 
-    return integrate_radial(integrand, s.k_max, step=_k_step(s, abs(mu), estimate=True))
+    return [integrate_radial(integrand, s.k_max, step=_k_step(s, abs(mu), estimate=True))]
 
 
 def _bracket_integral(s: Scenario, mu) -> complex:
     """Int a(k) * bracket(mu, w_k) dk, its real and imaginary parts integrated apart."""
-    return _bracket_part(s, mu, np.real) + 1j * _bracket_part(s, mu, np.imag)
+    return _bracket_parts(s, [(mu, np.real)])[0] + 1j * _bracket_parts(s, [(mu, np.imag)])[0]
+
+
+def _lambda_sq(s: Scenario, b: complex) -> complex:
+    """lambda^2 b for a bracket integral b; RegimeError where it is not finite."""
+    lam = s.field.coupling
+    out = lam * lam * b
+    if not cmath.isfinite(out):
+        raise RegimeError(f"charfn: lambda^2 B is not finite at coupling {lam:g}")
+    return out
 
 
 def charfn_correction(s: Scenario, mu) -> complex:
@@ -285,13 +310,9 @@ def charfn_correction(s: Scenario, mu) -> complex:
     if s.switching.is_delta:
         raise RegimeError("perturbative characteristic function requires a smooth switching")
     mu_c = _check_mu(mu, s.field.beta)
-    lam = s.field.coupling
-    if lam == 0.0:
+    if s.field.coupling == 0.0:
         return 0.0 + 0.0j
-    out = lam * lam * _bracket_integral(s, mu_c)
-    if not cmath.isfinite(out):
-        raise RegimeError(f"charfn: lambda^2 B is not finite at coupling {lam:g}")
-    return out
+    return _lambda_sq(s, _bracket_integral(s, mu_c))
 
 
 def charfn_kms(s: Scenario, mu) -> complex:
@@ -308,11 +329,7 @@ def charfn_delta_numeric(s: Scenario, mu) -> complex:
     if not s.field.is_vacuum:
         raise RegimeError("the instantaneous coupling is treated on the vacuum only (beta = inf)")
     mu_c = _check_mu(mu, 0.0)
-    lam = s.field.coupling
-    exponent = lam * lam * _bracket_integral(s, mu_c)
-    if not cmath.isfinite(exponent):
-        raise RegimeError(f"charfn: lambda^2 B is not finite at coupling {lam:g}")
-    return complex(np.exp(exponent))
+    return complex(np.exp(_lambda_sq(s, _bracket_integral(s, mu_c))))
 
 
 def charfn_delta_closed(lam: float, sigma: float, mu):

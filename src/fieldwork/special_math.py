@@ -67,38 +67,41 @@ def _radial_nodes(k_max: float, step: float) -> np.ndarray:
 def integrate_radial(f, k_max: float, *, step=None, endpoint=None, return_error: bool = False):
     """Trapezoid estimate T(h) of Int_0^inf f(k) dk, truncated at k_max.
 
-    ``f`` takes a 1-D ndarray of k and returns an array of the same shape; it
-    is called once, on the nodes k > 0 of `_radial_nodes(k_max, step)` (step
-    k_max / 4000 by default).  The rule converges exponentially when f
-    vanishes at 0, is even there and has decayed by k_max (Trefethen &
-    Weideman, SIAM Rev. 56 (2014) 385).  Otherwise ``endpoint(h)``, the error
-    of the rule of step h in closed form, is added.  Raises
-    InvalidArgumentError unless k_max is finite and > 0, and ConvergenceError
-    (carrying the value and the error estimate |T(h) - T(2h)|, T(2h) from the
-    even nodes) when the estimate exceeds _TOL * max(1, |value|) or f is not
-    finite.
+    ``f`` takes a 1-D ndarray of k and returns an array of the same shape, or
+    an (R, N) stack of R integrands on those N nodes, which then gives a list of
+    R values (and of R error estimates); it is called once, on the nodes k > 0 of
+    `_radial_nodes(k_max, step)` (step k_max / 4000 by default).  The rule
+    converges exponentially when f vanishes at 0, is even there and has decayed
+    by k_max (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  Otherwise
+    ``endpoint(h)``, the error of the rule of step h in closed form (per row for
+    a stack), is added.  Raises InvalidArgumentError unless k_max is finite and
+    > 0, and ConvergenceError (carrying the value and the error estimate
+    |T(h) - T(2h)| of the first failing row, T(2h) from the even nodes) when
+    f is not finite or a row's estimate exceeds _TOL * max(1, |value|).
     """
     k = _radial_nodes(k_max, k_max / 4000.0 if step is None else step)
     h = k[1] - k[0]
     fx = np.asarray(f(k[1:]), dtype=float)
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         raise ConvergenceError(
             "radial quadrature: the integrand is not finite",
             estimate=math.nan,
             error_bound=math.inf,
         )
-    fine, coarse = h * fx.sum(), 2.0 * h * fx[1::2].sum()
+    # each row summed along its own contiguous axis, as a 1-D f is, bit for bit
+    fine, coarse = h * fx.sum(axis=-1), 2.0 * h * fx[..., 1::2].sum(axis=-1)
     if endpoint is not None:
         fine, coarse = fine + endpoint(h), coarse + endpoint(2.0 * h)
-    value, bound = float(fine), abs(float(fine - coarse))
-    if not bound <= _TOL * max(1.0, abs(value)):
-        raise ConvergenceError(
-            f"radial quadrature: error estimate {bound:.3g} on {fx.size} nodes "
-            "misses the tolerance",
-            estimate=value,
-            error_bound=bound,
-        )
-    return (value, bound) if return_error else value
+    values, bounds = fine.tolist(), abs(fine - coarse).tolist()  # floats, or lists of R
+    for value, bound in zip(values, bounds) if fx.ndim > 1 else [(values, bounds)]:
+        if not bound <= _TOL * max(1.0, abs(value)):
+            raise ConvergenceError(
+                f"radial quadrature: error estimate {bound:.3g} on {fx.shape[-1]} nodes "
+                "misses the tolerance",
+                estimate=value,
+                error_bound=bound,
+            )
+    return (values, bounds) if return_error else values
 
 
 def _check_spacing(dmu: float) -> None:

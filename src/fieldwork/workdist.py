@@ -40,13 +40,13 @@ from .charfn import (
     DEFAULT_MU_MAX,
     DEFAULT_MU_POINTS,
     Scenario,
-    _bracket_part,
+    _bracket_parts,
     _half_grid,
+    _lambda_sq,
     _moment_integral,
     _spectral_weight,
     _weight_slope,
     charfn_grid,
-    charfn_kms,
 )
 from .distribution import WorkDistribution
 from .errors import ConvergenceError, InconsistencyError, InvalidArgumentError, RegimeError
@@ -113,14 +113,14 @@ def work_density_analytic(s: Scenario, w):
 def _density_moment(s: Scenario, power: int) -> float:
     """Int W^power rho(W) dW = lambda^2 Int a(k) w^power [(1 + n) + (-1)^power n] dk."""
     lam = s.field.coupling
-    return lam * lam * _moment_integral(s, power)
+    return lam * lam * _moment_integral(s, power)[0]
 
 
-def _perturbative_mass(s: Scenario) -> float:
-    """Density mass p of a perturbative scenario; p > 1 means the expansion broke down."""
+def _perturbative_mass(s: Scenario, p=None) -> float:
+    """Density mass p (unless given) of a perturbative scenario; p > 1 is a breakdown."""
     if s.switching.is_delta:
         raise RegimeError("the density mass p is defined for smooth switching only")
-    p = _density_moment(s, 0)
+    p = _density_moment(s, 0) if p is None else p
     if p > 1.0:
         raise RegimeError(
             f"perturbative breakdown: density mass p = {p:.3g} > 1; reduce the coupling"
@@ -171,7 +171,8 @@ def _one_jump_distribution(s: Scenario, mu_points, mu_max: float) -> WorkDistrib
     _check_spacing(dmu)
     lam = s.field.coupling
     if atom < 1.0:  # phi = (P~(dmu) - atom) / (1 - atom), as invert_charfn reads it
-        _check_window((1.0 + lam * lam * _bracket_part(s, dmu, np.real) - atom) / (1.0 - atom), dmu)
+        real_b = _bracket_parts(s, [(dmu, np.real)])[0]
+        _check_window((1.0 + lam * lam * real_b - atom) / (1.0 - atom), dmu)
     w_grid = _w_grid(n, dmu)
     # the grid is symmetric about W = 0 (index N/2): a(k) once per energy |W|
     half = n // 2
@@ -213,7 +214,7 @@ _FD_STEP = 0.1
 _FD_TOL = 1e-5
 
 
-def _moments_finite_difference(s: Scenario, w_scale: float) -> tuple[float, float]:
+def _moments_finite_difference(s: Scenario, w_scale: float, *extra) -> tuple:
     """<W> and <W^2> from Richardson-extrapolated central differences of P~ at 0.
 
     The differences are taken on P~ - 1 = lambda^2 Int a(k) bracket(h, w_k) dk
@@ -222,23 +223,16 @@ def _moments_finite_difference(s: Scenario, w_scale: float) -> tuple[float, floa
     Going through the bracket keeps the check independent of the w^j moment
     integrals it is compared with.  The step is measured in units of the
     typical work value `w_scale`, keeping the truncation error scale
-    invariant when the localization widths shrink.
+    invariant when the localization widths shrink.  The (mu, part) terms
+    ``extra`` ride in the same `_bracket_parts` call; their parts follow.
     """
     lam = s.field.coupling
-
-    def correction(h, part):
-        return lam * lam * _bracket_part(s, h, part)
-
-    def d1(h):
-        return correction(h, np.imag) / h
-
-    def d2(h):
-        return -2.0 * correction(h, np.real) / (h * h)
-
     h = _FD_STEP / max(w_scale, 1e-300)
-    mean = (4.0 * d1(h / 2) - d1(h)) / 3.0
-    second = (4.0 * d2(h / 2) - d2(h)) / 3.0
-    return mean, second
+    steps = (h / 2, h)
+    b = _bracket_parts(s, [(x, part) for part in (np.imag, np.real) for x in steps] + list(extra))
+    d1 = [lam * lam * b[i] / x for i, x in enumerate(steps)]
+    d2 = [-2.0 * (lam * lam * b[2 + i]) / (x * x) for i, x in enumerate(steps)]
+    return ((4.0 * d1[0] - d1[1]) / 3.0, (4.0 * d2[0] - d2[1]) / 3.0, *b[4:])
 
 
 def moments(s: Scenario) -> MomentReport:
@@ -254,11 +248,13 @@ def moments(s: Scenario) -> MomentReport:
     if s.switching.is_delta:
         raise RegimeError("moments: use the characteristic-function derivative path "
                           "for the delta coupling")
-    _perturbative_mass(s)
-    mean = _density_moment(s, 1)
-    second = _density_moment(s, 2)
+    lam, beta = s.field.coupling, s.field.beta
+    p, mean, second = (lam * lam * x for x in _moment_integral(s, 0, 1, 2))
+    _perturbative_mass(s, p)
     w_scale = second / mean if mean > 0 else 1.0
-    fd_mean, fd_second = _moments_finite_difference(s, w_scale)
+    # Jarzynski's P~(i beta) rides on the nodes of the differences
+    jar = [] if math.isinf(beta) else [(complex(0.0, beta), np.real), (complex(0.0, beta), np.imag)]
+    fd_mean, fd_second, *jar_parts = _moments_finite_difference(s, w_scale, *jar)
     scale_1 = max(abs(mean), 1e-300)
     scale_2 = max(abs(second), 1e-300)
     if abs(fd_mean - mean) > _FD_TOL * scale_1 or abs(fd_second - second) > _FD_TOL * scale_2:
@@ -268,10 +264,10 @@ def moments(s: Scenario) -> MomentReport:
             f"second {second:.12g} vs {fd_second:.12g}"
         )
     variance = second - mean * mean
-    if math.isinf(s.field.beta):
+    if math.isinf(beta):
         jar = math.nan  # <e^{-beta W}> has no finite-beta meaning in the vacuum
-    else:
-        jar = abs(charfn_kms(s, complex(0.0, s.field.beta)))
+    else:  # abs(charfn_kms(s, i beta)), bit for bit
+        jar = abs(1.0 + _lambda_sq(s, jar_parts[0] + 1j * jar_parts[1]))
     return MomentReport(
         mean=mean,
         second_moment=second,
@@ -296,7 +292,8 @@ def crooks_check(s: Scenario, w_samples) -> list[CrooksRow]:
     """Detailed-balance residuals log[rho(W)/rho(-W)] - beta W per sample.
 
     Samples where either density underflows or is not finite are excluded
-    (ok = False) with a warning, since the log-ratio is ill-conditioned there.
+    (ok = False) with a warning, since the log-ratio is ill-conditioned there;
+    so are samples in the mass gap 0 < |W| <= m, where rho is exactly 0.
     """
     _check_analytic_regime(s)
     beta = s.field.beta
@@ -309,8 +306,11 @@ def crooks_check(s: Scenario, w_samples) -> list[CrooksRow]:
     ok = finite & ~((p_fwd < _DENSITY_UNDERFLOW) | (p_rev < _DENSITY_UNDERFLOW))
     log_ratio = np.full(w.size, math.nan)
     log_ratio[ok] = np.log(p_fwd[ok] / p_rev[ok])
+    mass = s.field.mass
     for excluded, fin in zip(w[~ok].tolist(), finite[~ok].tolist()):
         problem = "underflow" if fin else "overflow"
+        if fin and abs(excluded) <= mass:
+            problem = f"0 in the mass gap |W| <= m = {mass:g}"
         warnings.warn(f"crooks_check: density {problem} at W = {excluded}; sample excluded")
     beta_w = beta * w
     rows = zip(w.tolist(), log_ratio.tolist(), beta_w.tolist(), (log_ratio - beta_w).tolist(),

@@ -276,6 +276,27 @@ class TestCommands:
         assert np.max(np.abs(rows[:, 3])) <= 1e-10
         assert np.all(rows[:, 4] == 1.0)
 
+    def test_check_crooks_names_the_mass_gap(self, vacuum_config, tmp_path):
+        # the default samples 0.1 .. 3 put four below m = 0.6, where rho is exactly 0
+        out = tmp_path / "crooks.csv"
+        with pytest.warns(UserWarning) as caught:
+            code = main(
+                ["check-crooks", "--config", vacuum_config, "--set", "field.beta=1",
+                 "--set", "field.mass=0.6", "--output", str(out)]
+            )
+        assert code == 0
+        _, _, rows = read_csv(out)
+        gap = rows[:, 0] <= 0.6
+        assert np.count_nonzero(gap) == 4
+        assert [str(c.message) for c in caught] == [
+            f"crooks_check: density 0 in the mass gap |W| <= m = 0.6 at W = {w!r}; "
+            "sample excluded"
+            for w in rows[gap, 0].tolist()
+        ]
+        assert np.all(rows[gap, 4] == 0.0) and np.all(np.isnan(rows[gap][:, [1, 3]]))
+        assert np.all(rows[~gap, 4] == 1.0)
+        assert np.max(np.abs(rows[~gap, 3])) <= 1e-10
+
     def test_ramsey_comparison_table(self, delta_config, tmp_path):
         out = tmp_path / "ramsey.csv"
         assert main(["ramsey", "--config", delta_config, "--output", str(out)]) == 0

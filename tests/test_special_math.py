@@ -130,6 +130,75 @@ def test_integrate_radial_rejects_a_nan_integrand():
         integrate_radial(lambda k: np.where(k > 3.0, np.nan, 1.0), 10.0)
 
 
+def _rows(k):
+    """Integrands that meet the trapezoid contract: even at 0, decayed by k = 40."""
+    gauss = k * k * np.exp(-k * k)
+    return [gauss, gauss * np.cos(3.0 * k), k**4 * np.exp(-0.25 * k * k), 1e-30 * gauss]
+
+
+@pytest.mark.parametrize("k_max, step", [(40.0, None), (12.0, 0.0625), (40.0, 0.0081)])
+def test_stacked_integrate_radial_rows_equal_their_one_dimensional_calls(k_max, step):
+    # each row is summed along its own axis, so it agrees with its 1-D call bit for bit
+    values, bounds = integrate_radial(
+        lambda k: np.array(_rows(k)), k_max, step=step, return_error=True
+    )
+    assert isinstance(values, list) and len(values) == len(bounds) == 4
+    for r in range(4):
+        one = integrate_radial(lambda k: _rows(k)[r], k_max, step=step, return_error=True)
+        assert (values[r], bounds[r]) == one
+        assert all(type(x) is float for x in one)
+
+
+def test_stacked_integrate_radial_endpoint_applies_per_row():
+    # e^{-k^2} and 2 e^{-k^2} are even but not 0 at k = 0: the rule misses the
+    # half nodes h f(0) / 2, passed per row
+    f0 = np.array([1.0, 2.0, 0.0])
+    values = integrate_radial(
+        lambda k: np.array([np.exp(-k * k), 2.0 * np.exp(-k * k), k * k * np.exp(-k * k)]),
+        12.0, step=0.05, endpoint=lambda h: 0.5 * h * f0,
+    )
+    one = integrate_radial(lambda k: np.exp(-k * k), 12.0, step=0.05, endpoint=lambda h: 0.5 * h)
+    assert values[0] == one == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
+    assert values[1] == 2.0 * one
+    assert values[2] == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-14)
+
+
+def test_stacked_integrate_radial_raises_for_the_first_row_that_misses():
+    # at step 0.3 the coarse rule T(0.6) misses e^{-k^2} by 6e-11, while the
+    # wider e^{-k^2 / 4} has converged: the narrow rows alone fail
+    def narrow(k):
+        return k * k * np.exp(-k * k)
+
+    def stack(k):
+        return np.array([k * k * np.exp(-0.25 * k * k), narrow(k), 3.0 * narrow(k)])
+
+    assert integrate_radial(lambda k: stack(k)[0], 12.0, step=0.3) > 0.0
+    with pytest.raises(ConvergenceError, match="misses the tolerance") as one:
+        integrate_radial(narrow, 12.0, step=0.3)
+    with pytest.raises(ConvergenceError, match="misses the tolerance") as stacked:
+        integrate_radial(stack, 12.0, step=0.3)
+    assert stacked.value.estimate == one.value.estimate
+    assert stacked.value.error_bound == one.value.error_bound > fieldwork.special_math._TOL
+
+
+def test_stacked_integrate_radial_rejects_a_nan_in_one_row():
+    def stack(k):
+        return np.array([k * k * np.exp(-k * k), np.where(k > 3.0, np.nan, 0.0)])
+
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_radial(stack, 10.0)
+
+
+def test_one_dimensional_integrate_radial_is_unchanged():
+    # values pinned from the evaluator before stacks were accepted: plain floats
+    value = integrate_radial(lambda k: k * k * np.exp(-k * k), 40.0)
+    assert type(value) is float and value.hex() == "0x1.c5bf891b4ef6ap-2"
+    value, bound = integrate_radial(
+        lambda k: k * k * np.exp(-k * k), 12.0, step=0.25, return_error=True
+    )
+    assert (value.hex(), bound) == ("0x1.c5bf891b4ef6ap-2", 2.0**-51)
+
+
 def test_charfn_kms_integrand_is_called_on_node_batches(monkeypatch):
     # one call per radial integral, on all of its nodes, never one per node
     s = Scenario(

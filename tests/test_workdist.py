@@ -27,9 +27,10 @@ from fieldwork import (
     switching_ft,
     work_density_analytic,
 )
+import fieldwork.charfn
 import fieldwork.workdist as workdist_module
-from fieldwork.charfn import DEFAULT_MU_MAX, charfn_grid
-from fieldwork.special_math import CLAMP_REL_FLOOR, invert_charfn
+from fieldwork.charfn import DEFAULT_MU_MAX, _moment_integral, charfn_grid
+from fieldwork.special_math import CLAMP_REL_FLOOR, integrate_radial, invert_charfn
 from fieldwork.workdist import _FD_STEP, _density_moment, _moments_finite_difference
 
 SWITCH_WIDTH = 1.0 / 12.0
@@ -414,6 +415,52 @@ class TestMoments:
         expected = ((4.0 * d1(h / 2) - d1(h)) / 3.0, (4.0 * d2(h / 2) - d2(h)) / 3.0)
         assert _moments_finite_difference(s, w_scale) == expected
 
+    @pytest.mark.parametrize(
+        "beta, mass", [(1.0, 0.0), (math.inf, 0.0), (1.0, 0.6), (math.inf, 0.6), (1e6, 3e-3)]
+    )
+    def test_stacked_moments_equal_the_per_integral_route(self, beta, mass):
+        # p, <W> and <W^2> share one stacked integral, the differences and
+        # Jarzynski's P~(i beta) another: every bit matches the separate integrals
+        s = make_scenario(beta=beta, mass=mass)
+        rep = moments(s)
+        assert rep.mean == LAM * LAM * _moment_integral(s, 1)[0]
+        assert rep.second_moment == LAM * LAM * _moment_integral(s, 2)[0]
+        assert rep.variance == rep.second_moment - rep.mean * rep.mean
+        if math.isinf(beta):
+            assert math.isnan(rep.jarzynski_value)
+        else:
+            assert rep.jarzynski_value == abs(charfn_kms(s, complex(0.0, beta)))
+            assert rep.partition_ratio == rep.jarzynski_value
+
+    @pytest.mark.parametrize(
+        "beta, mass, rows, exponents",
+        [(1.0, 0.0, [3, 6], []), (1.0, 0.6, [3, 6], []), (math.inf, 0.6, [3, 4], []),
+         (math.inf, 0.0, [2], [4])],
+    )
+    def test_moments_take_two_stacked_integrals(self, monkeypatch, beta, mass, rows, exponents):
+        # pass 1: p, <W>, <W^2> (p in closed form for the massless vacuum); pass 2: the
+        # four difference parts and, at finite beta, Re and Im of the bracket at i beta
+        stacks, sizes = [], []
+        vacuum_exponent = fieldwork.charfn._vacuum_exponent
+
+        def counting(f, k_max, **kwargs):
+            def counted(k):
+                out = f(k)
+                stacks.append(out.shape[0])
+                return out
+
+            return integrate_radial(counted, k_max, **kwargs)
+
+        def exponent(s, mu):
+            sizes.append(np.size(mu))
+            return vacuum_exponent(s, mu)
+
+        monkeypatch.setattr(fieldwork.charfn, "integrate_radial", counting)
+        monkeypatch.setattr(fieldwork.charfn, "_vacuum_exponent", exponent)
+        moments(make_scenario(beta=beta, mass=mass))
+        assert stacks == rows
+        assert sizes == exponents
+
     @pytest.mark.parametrize("beta", [1.0, 1e4, 1e6, math.inf])
     @pytest.mark.parametrize("mass", [0.0, 1e-6, 3e-3])
     def test_moment_integrals_at_small_mass_and_low_temperature(self, mass, beta):
@@ -462,6 +509,17 @@ class TestCrooks:
             rows = crooks_check(s, [60.0])
         assert not rows[0].ok
         assert math.isnan(rows[0].deviation)
+
+    def test_samples_in_the_mass_gap_are_excluded_with_their_own_warning(self):
+        s = make_scenario(beta=1.0, mass=0.6)
+        with pytest.warns(UserWarning) as caught:
+            rows = crooks_check(s, [-0.3, 0.6, 1.0])
+        assert [str(c.message) for c in caught] == [
+            f"crooks_check: density 0 in the mass gap |W| <= m = 0.6 at W = {w}; sample excluded"
+            for w in (-0.3, 0.6)
+        ]
+        assert [r.ok for r in rows] == [False, False, True]
+        assert math.isnan(rows[0].deviation) and math.isnan(rows[1].log_ratio)
 
     def test_overflowing_samples_are_excluded(self):
         s = make_scenario(beta=1e-4, coupling=1e154)
