@@ -348,10 +348,12 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
     if not np.all(np.isfinite(mu_arr)):
         raise InvalidArgumentError("charfn_delta_closed: mu must be finite and real")
     x = mu_arr / (2.0 * sigma)
+    # e^{-x^2} is exactly 0 beyond |x| = 28: capping |x| at 64 keeps x^2 finite
+    gauss = np.exp(-(np.minimum(abs(x), 64.0) ** 2))
     i_mu = (
         1.0 / (2.0 * sigma**2)
         - mu_arr * dawson(x) / (2.0 * sigma**3)
-        + 1j * math.sqrt(math.pi) * mu_arr * np.exp(-(x**2)) / (4.0 * sigma**3)
+        + 1j * math.sqrt(math.pi) * mu_arr * gauss / (4.0 * sigma**3)
     )
     exponent = (lam * lam / _FOUR_PI_SQ) * (i_mu - 1.0 / (2.0 * sigma**2))
     out = np.exp(exponent)

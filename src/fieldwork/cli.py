@@ -304,14 +304,11 @@ def _cmd_ramsey(cfg: RunConfig) -> int:
         raise ConfigError(f"[grids] mode_counts: more than {_MAX_GRID_POINTS} modes in all")
     modes = ModeSet.uniform_radial(n_modes, k_max)
     lam = scenario.field.coupling
-    rows = []
     # tolist() gives Python complex: abs() of a numpy complex differs in the last bits
-    for m, analytic in zip(mu, charfn_delta_closed(lam, scenario.smearing.sigma, mu).tolist()):
-        simulated = tomography(simulate_delta_ramsey(modes, lam, scenario.smearing, m))
-        rows.append(
-            (m, simulated.real, simulated.imag, analytic.real, analytic.imag,
-             abs(simulated - analytic))
-        )
+    simulated = tomography(simulate_delta_ramsey(modes, lam, scenario.smearing, mu)).tolist()
+    analytic = charfn_delta_closed(lam, scenario.smearing.sigma, mu).tolist()
+    rows = [(m, s.real, s.imag, a.real, a.imag, abs(s - a))
+            for m, s, a in zip(mu, simulated, analytic)]
     if "mode_counts" in cfg.grids:
         report = continuum_convergence(
             scenario.smearing, lam, float(mu[-1]), cfg.grids["mode_counts"], k_max

@@ -13,7 +13,8 @@ The field is replaced by a finite set of radial modes (cell weight
 * instantaneous coupling: the unitary is a product of single-mode
   displacements, so both branches stay coherent states and the field trace is
   a product of per-mode coherent-state overlaps -- no Fock truncation, valid
-  at any coupling strength;
+  at any coupling strength.  A whole mu array runs as one stack of qubit
+  states, in chunks of mu rows that bound the (mu, mode) temporaries;
 * smooth switching: the second-order Dyson algebra is assembled term by term,
   with the first-order terms kept explicitly (they vanish because the thermal
   one-point function does) and the <U^(2)> contribution obtained from
@@ -53,6 +54,8 @@ _TWO_PI_CUBED = (2.0 * math.pi) ** 3
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+# mu rows per chunk times modes: each complex (rows, modes) temporary stays <= 1 MiB
+_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,8 @@ class ModeSet:
         vols = np.asarray(self.weights, dtype=float)
         if not (ks.size and ks.shape == ws.shape == vols.shape):
             raise InvalidArgumentError("ModeSet: need matching nonempty mode arrays")
+        if not np.all(np.isfinite([ks, ws, vols])):
+            raise InvalidArgumentError("ModeSet: momenta, energies and cell weights must be finite")
         if np.any(ks <= 0) or np.any(vols <= 0):
             raise InvalidArgumentError("ModeSet: momenta and cell weights must be > 0")
         if np.any(np.diff(ks) <= 0):
@@ -81,11 +86,9 @@ class ModeSet:
             raise InvalidArgumentError("uniform_radial: need n >= 1 and k_max > 0")
         dk = k_max / n
         ks = (np.arange(n) + 0.5) * dk
-        return cls(
-            ks=tuple(ks),
-            omegas=tuple(dispersion(ks, mass)),
-            weights=tuple(4.0 * math.pi * ks**2 * dk),
-        )
+        with np.errstate(over="ignore"):  # an overflowed weight is rejected as non-finite
+            weights = 4.0 * math.pi * ks**2 * dk
+        return cls(ks=tuple(ks), omegas=tuple(dispersion(ks, mass)), weights=tuple(weights))
 
     def arrays(self):
         return (
@@ -97,28 +100,35 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Validated 2x2 density matrix of the ancilla qubit."""
+    """Validated 2x2 density matrix of the ancilla qubit, or a (..., 2, 2) stack
+    of them; every member passes every check."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
+        if m.shape[-2:] != (2, 2):
             raise InvalidArgumentError("QubitState: matrix must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        if not np.all(np.isfinite(m)):
+            raise InvalidArgumentError("QubitState: matrix entries must be finite")
+        if np.any(np.abs(m - np.swapaxes(m, -1, -2).conj()) > 1e-10):
             raise InvalidArgumentError("QubitState: matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
+        trace = np.trace(m, axis1=-2, axis2=-1)
+        if np.any(abs(trace.real - 1.0) > 1e-12) or np.any(abs(trace.imag) > 1e-12):
             raise InvalidArgumentError("QubitState: trace must equal 1")
         eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10:
+        if np.any(eigs < -1e-10) or np.any(eigs > 1.0 + 1e-10):
             raise InvalidArgumentError("QubitState: eigenvalues outside [0, 1]")
         object.__setattr__(self, "matrix", m)
 
 
-def tomography(q: QubitState) -> complex:
-    """Bloch readout Tr[sigma_z rho] + i Tr[sigma_y rho] = P~(mu)."""
+def tomography(q: QubitState):
+    """Bloch readout Tr[sigma_z rho] + i Tr[sigma_y rho] = P~(mu): a complex for
+    one state, an array for a stack."""
     rho = q.matrix
-    return complex(np.trace(_SIGMA_Z @ rho).real + 1j * np.trace(_SIGMA_Y @ rho).real)
+    out = (np.trace(_SIGMA_Z @ rho, axis1=-2, axis2=-1).real
+           + 1j * np.trace(_SIGMA_Y @ rho, axis1=-2, axis2=-1).real)
+    return complex(out) if rho.ndim == 2 else out
 
 
 def _mode_coupling_weights(modes: ModeSet, smearing: SmearingProfile) -> np.ndarray:
@@ -127,25 +137,29 @@ def _mode_coupling_weights(modes: ModeSet, smearing: SmearingProfile) -> np.ndar
     return smearing_ft(smearing, ks) ** 2 * vols / (_TWO_PI_CUBED * 2.0 * ws)
 
 
-def _assemble_final_state(branch_overlap: complex) -> QubitState:
-    """Qubit state after the closing Hadamard, given Tr_field |psi_0><psi_1|."""
-    rho = 0.5 * np.array(
-        [[1.0, branch_overlap], [np.conj(branch_overlap), 1.0]], dtype=complex
-    )
-    return QubitState(matrix=_HADAMARD @ rho @ _HADAMARD)
+def _assemble_final_state(branch_overlap) -> QubitState:
+    """Qubit state(s) after the closing Hadamard, given Tr_field |psi_0><psi_1|
+    (a scalar or an array of them)."""
+    overlap = np.asarray(branch_overlap)
+    rho = np.ones(overlap.shape + (2, 2), dtype=complex)
+    rho[..., 0, 1] = overlap
+    rho[..., 1, 0] = np.conj(overlap)
+    return QubitState(matrix=_HADAMARD @ (0.5 * rho) @ _HADAMARD)
 
 
 def simulate_delta_ramsey(
-    modes: ModeSet, lam: float, smearing: SmearingProfile, mu: float
+    modes: ModeSet, lam: float, smearing: SmearingProfile, mu
 ) -> QubitState:
     """Execute the protocol exactly for the instantaneous coupling on the vacuum.
 
     The conditional unitary displaces every mode by
     alpha_j = -i lam F~(k_j) sqrt(d3k_j) / ((2 pi)^{3/2} sqrt(2 w_j)); the free
     evolution rotates each coherent amplitude by e^{-i mu w_j}.  The field
-    trace is the product of per-mode coherent-state overlaps.
+    trace is the product of per-mode coherent-state overlaps.  A mu array gives
+    a stack of states of its shape; each member equals the scalar call's.
     """
-    if not math.isfinite(mu):
+    mu_arr = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu_arr)):
         raise InvalidArgumentError("simulate_delta_ramsey: mu must be finite")
     ks, ws, vols = modes.arrays()
     alpha = (
@@ -157,12 +171,17 @@ def simulate_delta_ramsey(
     )
     # branch |0>: U e^{-i mu H0} |vac> = |alpha>;  branch |1>: e^{-i mu H0} U |vac>
     psi0 = alpha
-    psi1 = alpha * np.exp(-1j * mu * ws)
-    # <psi1|psi0> = prod_j exp(-|a|^2/2 - |b|^2/2 + conj(b) a)
-    log_overlap = np.sum(
-        -0.5 * np.abs(psi0) ** 2 - 0.5 * np.abs(psi1) ** 2 + np.conj(psi1) * psi0
-    )
-    return _assemble_final_state(complex(np.exp(log_overlap)))
+    mu_rows = mu_arr.reshape(-1, 1)
+    log_overlap = np.empty(mu_rows.shape[0], dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // ws.size)
+    for start in range(0, mu_rows.shape[0], step):
+        psi1 = alpha * np.exp(-1j * mu_rows[start : start + step] * ws)
+        # <psi1|psi0> = prod_j exp(-|a|^2/2 - |b|^2/2 + conj(b) a), summed along each row
+        log_overlap[start : start + step] = np.sum(
+            -0.5 * np.abs(psi0) ** 2 - 0.5 * np.abs(psi1) ** 2 + np.conj(psi1) * psi0,
+            axis=-1,
+        )
+    return _assemble_final_state(np.exp(log_overlap).reshape(mu_arr.shape))
 
 
 def first_order_qubit_correction(

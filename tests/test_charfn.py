@@ -193,6 +193,21 @@ def test_delta_closed_form_constants():
     assert charfn_delta_closed(lam, sigma, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_delta_closed_form_takes_huge_mu_without_an_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = charfn_delta_closed(0.1, 1.0, [1e300, -1e300])
+    assert np.all(np.isfinite(values))
+    # the Gaussian factor e^{-(mu / 2 sigma)^2} is 0 there and just as 0 when formed directly
+    mu = np.concatenate([np.linspace(-200.0, 200.0, 4001), [1e150, -1e155, 1e300]])
+    x = mu / 2.0
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-(x**2))
+    i_mu = 0.5 - mu * dawson(x) / 2.0 + 1j * math.sqrt(math.pi) * mu * gauss / 4.0
+    direct = np.exp((0.1 * 0.1 / (4.0 * math.pi**2)) * (i_mu - 0.5))
+    assert np.array_equal(charfn_delta_closed(0.1, 1.0, mu), direct)
+
+
 def test_delta_closed_matches_numeric():
     s = delta_scenario(coupling=0.1)
     for mu in np.linspace(-10.0, 10.0, 41):

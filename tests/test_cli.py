@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fieldwork import CharFnGrid, CrooksRow, cli, delta_weight, invert_charfn
+from fieldwork import (
+    CharFnGrid,
+    CrooksRow,
+    ModeSet,
+    SmearingProfile,
+    charfn_delta_closed,
+    cli,
+    delta_weight,
+    invert_charfn,
+    simulate_delta_ramsey,
+    tomography,
+)
 from fieldwork.charfn import DEFAULT_MU_MAX
 from fieldwork.cli import main
 
@@ -678,3 +689,55 @@ def test_strong_coupling_writes_finite_cells_or_exits_with_a_documented_code(
     else:
         assert code == 2
         assert "coupling^2 overflows" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [[],
+     ["field.coupling=3", "smearing.sigma=0.5", "grids.mu_min=-40", "grids.mu_count=257"],
+     # 2048 modes: 32 mu rows per chunk, so the 100 points span four chunks
+     ["field.coupling=0.01", "smearing.sigma=2", "grids.modes=2048", "grids.mu_count=100"]],
+)
+def test_ramsey_table_equals_a_per_point_scalar_reference(delta_config, overrides, capsys):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["ramsey", "--config", delta_config, *sets]) == 0
+    out = capsys.readouterr().out
+    grids = {"mu_min": -5.0, "mu_max": 5.0, "mu_count": 11, "modes": 64,
+             "coupling": 0.1, "sigma": 1.0}
+    for item in overrides:
+        key, _, value = item.partition(".")[2].partition("=")
+        grids[key] = float(value)
+    mu = np.linspace(grids["mu_min"], grids["mu_max"], int(grids["mu_count"]))
+    modes = ModeSet.uniform_radial(int(grids["modes"]), 10.0)
+    smearing = SmearingProfile.gaussian_spherical(grids["sigma"])
+    lines = out.splitlines()[1:]
+    assert len(lines) == mu.size
+    analytic = charfn_delta_closed(grids["coupling"], grids["sigma"], mu).tolist()
+    for line, m, a in zip(lines, mu.tolist(), analytic):
+        s = tomography(simulate_delta_ramsey(modes, grids["coupling"], smearing, m))
+        cells = (m, s.real, s.imag, a.real, a.imag, abs(s - a))
+        assert line == ",".join("%.17g" % c for c in cells)
+
+
+@pytest.mark.parametrize(
+    "drop_mode_counts, overrides, expected",
+    [(True, ["grids.mode_k_max=1e120"], 2),  # the cell weights 4 pi k^2 dk overflow
+     (False, ["grids.mode_k_max=1e300"], 2),  # k^2 itself overflows
+     (False, ["grids.mu_max=1e300"], 4)],  # (mu / 2 sigma)^2 overflows; mu = 1e300 misses
+)
+def test_ramsey_overflow_exits_with_a_documented_code_and_no_warning(
+    tmp_path, drop_mode_counts, overrides, expected, capsys
+):
+    config = (CONFIGS / "delta_coupling.ini").read_text()
+    if drop_mode_counts:
+        config = "\n".join(line for line in config.splitlines() if "mode_counts" not in line)
+    path = tmp_path / "delta.ini"
+    path.write_text(config)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ramsey", "--config", str(path), *sets])
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert caught == [] and "RuntimeWarning" not in err
+    assert out == ""  # no table with NaN cells

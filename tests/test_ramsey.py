@@ -1,6 +1,8 @@
 """Tests for the discrete-mode interferometric simulator."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +62,22 @@ class TestModeSet:
         with pytest.raises(InvalidArgumentError):
             ModeSet(ks=(1.0, 0.5), omegas=(1.0, 0.5), weights=(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "field, value", [("ks", math.inf), ("omegas", math.nan), ("weights", math.inf)]
+    )
+    def test_rejects_non_finite_modes(self, field, value):
+        arrays = {"ks": [0.5, 1.0], "omegas": [0.5, 1.0], "weights": [1.0, 1.0]}
+        arrays[field][1] = value
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            ModeSet(**{name: tuple(a) for name, a in arrays.items()})
+
+    @pytest.mark.parametrize("k_max", [1e120, 1e300])  # 4 pi k^2 dk, then k^2, overflows
+    def test_overflowing_cell_weights_raise_without_a_warning(self, k_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                ModeSet.uniform_radial(128, k_max)
+
 
 class TestQubitState:
     def test_accepts_valid_density_matrix(self):
@@ -77,6 +95,25 @@ class TestQubitState:
         with pytest.raises(InvalidArgumentError):
             QubitState(matrix=np.array([[1.2, 0.0], [0.0, -0.2]]))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([[0.5, 0.4], [0.1, 0.5]], "Hermitian"),
+         ([[0.6, 0.0], [0.0, 0.6]], "trace"),
+         ([[1.2, 0.0], [0.0, -0.2]], "eigenvalues"),
+         # nan > tolerance is False, so a NaN member would pass every other check
+         ([[0.5, np.nan], [np.nan, 0.5]], "finite")],
+    )
+    def test_one_bad_member_of_a_stack_raises(self, bad, message):
+        stack = np.tile(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), (3, 4, 1, 1))
+        QubitState(matrix=stack)
+        stack[2, 1] = bad
+        with pytest.raises(InvalidArgumentError, match=message):
+            QubitState(matrix=stack)
+
+    def test_rejects_a_stack_of_non_2x2_matrices(self):
+        with pytest.raises(InvalidArgumentError):
+            QubitState(matrix=np.zeros((4, 3, 3)))
+
 
 class TestTomography:
     def test_pauli_readout_on_known_states(self):
@@ -85,6 +122,14 @@ class TestTomography:
         # (I + sigma_y)/2: sigma_z expectation 0, sigma_y expectation 1.
         rho = 0.5 * np.array([[1.0, -1j], [1j, 1.0]])
         assert tomography(QubitState(rho)) == pytest.approx(1j, abs=1e-15)
+
+    def test_complex_for_one_state_and_an_array_for_a_stack(self):
+        rho = 0.5 * np.array([[1.0, -1j], [1j, 1.0]])
+        assert type(tomography(QubitState(rho))) is complex
+        stack = np.stack([np.diag([1.0, 0.0]), rho, np.diag([0.0, 1.0])])
+        values = tomography(QubitState(stack))
+        assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert values.tolist() == [tomography(QubitState(m)) for m in stack]
 
 
 class TestDeltaSimulator:
@@ -114,6 +159,49 @@ class TestDeltaSimulator:
         plus = tomography(simulate_delta_ramsey(modes, 0.1, SMEARING, 1.7))
         minus = tomography(simulate_delta_ramsey(modes, 0.1, SMEARING, -1.7))
         assert minus == pytest.approx(np.conj(plus), abs=1e-15)
+
+
+class TestStackedDeltaSimulator:
+    @pytest.mark.parametrize(
+        "n_modes, mu",
+        [(128, np.linspace(-10.0, 10.0, 101)),
+         (4096, np.linspace(-25.0, 25.0, 256)),  # 16 mu rows per chunk: 16 chunks
+         (3, np.array([[0.0, 1e-3], [7.5, -1e6]])),  # a 2-D mu array keeps its shape
+         (70000, np.array([0.3, -2.0]))],  # more modes than a chunk holds: one row each
+    )
+    def test_rows_equal_scalar_calls_bit_for_bit(self, n_modes, mu):
+        modes = ModeSet.uniform_radial(n_modes, 10.0)
+        stack = simulate_delta_ramsey(modes, 0.3, SMEARING, mu)
+        assert stack.matrix.shape == mu.shape + (2, 2)
+        values = tomography(stack)
+        for index, m in np.ndenumerate(mu):
+            single = simulate_delta_ramsey(modes, 0.3, SMEARING, float(m))
+            assert np.array_equal(stack.matrix[index], single.matrix)
+            assert values[index] == tomography(single)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_mu_gives_an_empty_stack(self, shape):
+        q = simulate_delta_ramsey(ModeSet.uniform_radial(16, 5.0), 0.1, SMEARING, np.zeros(shape))
+        assert q.matrix.shape == shape + (2, 2)
+        assert tomography(q).shape == shape
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_mu_raises(self, bad):
+        mu = np.array([0.0, 1.0, bad, 2.0])
+        with pytest.raises(InvalidArgumentError, match="mu must be finite"):
+            simulate_delta_ramsey(ModeSet.uniform_radial(16, 5.0), 0.1, SMEARING, mu)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # the (mu, mode) temporaries of 4096 modes x 256 mu would take 16 MiB each
+        modes = ModeSet.uniform_radial(4096, 10.0)
+        mu = np.linspace(-25.0, 25.0, 256)
+        tracemalloc.start()
+        try:
+            simulate_delta_ramsey(modes, 0.3, SMEARING, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPerturbativeSimulator:
