@@ -10,6 +10,8 @@ independent discrete-mode simulation of the Ramsey interferometric
 measurement protocol.
 """
 
+import ctypes
+
 from .charfn import (
     DEFAULT_MU_MAX,
     DEFAULT_MU_POINTS,
@@ -68,6 +70,35 @@ from .workdist import (
 )
 
 __version__ = "0.1.0"
+
+# mallopt parameters of glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Raise glibc's mmap and trim thresholds, where glibc is the allocator.
+
+    glibc serves a block above M_MMAP_THRESHOLD (128 KiB at start) by a fresh
+    mmap, and gives the top of the heap back to the system once more than
+    M_TRIM_THRESHOLD (twice that) of it is free; it raises both only when a
+    larger mapped block is freed.  A 2^14-point distribution allocates and frees
+    about 1 MiB of arrays of 64-256 KiB, so at the start values every call faults
+    its temporaries in afresh: 140-210 page faults, a quarter of a delta
+    distribution.  8 MiB (a 2^20-entry table) and 16 MiB keep them on a heap that
+    is reused.  Elsewhere (another C library, or none found) nothing is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
+_keep_freed_heap()
 
 __all__ = [
     "CharFnGrid",

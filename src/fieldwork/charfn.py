@@ -9,7 +9,8 @@ lambda^2 Int_0^inf dk a(k) g(w_k), over the spectral weight
 trapezoid rule: with a fast phase in g (`_bracket_parts`) on the k nodes of
 the mu-grid sums (`_batch_k_grid`), else (`_sinh_integral`) on the nodes
 k = eps sinh t.  The phase integral of a massless vacuum or delta weight is
-taken in closed form instead (`_vacuum_exponent`).  The angular reduction
+taken in closed form instead (`_vacuum_exponent`), in the Faddeeva function of
+`special_math`, which needs numpy alone.  The angular reduction
 Int d^3k -> 4 pi Int k^2 dk is applied in a(k), once; its prefactor
 4 pi / ((2 pi)^3 * 2) = 1/(4 pi^2) is the single point of truth for the 2-pi
 bookkeeping in this package.
@@ -34,7 +35,8 @@ with a_F(k) the weight a(k) without |chi~|^2:
     P~(mu) = exp[ lambda^2 Int_0^inf dk a_F(k) (e^{i mu w_k} - 1) ],
 
 which for a massless field is `_vacuum_exponent`; `charfn_delta_closed`
-writes it independently, with the Dawson integral, for real mu.
+writes it for real mu with the Dawson integral, (sqrt(pi) / 2) Im w, so the two
+share the Faddeeva kernel and mpmath is the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +56,14 @@ from .field_model import (
     smearing_ft,
     thermal_weight,
 )
-from .special_math import _MAX_K_NODES, CharFnGrid, _radial_nodes, dawson, integrate_radial
+from .special_math import (
+    _MAX_K_NODES,
+    CharFnGrid,
+    _faddeeva,
+    _radial_nodes,
+    dawson,
+    integrate_radial,
+)
 
 __all__ = [
     "Scenario",
@@ -142,16 +151,15 @@ def _vacuum_mass(s: Scenario) -> float:
 def _vacuum_exponent(s: Scenario, mu):
     """Int a(k) (e^{i mu k} - 1) dk in closed form for a massless vacuum or delta
     weight (kappa = 0): A0 / 2 l^2 * i sqrt(pi) z w(z), z = mu / 2 l, w the
-    Faddeeva function, for real or complex mu (Im mu >= 0), scalar or array.
-    Where z is not finite, its limit -A0 / 2 l^2.  scipy is imported here, as
-    in `dawson`."""
-    import scipy.special
-
+    Faddeeva function (`special_math._faddeeva`), for real or complex mu
+    (Im mu >= 0), scalar or array.  A real array takes w in its Dawson form,
+    vectorized; complex mu take it entry by entry.  Where z is not finite, its
+    limit -A0 / 2 l^2."""
     scale = _vacuum_mass(s)
     # a scale of inf gives nan at mu = 0: callers check
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.asarray(mu) / (2.0 * _decay_length(s))
-        out = (scale * math.sqrt(math.pi)) * 1j * z * scipy.special.wofz(z)
+        out = (scale * math.sqrt(math.pi)) * 1j * z * _faddeeva(z)
     return np.where(np.isfinite(z), out, -scale)
 
 
@@ -205,11 +213,15 @@ def _moment_integral(s: Scenario, *powers: int) -> list:
 
     def g(w):
         coth = thermal_weight(w, beta)[0] if thermal else 1.0
-        return np.array([w**j * coth if j % 2 == 0 else w**j for j in rows])
+        out = [w**j * coth if j % 2 == 0 else w**j for j in rows]
+        return np.array(out) if len(out) > 1 else out[0]
 
     # massless and thermal, a(k) coth(beta w/2) is 2 A0 / beta at k = 0
     at_zero = np.array([2.0 * _weight_slope(s) / beta if thermal and j == 0 else 0.0 for j in rows])
-    values = _sinh_integral(s, g, at_zero) if rows else []
+    if len(rows) > 1:
+        values = _sinh_integral(s, g, at_zero)
+    else:  # a lone row stays 1-D: a stack of one costs more
+        values = [_sinh_integral(s, g, at_zero[0])] if rows else []
     if len(rows) < len(powers):
         values.insert(powers.index(0), _vacuum_mass(s))
     return values
@@ -261,9 +273,8 @@ def _bracket_parts(s: Scenario, terms) -> list:
     term alone, a faster phase by the trapezoid rule on the k nodes of the mu-grid sums."""
     beta = s.field.beta
     if _nearest_singularity(s) == 0.0:
-        # a lone mu stays a scalar: complex products on arrays may round differently
-        mus = [mu for mu, _ in terms]
-        values = _vacuum_exponent(s, mus[0] if len(mus) == 1 else np.array(mus)).reshape(-1)
+        # complex, real mu too, so that each value equals its lone evaluation bit for bit
+        values = _vacuum_exponent(s, np.array([mu for mu, _ in terms], dtype=complex))
         return [float(part(v)) for v, (_, part) in zip(values, terms)]
     if all(abs(mu.real) <= _SINH_MU_MAX * _decay_length(s) for mu, _ in terms):
         thermal = not math.isinf(beta) and any(mu.imag or p is np.real for mu, p in terms)
@@ -287,7 +298,10 @@ def _bracket_parts(s: Scenario, terms) -> list:
 
 
 def _bracket_integral(s: Scenario, mu) -> complex:
-    """Int a(k) * bracket(mu, w_k) dk, its real and imaginary parts integrated apart."""
+    """Int a(k) * bracket(mu, w_k) dk, its real and imaginary parts integrated apart;
+    for kappa = 0 both parts of one closed-form value, the one `_bracket_parts` takes."""
+    if _nearest_singularity(s) == 0.0:
+        return complex(_vacuum_exponent(s, np.array([mu], dtype=complex))[0])
     return _bracket_parts(s, [(mu, np.real)])[0] + 1j * _bracket_parts(s, [(mu, np.imag)])[0]
 
 

@@ -58,19 +58,21 @@ _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _CHUNK_ELEMENTS = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Radial discretization of the momentum integral: modes (k_j, w_j, d3k_j)."""
+    """Radial discretization of the momentum integral: modes (k_j, w_j, d3k_j).
 
-    ks: tuple
-    omegas: tuple
-    weights: tuple  # momentum-space cell volumes d^3k_j
+    Each field is taken as a sequence or an array and held as a read-only 1-D
+    float array of its own; a mode set compares and hashes by identity."""
+
+    ks: np.ndarray
+    omegas: np.ndarray
+    weights: np.ndarray  # momentum-space cell volumes d^3k_j
 
     def __post_init__(self):
-        ks = np.asarray(self.ks, dtype=float)
-        ws = np.asarray(self.omegas, dtype=float)
-        vols = np.asarray(self.weights, dtype=float)
-        if not (ks.size and ks.shape == ws.shape == vols.shape):
+        modes = [np.array(x, dtype=float) for x in (self.ks, self.omegas, self.weights)]
+        ks, ws, vols = modes
+        if not (ks.ndim == 1 and ks.size and ks.shape == ws.shape == vols.shape):
             raise InvalidArgumentError("ModeSet: need matching nonempty mode arrays")
         if not np.all(np.isfinite([ks, ws, vols])):
             raise InvalidArgumentError("ModeSet: momenta, energies and cell weights must be finite")
@@ -78,6 +80,9 @@ class ModeSet:
             raise InvalidArgumentError("ModeSet: momenta and cell weights must be > 0")
         if np.any(np.diff(ks) <= 0):
             raise InvalidArgumentError("ModeSet: modes must be sorted by k")
+        for name, arr in zip(("ks", "omegas", "weights"), modes):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def uniform_radial(cls, n: int, k_max: float, mass: float = 0.0) -> "ModeSet":
@@ -88,14 +93,10 @@ class ModeSet:
         ks = (np.arange(n) + 0.5) * dk
         with np.errstate(over="ignore"):  # an overflowed weight is rejected as non-finite
             weights = 4.0 * math.pi * ks**2 * dk
-        return cls(ks=tuple(ks), omegas=tuple(dispersion(ks, mass)), weights=tuple(weights))
+        return cls(ks=ks, omegas=dispersion(ks, mass), weights=weights)
 
     def arrays(self):
-        return (
-            np.asarray(self.ks),
-            np.asarray(self.omegas),
-            np.asarray(self.weights),
-        )
+        return self.ks, self.omegas, self.weights
 
 
 @dataclass(frozen=True)

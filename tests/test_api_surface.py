@@ -5,13 +5,17 @@ export list is pinned so that the public-name count changes only on purpose.
 Every function the benchmark's tracer wraps must exist under its name.
 Every module-level private name must be used somewhere in the package, and
 every module-level import in the module that makes it.
-Importing the package does not import scipy.
+The package needs numpy alone: it imports no scipy, declares numpy as its only
+runtime dependency, and runs its commands without loading scipy.  Under glibc,
+importing it keeps freed heap memory for reuse, so repeated calls do not fault
+their arrays in afresh.
 """
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,16 +152,84 @@ def test_every_module_level_import_is_read():
     assert unread == {}
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    # scipy.special serves dawson and the Faddeeva function wofz of the vacuum
-    # exponent, which import it on first use
+def _imported_modules(tree):
+    """Top-level names of every module ``tree`` imports, at any depth; relative
+    imports (the package's own modules) are left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_the_runtime_needs_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    imported = {
+        p.name: sorted(names)
+        for p in sorted(Path(fieldwork.__file__).parent.glob("*.py"))
+        if "scipy" in (names := _imported_modules(ast.parse(p.read_text())))
+    }
+    assert imported == {}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    def names(deps):
+        return [re.match(r"[\w.-]+", dep).group() for dep in deps]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])  # the tests' quad
+
+
+def test_the_package_and_its_commands_run_without_scipy(tmp_path):
+    # the vacuum and delta commands evaluate the Faddeeva function (charfn, pdf,
+    # moments, sweep) and the Dawson integral (ramsey)
     src = str(Path(fieldwork.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, fieldwork, fieldwork.cli\n"
+        "configs, out = sys.argv[1:]\n"
+        "codes = [fieldwork.cli.main([command, '--config', f'{configs}/{name}.ini',\n"
+        "                             '--output', f'{out}/{name}-{command}.csv'])\n"
+        "         for name in ('vacuum', 'delta_coupling')\n"
+        "         for command in ('charfn', 'pdf', 'moments', 'sweep', 'ramsey')]\n"
+        "fieldwork.dawson([0.5, 20.0])\n"
+        "print(codes)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "configs"), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    # ramsey is delta-only, and moments and sweep need a smooth switching
+    assert out.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 3, 0, 0, 3, 3, 0]", "[]"]
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap thresholds are glibc's")
+def test_repeated_distributions_reuse_the_heap():
+    # at glibc's start thresholds each 2^14-point delta distribution faulted
+    # 140-210 pages of temporaries in afresh
+    src = str(Path(fieldwork.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import resource, fieldwork as fw\n"
+        "s = fw.Scenario(field=fw.FieldSpec(mass=0.0, beta=float('inf'), coupling=0.5),\n"
+        "                switching=fw.SwitchingProfile.delta(),\n"
+        "                smearing=fw.SmearingProfile.gaussian_spherical(1.0))\n"
+        "for _ in range(3):\n"
+        "    fw.distribution_from_charfn(s)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    fw.distribution_from_charfn(s)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert float(out.stdout) < 8.0

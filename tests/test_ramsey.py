@@ -62,6 +62,23 @@ class TestModeSet:
         with pytest.raises(InvalidArgumentError):
             ModeSet(ks=(1.0, 0.5), omegas=(1.0, 0.5), weights=(1.0, 1.0))
 
+    def test_modes_are_read_only_float_arrays_built_once(self):
+        ks = np.array([0.5, 1.0])
+        modes = ModeSet(ks=ks, omegas=(0.5, 1.0), weights=[1, 2])  # an array, a tuple, a list
+        arrays = modes.arrays()
+        assert arrays[0] is modes.ks and arrays[1] is modes.omegas and arrays[2] is modes.weights
+        assert all(a is b for a, b in zip(arrays, modes.arrays()))
+        assert all(a.dtype == float and not a.flags.writeable for a in arrays)
+        ks[0] = 0.25  # the mode set holds its own copy
+        assert modes.ks.tolist() == [0.5, 1.0] and modes.weights.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            modes.ks[0] = 0.25
+
+    @pytest.mark.parametrize("ks", [1.0, [[0.5, 1.0]]])
+    def test_rejects_modes_that_are_not_one_dimensional(self, ks):
+        with pytest.raises(InvalidArgumentError, match="matching nonempty"):
+            ModeSet(ks=ks, omegas=ks, weights=ks)
+
     @pytest.mark.parametrize(
         "field, value", [("ks", math.inf), ("omegas", math.nan), ("weights", math.inf)]
     )

@@ -1,6 +1,7 @@
 """Oracle tests for the special functions, quadrature wrapper, and inversion."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -69,6 +70,66 @@ def test_dawson_rejects_non_finite():
         dawson(math.nan)
     with pytest.raises(InvalidArgumentError):
         dawson(math.inf)
+
+
+def _mp_faddeeva(z):
+    """w(z) = e^{-z^2} erfc(-iz) at 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        return complex(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
+
+
+_RADIUS = fieldwork.special_math._FADDEEVA_RADIUS
+# |z| over 14 decades, and on both sides of the switch from Weideman's series to
+# the asymptotic one
+_MODULI = np.concatenate(
+    [np.logspace(-8.0, 6.0, 29), _RADIUS * (1.0 + np.array([-1e-15, 0.0, 1e-15, -0.05, 0.05]))]
+)
+
+
+def test_faddeeva_matches_mpmath_in_the_upper_half_plane():
+    faddeeva = fieldwork.special_math._faddeeva
+    z = np.array([r * complex(math.cos(t), math.sin(t))
+                  for r in _MODULI for t in np.linspace(0.0, math.pi, 13)])
+    # Im z = -1e-12, the tolerance of the KMS strip, on both paths too
+    z = np.concatenate([z, np.concatenate([-_MODULI, _MODULI]) - 1e-12j])
+    ref = np.array([_mp_faddeeva(v) for v in z])
+    lone = np.array([faddeeva(complex(v)) for v in z])
+    assert np.max(np.abs(lone - ref) / np.abs(ref)) <= 2e-14
+    # an array runs each entry in the scalar arithmetic of its lone evaluation
+    assert np.array_equal(faddeeva(z), lone)
+    assert np.array_equal(faddeeva(z.reshape(2, -1)), lone.reshape(2, -1))
+    # the real axis in the Dawson form, vectorized
+    x = np.concatenate([-_MODULI, [0.0], _MODULI])
+    ref = np.array([_mp_faddeeva(v) for v in x])
+    assert np.max(np.abs(faddeeva(x) - ref) / np.abs(ref)) <= 2e-14
+    assert np.array_equal(faddeeva(x).real, np.exp(-np.minimum(np.abs(x), 64.0) ** 2))
+
+
+def test_dawson_matches_mpmath_up_to_1e4():
+    x = np.concatenate([np.logspace(-8.0, 4.0, 1201), _MODULI[_MODULI <= 1e4]])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-(v * v)) * mpmath.erfi(v))
+                        for v in map(mpmath.mpf, x)])
+    assert np.max(np.abs(dawson(x) / ref - 1.0)) <= 1e-14
+    assert all(abs(dawson(float(v)) / r - 1.0) <= 1e-14 for v, r in zip(x[::50], ref[::50]))
+
+
+def test_faddeeva_at_huge_and_infinite_arguments_warns_nothing():
+    faddeeva = fieldwork.special_math._faddeeva
+    huge = 1e308 * np.exp(1j * np.linspace(0.0, math.pi, 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lone = [faddeeva(complex(v)) for v in huge]
+        stacked = faddeeva(huge)
+        real = faddeeva(np.array([1e308, -1e308, 1e300, math.inf, -math.inf]))
+        at_inf = [faddeeva(complex(math.inf, 0.0)), faddeeva(np.array([math.inf + 0j]))[0]]
+        assert dawson(1e308) == pytest.approx(0.5e-308, rel=1e-14)
+    # w(z) ~ i / (sqrt(pi) z), a subnormal at |z| = 1e308, and its limit 0 at z = inf
+    assert np.array_equal(stacked, lone)
+    assert np.max(np.abs(stacked * huge * math.sqrt(math.pi) - 1j)) <= 1e-6
+    assert np.all(np.isfinite(real)) and np.all(real[3:] == 0.0)
+    assert at_inf == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("k_max", [-1.0, math.inf, math.nan])

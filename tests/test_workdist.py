@@ -461,6 +461,26 @@ class TestMoments:
         assert stacks == rows
         assert sizes == exponents
 
+    @pytest.mark.parametrize("beta, mass", [(1.0, 0.0), (math.inf, 0.6), (1.0, 0.6)])
+    def test_a_lone_moment_integral_keeps_a_1d_integrand(self, monkeypatch, beta, mass):
+        # a stack of one row costs more than the row; the value is the stacked one, bit for bit
+        s = make_scenario(beta=beta, mass=mass)
+        stacked = _moment_integral(s, 0, 1, 2)
+        shapes = []
+
+        def recording(f, k_max, **kwargs):
+            def recorded(k):
+                out = f(k)
+                shapes.append(out.shape)
+                return out
+
+            return integrate_radial(recorded, k_max, **kwargs)
+
+        monkeypatch.setattr(fieldwork.charfn, "integrate_radial", recording)
+        for power in (0, 1, 2):
+            assert _moment_integral(s, power) == [stacked[power]]
+        assert [len(shape) for shape in shapes] == [1, 1, 1]
+
     @pytest.mark.parametrize("beta", [1.0, 1e4, 1e6, math.inf])
     @pytest.mark.parametrize("mass", [0.0, 1e-6, 3e-3])
     def test_moment_integrals_at_small_mass_and_low_temperature(self, mass, beta):
