@@ -13,8 +13,6 @@ measurement protocol.
 import ctypes
 
 from .charfn import (
-    DEFAULT_MU_MAX,
-    DEFAULT_MU_POINTS,
     Scenario,
     charfn_correction,
     charfn_delta_closed,
@@ -51,12 +49,7 @@ from .ramsey import (
     simulate_perturbative_ramsey,
     tomography,
 )
-from .special_math import (
-    CharFnGrid,
-    dawson,
-    integrate_radial,
-    invert_charfn,
-)
+from .special_math import CharFnGrid, invert_charfn
 from .workdist import (
     CrooksRow,
     MomentReport,
@@ -106,8 +99,6 @@ __all__ = [
     "ConvergenceError",
     "ConvergenceReport",
     "CrooksRow",
-    "DEFAULT_MU_MAX",
-    "DEFAULT_MU_POINTS",
     "FieldSpec",
     "FieldworkError",
     "InconsistencyError",
@@ -128,12 +119,10 @@ __all__ = [
     "charfn_kms",
     "continuum_convergence",
     "crooks_check",
-    "dawson",
     "delta_weight",
     "dispersion",
     "distribution_from_charfn",
     "first_order_qubit_correction",
-    "integrate_radial",
     "invert_charfn",
     "localization_sweep",
     "moments",

@@ -58,7 +58,10 @@ from .field_model import (
 )
 from .special_math import (
     _MAX_K_NODES,
+    DEFAULT_MU_MAX,
+    DEFAULT_MU_POINTS,
     CharFnGrid,
+    _dft_step,
     _faddeeva,
     _radial_nodes,
     dawson,
@@ -193,7 +196,11 @@ def _sinh_integral(s: Scenario, g, at_zero=None):
     def integrand(t):
         k = eps * np.sinh(t)
         w = dispersion(k, mass)
-        return _spectral_weight(s, k, w) * g(w) * (eps * np.cosh(t))
+        # from m ~ 1e154, (s w)^2 and w^j overflow where a(k) is 0, the last node (largest w) first
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = _spectral_weight(s, k, w)
+            out = a * g(w) * (eps * np.cosh(t))
+        return out if a[-1] else np.where(a == 0.0, 0.0, out)  # a(k) g is 0 where a(k) is
 
     # the rule of step dt misses the half node at t = 0
     endpoint = None if at_zero is None else (lambda dt: 0.5 * dt * eps * at_zero)
@@ -268,14 +275,15 @@ def _check_mu(mu, beta):
 
 def _bracket_parts(s: Scenario, terms) -> list:
     """[part(Int a(k) bracket(mu, w_k) dk) for mu, part in terms], part np.real or
-    np.imag: one `_vacuum_exponent` call for kappa = 0; one stacked `_sinh_integral`,
-    coth and n evaluated once, where every |Re mu| <= _SINH_MU_MAX l; else each
+    np.imag: one `_vacuum_exponent` call on the distinct mu for kappa = 0; one stacked
+    `_sinh_integral`, coth and n once, where every |Re mu| <= _SINH_MU_MAX l; else each
     term alone, a faster phase by the trapezoid rule on the k nodes of the mu-grid sums."""
     beta = s.field.beta
     if _nearest_singularity(s) == 0.0:
         # complex, real mu too, so that each value equals its lone evaluation bit for bit
-        values = _vacuum_exponent(s, np.array([mu for mu, _ in terms], dtype=complex))
-        return [float(part(v)) for v, (_, part) in zip(values, terms)]
+        mus = list(dict.fromkeys(mu for mu, _ in terms))
+        values = dict(zip(mus, _vacuum_exponent(s, np.array(mus, dtype=complex)).tolist()))
+        return [float(part(values[mu])) for mu, part in terms]
     if all(abs(mu.real) <= _SINH_MU_MAX * _decay_length(s) for mu, _ in terms):
         thermal = not math.isinf(beta) and any(mu.imag or p is np.real for mu, p in terms)
 
@@ -642,10 +650,6 @@ def sample_charfn(s: Scenario, mu: np.ndarray) -> np.ndarray:
     return np.exp(exponent) if s.switching.is_delta else 1.0 + exponent
 
 
-DEFAULT_MU_POINTS = 2**14
-DEFAULT_MU_MAX = 1536.0
-
-
 def charfn_grid(
     s: Scenario,
     mu_points: int = DEFAULT_MU_POINTS,
@@ -663,14 +667,7 @@ def charfn_grid(
     switching only; smooth switching takes its density in closed form.
     """
     # one uniform grid, so that the samples take the folded DFT or non-uniform FFT sums
-    mu = _half_grid(mu_points, mu_max)
+    n, dmu = _dft_step(mu_points, mu_max)
+    mu = np.append(np.arange(n // 2) * dmu, mu_max)
     return CharFnGrid(mu=mu, values=sample_charfn(s, mu))
 
-
-def _half_grid(mu_points, mu_max: float) -> np.ndarray:
-    """mu = n dmu, n = 0 .. N/2, dmu = 2 mu_max / N: the half of the DFT-layout grid
-    of N = ``mu_points`` points in [-mu_max, mu_max)."""
-    n = int(mu_points)
-    if n < 8 or n % 2 != 0:
-        raise InvalidArgumentError("charfn_grid: mu_points must be even and >= 8")
-    return np.append(np.arange(n // 2) * (2.0 * mu_max / n), mu_max)

@@ -245,18 +245,13 @@ def integrate_radial(f, k_max: float, *, step=None, endpoint=None, return_error:
     return (values, bounds) if return_error else values
 
 
-def _check_spacing(dmu: float) -> None:
-    """A mu grid step must be > 0 with pi / dmu, the edge of the conjugate W grid, finite."""
+def _check_spacing(dmu: float) -> float:
+    """The mu grid step dmu, which must be > 0 with pi / dmu (the W grid's edge) finite."""
     if not (dmu > 0.0 and math.isfinite(math.pi / dmu)):
         raise InvalidArgumentError(
             f"CharFnGrid: mu spacing must be > 0 with pi / spacing finite, not {dmu:g}"
         )
-
-
-def _w_grid(n: int, dmu: float) -> np.ndarray:
-    """The W grid w_m = (m - N/2) 2 pi / (N dmu), m = 0 .. N-1, conjugate to N mu
-    points of step dmu: W = 0 sits at index N/2."""
-    return (np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu))
+    return dmu
 
 
 def _check_window(phi: float, dmu: float) -> None:
@@ -302,6 +297,40 @@ class CharFnGrid:
         return float(self.mu[1] - self.mu[0])
 
 
+DEFAULT_MU_POINTS = 2**14
+DEFAULT_MU_MAX = 1536.0
+
+
+def _dft_step(mu_points, mu_max: float) -> tuple:
+    """(N, dmu = 2 mu_max / N) of the DFT-layout grid of N = ``mu_points`` points
+    in [-mu_max, mu_max), whose half mu = n dmu, n = 0 .. N/2, `charfn_grid` samples."""
+    n = int(mu_points)
+    if n < 8 or n % 2 != 0:
+        raise InvalidArgumentError("charfn_grid: mu_points must be even and >= 8")
+    return n, _check_spacing(2.0 * mu_max / n)
+
+
+def _dft_distribution(atom, density, dmu, mu_max, window_residual, clamped=0, worst=0.0,
+                      violation=False) -> WorkDistribution:
+    """The atom at W = 0 and the density on w_m = (m - N/2) 2 pi / (N dmu), m = 0 .. N-1
+    (W = 0 at index N/2), conjugate to the N = len(density) mu points of step dmu in
+    [-mu_max, mu_max), with the grid, the window residual and `invert_charfn`'s clamping."""
+    n = density.size
+    return WorkDistribution(
+        atom_weight=atom,
+        w_grid=(np.arange(n) - n // 2) * (2.0 * math.pi / (n * dmu)),
+        density=density,
+        metadata={
+            "mu_max": mu_max,
+            "mu_points": n,
+            "clamped_points": clamped,
+            "worst_negative_density": worst,
+            "negative_floor_violation": violation,
+            "window_residual": window_residual,
+        },
+    )
+
+
 # Negative density samples smaller than this fraction of the density peak are
 # attributed to finite-window ringing and clamped to zero; larger violations
 # set the `negative_floor_violation` diagnostic instead of being hidden.
@@ -325,7 +354,6 @@ def invert_charfn(grid: CharFnGrid, atom: float) -> WorkDistribution:
     n = 2 * (grid.mu.size - 1)
     dmu = grid.spacing
     mu_max = float(grid.mu[-1])
-    w_grid = _w_grid(n, dmu)
 
     f = grid.values - atom
     _check_window((f[1] / (1.0 - atom)).real if atom < 1.0 else 1.0, dmu)
@@ -344,16 +372,5 @@ def invert_charfn(grid: CharFnGrid, atom: float) -> WorkDistribution:
     violation = bool(np.any(density < -floor))
     density[small_neg] = 0.0
 
-    return WorkDistribution(
-        atom_weight=atom,
-        w_grid=w_grid,
-        density=density,
-        metadata={
-            "mu_max": mu_max,
-            "mu_points": n,
-            "clamped_points": clamped,
-            "worst_negative_density": worst_negative,
-            "negative_floor_violation": violation,
-            "window_residual": window_residual,
-        },
-    )
+    return _dft_distribution(atom, density, dmu, mu_max, window_residual, clamped,
+                             worst_negative, violation)

@@ -41,7 +41,6 @@ from .charfn import (
     DEFAULT_MU_POINTS,
     Scenario,
     _bracket_parts,
-    _half_grid,
     _lambda_sq,
     _moment_integral,
     _spectral_weight,
@@ -51,7 +50,7 @@ from .charfn import (
 from .distribution import WorkDistribution
 from .errors import ConvergenceError, InconsistencyError, InvalidArgumentError, RegimeError
 from .field_model import thermal_weight
-from .special_math import _check_spacing, _check_window, _w_grid, invert_charfn
+from .special_math import _check_window, _dft_distribution, _dft_step, invert_charfn
 
 __all__ = [
     "WorkDistribution",
@@ -166,37 +165,22 @@ def distribution_from_charfn(
 def _one_jump_distribution(s: Scenario, mu_points, mu_max: float) -> WorkDistribution:
     p = _perturbative_mass(s)
     atom = 1.0 - p
-    mu = _half_grid(mu_points, mu_max)
-    n, dmu = 2 * (mu.size - 1), float(mu[1])
-    _check_spacing(dmu)
+    n, dmu = _dft_step(mu_points, mu_max)
     lam = s.field.coupling
     if atom < 1.0:  # phi = (P~(dmu) - atom) / (1 - atom), as invert_charfn reads it
         real_b = _bracket_parts(s, [(dmu, np.real)])[0]
         _check_window((1.0 + lam * lam * real_b - atom) / (1.0 - atom), dmu)
-    w_grid = _w_grid(n, dmu)
-    # the grid is symmetric about W = 0 (index N/2): a(k) once per energy |W|
+    # the W grid is symmetric about W = 0 (index N/2): a(k) once per energy |W| = j dW
     half = n // 2
-    rate, bose = _jump_factors(s, -w_grid[half - 1 :: -1])
+    dw = 2.0 * math.pi / (n * dmu)
+    rate, bose = _jump_factors(s, np.arange(1, half + 1) * dw)
     density = np.empty(n)
     density[half - 1 :: -1] = rate * bose
     density[half] = lam * lam * _weight_slope(s) / s.field.beta  # rho at W -> 0
     density[half + 1 :] = (rate * (1.0 + bose))[:-1]
     if not np.all(np.isfinite(density)):
         raise ConvergenceError("work density: the spectral weight is not finite on the W grid")
-    dw = 2.0 * math.pi / (n * dmu)
-    return WorkDistribution(
-        atom_weight=atom,
-        w_grid=w_grid,
-        density=density,
-        metadata={
-            "mu_max": float(mu[-1]),
-            "mu_points": n,
-            "clamped_points": 0,
-            "worst_negative_density": 0.0,
-            "negative_floor_violation": False,
-            "window_residual": abs(p - dw * float(density.sum())),
-        },
-    )
+    return _dft_distribution(atom, density, dmu, float(mu_max), abs(p - dw * float(density.sum())))
 
 
 @dataclass(frozen=True)

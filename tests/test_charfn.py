@@ -29,7 +29,6 @@ from fieldwork import (
     charfn_delta_numeric,
     charfn_grid,
     charfn_kms,
-    dawson,
     moments,
     sample_charfn,
     thermal_weight,
@@ -43,6 +42,7 @@ from fieldwork.charfn import (
     _spectral_weight,
 )
 from fieldwork.field_model import dispersion
+from fieldwork.special_math import dawson
 from fieldwork.workdist import _density_moment
 
 SWITCH_WIDTH = 1.0 / 12.0

@@ -741,3 +741,29 @@ def test_ramsey_overflow_exits_with_a_documented_code_and_no_warning(
     assert code == expected
     assert caught == [] and "RuntimeWarning" not in err
     assert out == ""  # no table with NaN cells
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr, warnings raised) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("mass", ["1e155", "1e200", "1e300"])
+@pytest.mark.parametrize("command, config", [
+    ("moments", "thermal_beta1.ini"), ("moments", "vacuum.ini"), ("sweep", "vacuum.ini"),
+    ("check-jarzynski", "thermal_beta1.ini"), ("pdf", "thermal_beta1.ini"),
+    ("charfn", "thermal_beta1.ini"),
+])
+def test_a_very_large_mass_runs_as_at_1e154_without_warnings(command, config, mass):
+    # from m of about 1e155 (s w)^2 and w^2 overflow where the spectral weight is
+    # exactly 0; their product with it is 0, so every command ends as at m = 1e154:
+    # moments 0, 0, 0, 1, 1; sweep's mean work 0 (exit 3); P~ = 1 and an atom of 1
+    argv = [command, "--config", str(CONFIGS / config), "--set"]
+    reference = _run_quietly(argv + ["field.mass=1e154"])
+    assert reference[3] == []
+    assert _run_quietly(argv + [f"field.mass={mass}"]) == reference

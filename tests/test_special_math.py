@@ -19,10 +19,9 @@ from fieldwork import (
     SmearingProfile,
     SwitchingProfile,
     charfn_kms,
-    dawson,
-    integrate_radial,
     invert_charfn,
 )
+from fieldwork.special_math import dawson, integrate_radial
 
 # Dawson integral reference values computed from the defining integral
 # D(x) = e^{-x^2} Int_0^x e^{y^2} dy with 50-digit arithmetic (mpmath).

@@ -206,6 +206,21 @@ def _state_scenario(state, coupling=LAM):
 
 
 class TestDistributionFromCharfn:
+    @pytest.mark.parametrize("mu_points, mu_max", [(2**14, DEFAULT_MU_MAX), (1024, 96.0)])
+    def test_smooth_and_delta_share_the_w_grid_and_the_metadata(self, mu_points, mu_max):
+        # the closed-form and the inverted density come out of one constructor
+        smooth, delta = (distribution_from_charfn(_state_scenario(state), mu_points, mu_max)
+                         for state in ("thermal", "delta"))
+        six = {"mu_max": float, "mu_points": int, "clamped_points": int,
+               "worst_negative_density": float, "negative_floor_violation": bool,
+               "window_residual": float}
+        dmu = 2.0 * mu_max / mu_points
+        w_grid = (np.arange(mu_points) - mu_points // 2) * (2.0 * math.pi / (mu_points * dmu))
+        for dist in (smooth, delta):
+            assert {key: type(dist.metadata[key]) for key in six} == six
+            assert dist.metadata["mu_max"] == mu_max and dist.metadata["mu_points"] == mu_points
+            assert np.array_equal(dist.w_grid, w_grid)
+
     @pytest.mark.parametrize("beta", [1.0, math.inf])
     def test_normalized_and_matches_analytic_density(self, beta):
         s = make_scenario(beta=beta)
@@ -435,11 +450,12 @@ class TestMoments:
     @pytest.mark.parametrize(
         "beta, mass, rows, exponents",
         [(1.0, 0.0, [3, 6], []), (1.0, 0.6, [3, 6], []), (math.inf, 0.6, [3, 4], []),
-         (math.inf, 0.0, [2], [4])],
+         (math.inf, 0.0, [2], [2])],
     )
     def test_moments_take_two_stacked_integrals(self, monkeypatch, beta, mass, rows, exponents):
         # pass 1: p, <W>, <W^2> (p in closed form for the massless vacuum); pass 2: the
-        # four difference parts and, at finite beta, Re and Im of the bracket at i beta
+        # four difference parts and, at finite beta, Re and Im of the bracket at i beta.
+        # The massless vacuum takes its four parts from the closed form at the two steps
         stacks, sizes = [], []
         vacuum_exponent = fieldwork.charfn._vacuum_exponent
 
@@ -460,6 +476,15 @@ class TestMoments:
         moments(make_scenario(beta=beta, mass=mass))
         assert stacks == rows
         assert sizes == exponents
+
+    def test_a_repeated_mu_takes_the_closed_form_of_its_lone_evaluation(self):
+        # the massless vacuum evaluates each distinct mu once; every part of a repeated
+        # mu is the float its lone evaluation gives
+        s = make_scenario(beta=math.inf)
+        terms = [(0.5, np.imag), (1.0, np.imag), (0.5, np.real), (1.0, np.real),
+                 (complex(0.0, 2.0), np.real), (complex(0.0, 2.0), np.imag)]
+        lone = [fieldwork.charfn._bracket_parts(s, [term])[0] for term in terms]
+        assert fieldwork.charfn._bracket_parts(s, terms) == lone
 
     @pytest.mark.parametrize("beta, mass", [(1.0, 0.0), (math.inf, 0.6), (1.0, 0.6)])
     def test_a_lone_moment_integral_keeps_a_1d_integrand(self, monkeypatch, beta, mass):
