@@ -18,7 +18,6 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .workdist import (
     moments,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _FMT = "%.17g"
 # grid counts (mu_count, fft_points, w_count, modes, each mode_counts entry)
@@ -122,15 +121,6 @@ _SCHEMA = {
     },
     "output": {"path": _path},
 }
-
-
-@dataclass
-class RunConfig:
-    """Validated scenario + grid parameters for one command invocation."""
-
-    scenario: Scenario
-    grids: dict
-    output_path: str | None
 
 
 def _load_ini(path: str | None, overrides) -> dict:
@@ -223,71 +213,53 @@ def _mu_grid(grids: dict) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _cmd_charfn(cfg: RunConfig) -> int:
-    mu = _mu_grid(cfg.grids)
-    values = sample_charfn(cfg.scenario, mu)
-    _write_csv(
-        cfg.output_path,
-        "mu [1/energy],re_charfn [dimensionless],im_charfn [dimensionless]",
-        np.column_stack((mu, values.real, values.imag)),
-    )
-    return 0
+def _cmd_charfn(scenario: Scenario, grids: dict) -> tuple:
+    mu = _mu_grid(grids)
+    values = sample_charfn(scenario, mu)
+    return ("mu [1/energy],re_charfn [dimensionless],im_charfn [dimensionless]",
+            np.column_stack((mu, values.real, values.imag)))
 
 
-def _cmd_pdf(cfg: RunConfig) -> int:
+def _cmd_pdf(scenario: Scenario, grids: dict) -> tuple:
     dist = distribution_from_charfn(
-        cfg.scenario,
-        mu_points=cfg.grids.get("fft_points", DEFAULT_MU_POINTS),
-        mu_max=cfg.grids.get("fft_mu_max", DEFAULT_MU_MAX),
+        scenario,
+        mu_points=grids.get("fft_points", DEFAULT_MU_POINTS),
+        mu_max=grids.get("fft_mu_max", DEFAULT_MU_MAX),
     )
-    _write_csv(
-        cfg.output_path,
-        "w [energy],density [1/energy]",
-        np.column_stack((dist.w_grid, dist.density)),
-        comments=[f"# atom_weight = {_FMT % dist.atom_weight}"],
-    )
-    return 0
+    return ("w [energy],density [1/energy]",
+            np.column_stack((dist.w_grid, dist.density)),
+            [f"# atom_weight = {_FMT % dist.atom_weight}"])
 
 
-def _cmd_moments(cfg: RunConfig) -> int:
-    rep = moments(cfg.scenario)
-    _write_csv(
-        cfg.output_path,
-        "mean [energy],second_moment [energy^2],variance [energy^2],"
-        "jarzynski_value [dimensionless],partition_ratio [dimensionless]",
-        [(rep.mean, rep.second_moment, rep.variance,
-          rep.jarzynski_value, rep.partition_ratio)],
-    )
-    return 0
+def _cmd_moments(scenario: Scenario, grids: dict) -> tuple:
+    rep = moments(scenario)
+    # the partition_ratio column repeats jarzynski_value, the ratio of partition functions
+    return ("mean [energy],second_moment [energy^2],variance [energy^2],"
+            "jarzynski_value [dimensionless],partition_ratio [dimensionless]",
+            [(rep.mean, rep.second_moment, rep.variance,
+              rep.jarzynski_value, rep.jarzynski_value)])
 
 
-def _cmd_check_crooks(cfg: RunConfig) -> int:
-    lo = cfg.grids.get("w_min", 0.1)
-    hi = cfg.grids.get("w_max", 3.0)
-    count = cfg.grids.get("w_count", 20)
+def _cmd_check_crooks(scenario: Scenario, grids: dict) -> tuple:
+    lo = grids.get("w_min", 0.1)
+    hi = grids.get("w_max", 3.0)
+    count = grids.get("w_count", 20)
     if count < 1 or not hi >= lo:
         raise ConfigError("[grids] need w_max >= w_min and w_count >= 1")
-    rows = crooks_check(cfg.scenario, np.linspace(lo, hi, count))  # ok prints as 0 or 1
-    _write_csv(
-        cfg.output_path,
-        "w [energy],log_ratio [dimensionless],beta_w [dimensionless],"
-        "deviation [dimensionless],ok [bool]",
-        rows,
-    )
-    return 0
+    return ("w [energy],log_ratio [dimensionless],beta_w [dimensionless],"
+            "deviation [dimensionless],ok [bool]",
+            crooks_check(scenario, np.linspace(lo, hi, count)))  # ok prints as 0 or 1
 
 
-def _cmd_check_jarzynski(cfg: RunConfig) -> int:
-    beta = cfg.scenario.field.beta
+def _cmd_check_jarzynski(scenario: Scenario, grids: dict) -> tuple:
+    beta = scenario.field.beta
     if not math.isfinite(beta):
         raise RegimeError("check-jarzynski requires a finite beta")
-    value = charfn_kms(cfg.scenario, 1j * beta)
-    _write_csv(cfg.output_path, f"jarzynski_deviation = {_FMT % abs(value - 1.0)}", ())
-    return 0
+    value = charfn_kms(scenario, 1j * beta)
+    return f"jarzynski_deviation = {_FMT % abs(value - 1.0)}", ()
 
 
-def _cmd_ramsey(cfg: RunConfig) -> int:
-    scenario = cfg.scenario
+def _cmd_ramsey(scenario: Scenario, grids: dict) -> tuple:
     if not scenario.switching.is_delta or not scenario.field.is_vacuum:
         raise RegimeError(
             "ramsey comparison needs the instantaneous coupling on the vacuum "
@@ -295,12 +267,12 @@ def _cmd_ramsey(cfg: RunConfig) -> int:
         )
     if scenario.field.mass != 0.0:
         raise RegimeError("ramsey comparison uses the massless closed form; set field.mass = 0")
-    n_modes = cfg.grids.get("modes", 128)
-    k_max = cfg.grids.get("mode_k_max", 10.0)
-    mu = _mu_grid(cfg.grids)
+    n_modes = grids.get("modes", 128)
+    k_max = grids.get("mode_k_max", 10.0)
+    mu = _mu_grid(grids)
     if n_modes * mu.size > _MAX_GRID_POINTS:  # every mode is simulated at every mu point
         raise ConfigError(f"[grids] modes x mu_count = {n_modes} x {mu.size} > {_MAX_GRID_POINTS}")
-    if sum(cfg.grids.get("mode_counts", ())) > _MAX_GRID_POINTS:
+    if sum(grids.get("mode_counts", ())) > _MAX_GRID_POINTS:
         raise ConfigError(f"[grids] mode_counts: more than {_MAX_GRID_POINTS} modes in all")
     modes = ModeSet.uniform_radial(n_modes, k_max)
     lam = scenario.field.coupling
@@ -309,41 +281,35 @@ def _cmd_ramsey(cfg: RunConfig) -> int:
     analytic = charfn_delta_closed(lam, scenario.smearing.sigma, mu).tolist()
     rows = [(m, s.real, s.imag, a.real, a.imag, abs(s - a))
             for m, s, a in zip(mu, simulated, analytic)]
-    if "mode_counts" in cfg.grids:
+    if "mode_counts" in grids:
         report = continuum_convergence(
-            scenario.smearing, lam, float(mu[-1]), cfg.grids["mode_counts"], k_max
+            scenario.smearing, lam, float(mu[-1]), grids["mode_counts"], k_max
         )
         if not report.ok:
             raise ConvergenceError(
                 "discrete-mode simulation did not converge to the continuum: "
                 f"errors {report.errors}"
             )
-    _write_csv(
-        cfg.output_path,
-        "mu [1/energy],re_simulated [dimensionless],im_simulated [dimensionless],"
-        "re_analytic [dimensionless],im_analytic [dimensionless],"
-        "abs_difference [dimensionless]",
-        rows,
-    )
-    return 0
+    return ("mu [1/energy],re_simulated [dimensionless],im_simulated [dimensionless],"
+            "re_analytic [dimensionless],im_analytic [dimensionless],"
+            "abs_difference [dimensionless]",
+            rows)
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    scales = cfg.grids.get("widths", [1.0, 0.5, 0.25, 0.125])
-    switching = cfg.scenario.switching
-    smearing = cfg.scenario.smearing
+def _cmd_sweep(scenario: Scenario, grids: dict) -> tuple:
+    scales = grids.get("widths", [1.0, 0.5, 0.25, 0.125])
+    switching = scenario.switching
     if switching.is_delta:
         raise RegimeError("sweep requires Gaussian switching and smearing profiles")
-    pairs = [(c * switching.width, c * smearing.sigma) for c in scales]
-    _write_csv(
-        cfg.output_path,
-        "switch_width [time],smear_width [length],mean [energy],std [energy],"
-        "std_over_mean [dimensionless],var_over_mean [energy]",
-        localization_sweep(cfg.scenario, pairs),
-    )
-    return 0
+    pairs = [(c * switching.width, c * scenario.smearing.sigma) for c in scales]
+    return ("switch_width [time],smear_width [length],mean [energy],std [energy],"
+            "std_over_mean [dimensionless],var_over_mean [energy]",
+            localization_sweep(scenario, pairs))
 
 
+# each command takes (scenario, grids) and returns (header, rows) or
+# (header, rows, comments), the arguments of _write_csv after the path;
+# it raises before returning on any invalid input, and writes nothing
 _DISPATCH = {
     "charfn": _cmd_charfn,
     "pdf": _cmd_pdf,
@@ -382,12 +348,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _load_ini(args.config, args.overrides)
-        cfg = RunConfig(
-            scenario=_build_scenario(config),
-            grids=config.get("grids", {}),
-            output_path=args.output or config.get("output", {}).get("path"),
-        )
-        return _DISPATCH[args.command](cfg)
+        table = _DISPATCH[args.command](_build_scenario(config), config.get("grids", {}))
+        _write_csv(args.output or config.get("output", {}).get("path"), *table)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -37,10 +37,6 @@ class WorkDistribution:
                 f"WorkDistribution: atom weight {self.atom_weight} outside [0, 1]"
             )
 
-    @property
-    def spacing(self) -> float:
-        return float(self.w_grid[1] - self.w_grid[0])
-
     def density_mass(self) -> float:
         return float(np.trapezoid(self.density, self.w_grid))
 

@@ -50,7 +50,6 @@ __all__ = [
     "ConvergenceReport",
 ]
 
-_TWO_PI_CUBED = (2.0 * math.pi) ** 3
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -132,10 +131,12 @@ def tomography(q: QubitState):
     return complex(out) if rho.ndim == 2 else out
 
 
-def _mode_coupling_weights(modes: ModeSet, smearing: SmearingProfile) -> np.ndarray:
-    """w_j = |F~(k_j)|^2 d3k_j / ((2 pi)^3 2 w_j)."""
+def _mode_amplitudes(modes: ModeSet, smearing: SmearingProfile, scale=1.0) -> np.ndarray:
+    """scale F~(k_j) sqrt(d3k_j) / ((2 pi)^{3/2} sqrt(2 w_j)), the coupling of
+    mode j per unit lambda times ``scale``, which multiplies first."""
     ks, ws, vols = modes.arrays()
-    return smearing_ft(smearing, ks) ** 2 * vols / (_TWO_PI_CUBED * 2.0 * ws)
+    norm = (2.0 * math.pi) ** 1.5 * np.sqrt(2.0 * ws)
+    return scale * smearing_ft(smearing, ks) * np.sqrt(vols) / norm
 
 
 def _assemble_final_state(branch_overlap) -> QubitState:
@@ -162,14 +163,8 @@ def simulate_delta_ramsey(
     mu_arr = np.asarray(mu, dtype=float)
     if not np.all(np.isfinite(mu_arr)):
         raise InvalidArgumentError("simulate_delta_ramsey: mu must be finite")
-    ks, ws, vols = modes.arrays()
-    alpha = (
-        -1j
-        * lam
-        * smearing_ft(smearing, ks)
-        * np.sqrt(vols)
-        / ((2.0 * math.pi) ** 1.5 * np.sqrt(2.0 * ws))
-    )
+    ws = modes.omegas
+    alpha = _mode_amplitudes(modes, smearing, -1j * lam)
     # branch |0>: U e^{-i mu H0} |vac> = |alpha>;  branch |1>: e^{-i mu H0} U |vac>
     psi0 = alpha
     mu_rows = mu_arr.reshape(-1, 1)
@@ -198,9 +193,9 @@ def first_order_qubit_correction(
     field in the thermal state, Tr[a_j rho] = Tr[a_j^dag rho] = 0; assembling
     it explicitly keeps that cancellation assertable rather than assumed.
     """
-    ks, ws, vols = modes.arrays()
-    a_expect = np.zeros(ks.size, dtype=complex)  # thermal <a_j>
-    g = smearing_ft(smearing, ks) * np.sqrt(vols) / ((2.0 * math.pi) ** 1.5 * np.sqrt(2.0 * ws))
+    ws = modes.omegas
+    a_expect = np.zeros(ws.size, dtype=complex)  # thermal <a_j>
+    g = _mode_amplitudes(modes, smearing)
     for shift in (0.0, mu, -mu):
         phase = np.exp(-1j * shift * ws)
         term = np.sum(
@@ -224,8 +219,8 @@ def _second_order_offdiag(
     X(mu) = sum_j w_j [ |chi~(-w_j)|^2 n_j e^{-i mu w_j}
                         + |chi~(w_j)|^2 (1 + n_j) e^{+i mu w_j} ].
     """
-    ks, ws, vols = modes.arrays()
-    w_j = _mode_coupling_weights(modes, smearing)
+    ws = modes.omegas
+    w_j = _mode_amplitudes(modes, smearing) ** 2
     if field.is_vacuum:
         n_j = np.zeros_like(ws)
     else:

@@ -191,7 +191,6 @@ class MomentReport:
     second_moment: float
     variance: float
     jarzynski_value: float
-    partition_ratio: float
 
 
 _FD_STEP = 0.1
@@ -257,7 +256,6 @@ def moments(s: Scenario) -> MomentReport:
         second_moment=second,
         variance=variance,
         jarzynski_value=jar,
-        partition_ratio=jar,
     )
 
 

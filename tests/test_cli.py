@@ -189,8 +189,8 @@ class TestConfigHandling:
     def test_oversized_grid_count_rejected_before_the_command_runs(
         self, vacuum_config, capsys, monkeypatch, command, key
     ):
-        def reached(cfg):
-            raise AssertionError(f"{key} = {cfg.grids[key]} reached the {command} command")
+        def reached(scenario, grids):
+            raise AssertionError(f"{key} = {grids[key]} reached the {command} command")
 
         monkeypatch.setitem(cli._DISPATCH, command, reached)
         value = "16,1000000000" if key == "mode_counts" else "1000000000"  # every entry counts
@@ -418,6 +418,31 @@ def test_every_command_on_every_shipped_config(command, config, capsys):
     if expected is not None:
         assert err.splitlines()[0] == expected
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [(command, p.name) for command in sorted(cli._DISPATCH)
+     for p in sorted(CONFIGS.glob("*.ini")) if (command, p.name) not in _SHIPPED_REGIME_ERRORS],
+)
+def test_a_command_returns_its_table_and_only_main_writes(
+    command, config, tmp_path, monkeypatch, capsys
+):
+    assert main([command, "--config", str(CONFIGS / config)]) == 0
+    written = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)  # a file the command wrote would land here
+    settings = cli._load_ini(str(CONFIGS / config), [])
+    table = cli._DISPATCH[command](cli._build_scenario(settings), settings.get("grids", {}))
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+    cli._write_csv(None, *table)
+    assert capsys.readouterr().out == written
+
+
+def test_the_partition_ratio_cell_repeats_the_jarzynski_value(capsys):
+    assert main(["moments", "--config", str(CONFIGS / "thermal_beta1.ini")]) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    assert cells[4] == cells[3]
 
 
 @pytest.mark.parametrize("config", ["thermal_beta1.ini", "vacuum.ini"])

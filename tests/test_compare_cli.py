@@ -39,3 +39,10 @@ def test_a_different_layout_or_exit_code_is_reported():
     ok, report = compare_cli.compare((CSV, b"", 0), (b"", b"regime error: x\n", 3))
     assert not ok
     assert report == "output=DIFF stderr=DIFF exit=DIFF (0 -> 3) (layout differs)"
+
+
+@pytest.mark.parametrize("case", compare_cli.ERROR_CASES, ids=lambda case: case[2])
+def test_each_error_case_is_a_config_error_that_writes_nothing(case):
+    out, err, code = compare_cli.run(compare_cli.ROOT, *case)
+    assert (out, code) == (b"", 2)
+    assert err.startswith(b"config error: ") and err.count(b"\n") == 1

@@ -9,6 +9,8 @@ of the parent's configs/, at each revision with that revision's own src/ and
 configs/, and writes its CSV to stdout.  For each command x config pair one
 line reports whether the output bytes, stderr and exit code match; for a CSV
 that differs, also the largest absolute and relative move of a numeric cell.
+The invocations of ERROR_CASES, each meant to end in exit 2, are compared the
+same way.
 Paths into each checkout are masked in stderr, so a warning's file name does
 not count as a difference.  Exits 0 when every pair matches, 1 otherwise, and
 2 when a revision cannot be exported.
@@ -25,6 +27,16 @@ from pathlib import Path
 
 COMMANDS = ("charfn", "pdf", "moments", "check-crooks", "check-jarzynski", "ramsey", "sweep")
 ROOT = Path(__file__).resolve().parents[1]
+# (command, config, --set override): the config errors of parsing, of the
+# grid bounds and of an unwritable output path
+ERROR_CASES = (
+    ("moments", "thermal_beta1.ini", "field.coupling=strong"),
+    ("moments", "thermal_beta1.ini", "field.temperature=1"),
+    ("moments", "thermal_beta1.ini", "detector.gain=1"),
+    ("moments", "thermal_beta1.ini", "coupling=2"),
+    ("charfn", "vacuum.ini", "grids.mu_count=1000000000"),
+    ("moments", "thermal_beta1.ini", "output.path="),
+)
 
 
 def export(revision: str, into: Path) -> Path:
@@ -37,12 +49,13 @@ def export(revision: str, into: Path) -> Path:
     return into
 
 
-def run(root: Path, command: str, config: str) -> tuple[bytes, bytes, int]:
+def run(root: Path, command: str, config: str, *overrides: str) -> tuple[bytes, bytes, int]:
     """(stdout, stderr, exit code) of one command in the checkout at ``root``,
-    with ``root`` masked in stderr."""
+    each of ``overrides`` passed by --set, with ``root`` masked in stderr."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    sets = [arg for override in overrides for arg in ("--set", override)]
     out = subprocess.run(
-        [sys.executable, "-m", "fieldwork.cli", command, "--config", f"configs/{config}"],
+        [sys.executable, "-m", "fieldwork.cli", command, "--config", f"configs/{config}", *sets],
         cwd=root, env=env, capture_output=True,
     )
     return out.stdout, out.stderr.replace(str(root).encode(), b"<root>"), out.returncode
@@ -114,15 +127,16 @@ def main(argv=None) -> int:
         if len(trees) == 1:
             trees.append(ROOT)
         configs = sorted(p.name for p in (trees[0] / "configs").glob("*.ini"))
-        differing = 0
-        for config in configs:
-            for command in COMMANDS:
-                ok, report = compare(*(run(tree, command, config) for tree in trees))
-                differing += not ok
-                print(f"{command:16} {config:20} {report}")
-    pairs = len(configs) * len(COMMANDS)
-    print(f"{pairs - differing} of {pairs} command x config pairs identical")
-    return 1 if differing else 0
+        pairs = [(command, config) for config in configs for command in COMMANDS]
+        differing = [0, 0]
+        for i, cases in enumerate((pairs, ERROR_CASES)):
+            for command, config, *overrides in cases:
+                ok, report = compare(*(run(tree, command, config, *overrides) for tree in trees))
+                differing[i] += not ok
+                print(" ".join([f"{command:16} {config:20}", *overrides, report]))
+    print(f"{len(pairs) - differing[0]} of {len(pairs)} command x config pairs and "
+          f"{len(ERROR_CASES) - differing[1]} of {len(ERROR_CASES)} error cases identical")
+    return 1 if any(differing) else 0
 
 
 if __name__ == "__main__":
