@@ -344,13 +344,13 @@ def charfn_kms(s: Scenario, mu) -> complex:
 
 
 def charfn_delta_numeric(s: Scenario, mu) -> complex:
-    """Non-perturbative characteristic function for chi = delta on the vacuum: the
-    closed form `_vacuum_exponent` if massless, else the trapezoid rule in k."""
+    """Non-perturbative characteristic function for chi = delta on the vacuum, at Im mu
+    >= 0: the closed form `_vacuum_exponent` if massless, else the trapezoid rule in k."""
     if not s.switching.is_delta:
         raise RegimeError("charfn_delta_numeric requires a delta switching")
     if not s.field.is_vacuum:
         raise RegimeError("the instantaneous coupling is treated on the vacuum only (beta = inf)")
-    mu_c = _check_mu(mu, 0.0)
+    mu_c = _check_mu(mu, s.field.beta)
     return complex(np.exp(_lambda_sq(s, _bracket_integral(s, mu_c))))
 
 
@@ -392,13 +392,14 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # below sums the k nodes of `_batch_k_grid` with the same weights; the path is
 # chosen from the field and the mu array (mu_z the point nearest 0, J = j - z):
 #
-# - massless thermal field (w_k = k_n = n h) on a uniform mu grid: h = 2 pi / (r L |dmu|),
-#   so that on each residue class mod r the phases mu_j k_n differ by exact
-#   multiples of 2 pi n / L: one L-point FFT per class of the weights folded
-#   mod L (`_dft_sums`), O(r (N_k + L log L)) in place of O(N_k N_mu).
+# - massless thermal field (w_k = k_n = n h) on a uniform mu grid whose
+#   one FFT takes at most 2^20 points: h = 2 pi / (L |dmu|), so that the phases
+#   mu_j k_n differ by exact multiples of 2 pi n / L: one L-point FFT of the
+#   weights folded mod L (`_dft_sums`), O(N_k + L log L) in place of O(N_k N_mu).
 # - massive field (w_k is not uniform in k) on a uniform mu grid, or a massless
-#   grid with r L > N_mu N_k: the phases mu_z w_n + J x_n, x_n = dmu w_n, make the
-#   sums a type-1 non-uniform FFT in x_n mod 2 pi, by Gaussian gridding: O(N_k + N_mu log).
+#   grid with L > N_mu N_k, L > 2^20 or aligned nodes past the node cap: the phases
+#   mu_z w_n + J x_n, x_n = dmu w_n, make the sums a type-1 non-uniform FFT in
+#   x_n mod 2 pi, by Gaussian gridding: O(N_k + N_mu log).
 # - any other mu array, or a window of slow phases, |mu| <= _SINH_MU_MAX l,
 #   where the FFT sums lose digits to Sum a cos(mu w) - Sum a: a direct sum,
 #   one trig row per point and function.
@@ -418,8 +419,9 @@ def charfn_delta_closed(lam: float, sigma: float, mu):
 # same windows are refused.  Margins in units of 1 / l (kappa l is scale free
 # too) keep every node count scale free.
 _ALIAS_MARGIN = 200.0
-# Entries of the direct sum's trig table, of the non-uniform FFT's spreading
-# tables or of a folded DFT, held at a time: memory stays flat up to the node cap.
+# Entries of the direct sum's trig table or of the non-uniform FFT's spreading
+# tables held at a time, and the longest folded DFT: memory stays flat up to the
+# node cap.
 _TABLE_SIZE = 2**20
 # Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443): each node is
 # spread onto 2 * _SPREAD_HALF_WIDTH points of a grid _OVERSAMPLING times the
@@ -446,23 +448,21 @@ def _k_step(s: Scenario, mu_max: float, estimate: bool = False) -> float:
     return 2.0 * math.pi / min(fitted, max(capped, floor))
 
 
-def _batch_k_grid(s: Scenario, mu_max: float, dmu=None) -> np.ndarray:
-    """The k nodes k_n = n h, n = 0 .. 2M, of the mu-grid sums with phases up to
-    mu_max w_k: h = k_max / 2M <= `_k_step` (the grid the node cap checks), or for
-    a massless field on a uniform grid of step ``dmu`` h = 2 pi / (N |dmu|), N the
-    least 2^a 3^b 5^c >= 2 pi / (`_k_step` |dmu|) or, past the node cap, the largest
-    below if that keeps the period mu_max + _ALIAS_MARGIN l (nodes to k_max + 2h)."""
+def _batch_k_grid(s: Scenario, mu_max: float, dmu=None):
+    """(k, L): the k nodes k_n = n h, n = 0 .. 2M, of the mu-grid sums with phases
+    up to mu_max w_k, and the FFT length L they are aligned to, or None.  For a
+    massless field on a uniform grid of step ``dmu`` h = 2 pi / (L |dmu|), L the
+    least 2^a 3^b 5^c >= 2 pi / (`_k_step` |dmu|) (nodes to k_max + 2h), unless
+    those nodes would pass the node cap; else h = k_max / 2M <= `_k_step`."""
     step = _k_step(s, mu_max)
     nodes = _radial_nodes(s.k_max, step)
     if dmu is None or s.field.mass != 0.0:
-        return nodes
-    cells = 2.0 * math.pi / (step * abs(dmu))
-    size = _smooth_len(math.ceil(cells))
+        return nodes, None
+    size = _smooth_len(math.ceil(2.0 * math.pi / (step * abs(dmu))))
     if s.k_max * size * abs(dmu) >= 2.0 * math.pi * _MAX_K_NODES:
-        below = _smooth_len(math.floor(cells), down=True)
-        size = below if below * abs(dmu) >= mu_max + _ALIAS_MARGIN * _decay_length(s) else size
+        return nodes, None
     h = 2.0 * math.pi / (size * abs(dmu))
-    return np.arange(2 * math.ceil(0.5 * s.k_max / h) + 1) * h
+    return np.arange(2 * math.ceil(0.5 * s.k_max / h) + 1) * h, size
 
 
 def _uniform_step(mu: np.ndarray):
@@ -482,16 +482,17 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
 
     A massless vacuum or delta weight takes its closed form (`_vacuum_exponent`).
     Otherwise, on a uniform mu grid wider than |mu| <= _SINH_MU_MAX l, a massless
-    field takes the folded DFT (`_dft_sums`) and a massive one, or a massless one
-    finer than the DFT serves, the non-uniform FFT (`_nufft_sums`); any other mu
-    array takes the direct sum (`_phase_sums`), all by the trapezoid rule in k.
+    field on k nodes aligned to an FFT length L <= min(_TABLE_SIZE, N_mu N_k)
+    takes the folded DFT (`_dft_sums`), and any other field or length the
+    non-uniform FFT (`_nufft_sums`); any other mu array takes the direct sum
+    (`_phase_sums`), all by the trapezoid rule in k.
     The exponent at mu = 0 is 0 exactly on every path.
     """
     if _nearest_singularity(s) == 0.0:
         return np.where(mu == 0.0, 0.0, _vacuum_exponent(s, mu))
     mu_max = float(np.abs(mu).max()) if mu.size else 0.0
     dmu = None if mu_max <= _SINH_MU_MAX * _decay_length(s) else _uniform_step(mu)
-    k = _batch_k_grid(s, mu_max, dmu)
+    k, size = _batch_k_grid(s, mu_max, dmu)
     h = k[1] - k[0]
     kk = k[1:]  # integrand vanishes at k = 0, and a(k_max) is e^{-49} of its bulk
     w = dispersion(kk, s.field.mass)
@@ -500,55 +501,42 @@ def _batch_exponent(s: Scenario, mu: np.ndarray) -> np.ndarray:
 
     if dmu is None:
         out = _phase_sums(w, a_coth, a_trap, mu)
-    else:  # w_k = k_n if massless
-        folded = s.field.mass == 0.0 and mu.size * kk.size >= 2.0 * math.pi / (h * abs(dmu))
-        cos_sum, sin_sum = (_dft_sums if folded else _nufft_sums)(w, a_coth, a_trap, mu, dmu)
+    else:  # nodes aligned to a length are massless: w_k = k_n
+        folded = size is not None and size <= min(_TABLE_SIZE, mu.size * kk.size)
+        cos_sum, sin_sum = (_dft_sums(w, a_coth, a_trap, mu, dmu, size) if folded
+                            else _nufft_sums(w, a_coth, a_trap, mu, dmu))
         out = cos_sum - a_coth.sum() + 1j * sin_sum
     out[mu == 0.0] = 0.0
     return out
 
 
-def _smooth_len(n: int, down: bool = False) -> int:
-    """The least 2^a 3^b 5^c >= n, or with ``down`` the largest <= n: an FFT
-    length that pocketfft handles fast."""
-    lens = []
-    p5 = 1
+def _smooth_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: an FFT length that pocketfft handles fast."""
+    best, p5 = 2 * n, 1
     while p5 < 2 * n:
         p35 = p5
-        while p35 < 2 * n:  # p35 2^a <= n < p35 2^{a+1}, or a = 0 where p35 > n
-            a = max(0, (n // p35).bit_length() - 1)
-            lens += [p35 << a, p35 << a + 1]
+        while p35 < 2 * n:  # p35 2^a >= n from 2^a >= ceil(n / p35) = (n - 1) // p35 + 1
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
             p35 *= 3
         p5 *= 5
-    return max(x for x in lens if x <= n) if down else min(x for x in lens if x >= n)
+    return best
 
 
-def _dft_sums(k, a_coth, a_trap, mu, dmu):
+def _dft_sums(k, a_coth, a_trap, mu, dmu, length):
     """(Sum_n a_coth_n cos(mu_j k_n), Sum_n a_trap_n sin(mu_j k_n)) for k_n = n h,
-    n = 1 .. N_k, on the uniform grid mu_j = mu_0 + j dmu, h = 2 pi / (r L |dmu|)
-    with r the least divisor of r L that leaves L <= _TABLE_SIZE.  On the points
-    j = b + r q of one residue class the phases are exactly mu_b k_n +
-    2 pi sgn(dmu) q n / L, mu_b the class's point nearest 0: an L-point FFT of
-    a_n e^{i mu_b k_n}, node n added into slot n mod L, per weight array."""
-    size = round(2.0 * math.pi / (k[0] * abs(dmu)))  # r L, exactly
-    r = next(d for d in range(-(-size // _TABLE_SIZE), size + 1) if size % d == 0)
-    length = size // r
-    out = np.empty(mu.size, dtype=complex)
-    f, g = rows = np.empty((2, length), dtype=complex)
-    for b in range(min(r, mu.size)):
-        j = np.arange(b, mu.size, r)
-        jb = j[np.argmin(np.abs(mu[j]))]
-        rows.fill(0.0)
-        for start in range(-1, k.size, length):  # nodes start + 1 .. start + length
-            lo, hi = max(start, 0), min(start + length, k.size)
-            c = np.exp(1j * mu[jb] * k[lo:hi])
-            f[lo - start : hi - start] += a_coth[lo:hi] * c
-            g[lo - start : hi - start] += a_trap[lo:hi] * c
-        del c
-        q = (jb - j) // r * (1 if dmu > 0 else -1) % length
-        y = np.fft.fft(f)[q]
-        out[j] = y.real + 1j * np.fft.fft(g)[q].imag
-    return out.real, out.imag
+    n = 1 .. N_k, on the uniform grid mu_j = mu_z + (j - z) dmu with
+    h = 2 pi / (length |dmu|).  The phases are exactly mu_z k_n +
+    2 pi sgn(dmu) (j - z) n / length, mu_z the point nearest 0: a length-point
+    FFT of a_n e^{i mu_z k_n}, node n added into slot n mod length, per weight array."""
+    z = int(np.argmin(np.abs(mu)))
+    f, g = np.zeros((2, length), dtype=complex)
+    for start in range(-1, k.size, length):  # nodes start + 1 .. start + length
+        lo, hi = max(start, 0), min(start + length, k.size)
+        c = np.exp(1j * mu[z] * k[lo:hi])
+        f[lo - start : hi - start] += a_coth[lo:hi] * c
+        g[lo - start : hi - start] += a_trap[lo:hi] * c
+    q = (z - np.arange(mu.size)) * (1 if dmu > 0 else -1) % length
+    return np.fft.fft(f)[q].real, np.fft.fft(g)[q].imag
 
 
 def _nufft_sums(w, a_coth, a_trap, mu, dmu):

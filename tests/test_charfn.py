@@ -146,6 +146,29 @@ def test_regime_guards():
         charfn_delta_numeric(thermal_delta, 1.0)  # vacuum only
 
 
+@pytest.mark.parametrize("mass", [0.0, 0.6])
+def test_delta_numeric_on_the_vacuum_strip_matches_mpmath(mass):
+    # the vacuum's KMS strip is Im mu >= 0; P~ = exp(lambda^2 Int a_F (e^{i mu w} - 1) dk)
+    s = Scenario(
+        field=FieldSpec(mass=mass, beta=math.inf, coupling=0.5),
+        switching=SwitchingProfile.delta(),
+        smearing=SmearingProfile.gaussian_spherical(SIGMA),
+    )
+    for mu in (0.5j, 3.0 + 0.5j, 17.0 + 2.0j, -4.0 + 0.1j):
+        with mpmath.workdps(30):
+            z = mpmath.mpc(mu)
+
+            def f(k):
+                w = mpmath.sqrt(k * k + mass**2)
+                return k * k / w * mpmath.exp(-(SIGMA * k) ** 2) * mpmath.expm1(1j * z * w)
+
+            pieces = mpmath.linspace(0, 12, 49)
+            ref = complex(mpmath.exp(0.25 * mpmath.quad(f, pieces) / (4 * mpmath.pi**2)))
+        assert abs(charfn_delta_numeric(s, mu) - ref) <= 1e-12 * abs(ref - 1.0)
+    with pytest.raises(InvalidArgumentError):
+        charfn_delta_numeric(s, -1e-6j)
+
+
 def test_monte_carlo_oracle_full_3d_integral():
     """Independent 3D Monte Carlo estimate of P~(mu) - 1 at beta = 1, mu = 1.
 
@@ -261,9 +284,9 @@ def test_uniform_grid_matches_the_per_point_sum(mu):
     uniform and take the direct sum.  The vacuum and delta take their closed
     form on both.  The descending grid has dmu < 0.  On the 2^17-point window
     the period at beta = 40 is about 1.5e6 steps dmu, more than _TABLE_SIZE,
-    so the grid splits into two residue classes of one DFT each.  On the fine
-    window the period is about 400 times more steps dmu than the direct sum
-    has entries, and a massless field takes the non-uniform FFT."""
+    so one DFT would pass 2^20 points and the grid takes the non-uniform FFT.
+    On the fine window the period is about 400 times more steps dmu than the
+    direct sum has entries, and a massless field takes the non-uniform FFT."""
     order = np.random.default_rng(7).permutation(mu.size)
     if mu.size > 2**14:  # 250 points of the 2^17-point window
         order = order[:250]
@@ -282,7 +305,7 @@ def _long_double_exponent(s, mu):
     """_batch_exponent's trapezoid sum over the same k nodes and weights, in long
     double: -2 Sum a_coth sin^2(mu w / 2) + i Sum a_trap sin(mu w), whose real
     part keeps its relative precision where mu w is small."""
-    k = _batch_k_grid(s, float(np.max(np.abs(mu))))
+    k = _batch_k_grid(s, float(np.max(np.abs(mu))))[0]
     w = dispersion(k[1:], s.field.mass)
     trap = np.full(w.size, k[1] - k[0])
     trap[-1] *= 0.5
@@ -682,6 +705,20 @@ def test_exponent_matches_mpmath_on_both_paths(mass, beta, width, sigma):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("beta", [1e5, 1e6])
+def test_a_grid_past_one_dft_matches_mpmath(beta):
+    # the charfn command's 201 points at a period of 5e6 (beta = 1e5) or, capped,
+    # 9e5 (beta = 1e6) steps dmu: one DFT would pass 2^20 points, so the grid
+    # takes the non-uniform FFT.  Exponents, not 1 + lambda^2 B, are compared:
+    # rounding against the 1 would hide the digits.
+    mu = np.linspace(-10.0, 10.0, 201)
+    at = [70, 150, 170]  # mu = -3, 5, 7; B(-mu) = conj B(mu)
+    ref = _mp_exponents(0.0, beta, SWITCH_WIDTH, SIGMA, np.abs(mu[at]))
+    ref[0] = np.conj(ref[0])
+    got = _batch_exponent(make_scenario(beta=beta), mu)[at]
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
 @pytest.mark.parametrize("mass, beta", [(0.0, 1.0), (0.0, 1e6), (1e-7, 1.0)])
 def test_past_the_node_cap_a_wide_mu_window_is_an_invalid_argument(mass, beta):
     # the period is never below |mu| + 200 l, whatever the nearest singularity
@@ -700,7 +737,7 @@ def test_memory_stays_flat_on_a_fine_k_grid(case):
     else:
         s, mu_max = _massive_scenario(5e-5), 1536.0
         run = lambda: charfn_grid(s)
-    n_k = _batch_k_grid(s, mu_max).size
+    n_k = _batch_k_grid(s, mu_max)[0].size
     assert n_k > 5e5
     tracemalloc.start()
     try:
@@ -719,14 +756,15 @@ def test_sample_k_grid_follows_the_nearest_singularity():
         _massive_scenario(mass) for mass in (0.2, 0.6, 1.0)
     ]
     for s in states:
-        assert _batch_k_grid(s, 10.0, 0.1).size <= 256
-        assert _batch_k_grid(s, DEFAULT_MU_MAX, _DFT_HALF[1]).size <= 2048
+        assert _batch_k_grid(s, 10.0, 0.1)[0].size <= 256
+        assert _batch_k_grid(s, DEFAULT_MU_MAX, _DFT_HALF[1])[0].size <= 2048
 
 
 def test_grid_memory_at_the_node_cap():
-    # beta = 1e6 takes the capped 2^20 k nodes; the folded DFT holds two rows of
-    # at most _TABLE_SIZE complex slots, where a Bluestein transform, with FFTs
-    # of length N_k + N_mu, peaked at 136 MiB
+    # beta = 1e6 takes the capped 2^20 k nodes, whose one DFT would pass 2^20
+    # points: the non-uniform FFT spreads _TABLE_SIZE entries at a time, where
+    # two residue classes of a folded DFT peaked at 93 MiB and a Bluestein
+    # transform, with FFTs of length N_k + N_mu, at 136 MiB
     s = make_scenario(beta=1e6)
     tracemalloc.start()
     try:
@@ -734,13 +772,13 @@ def test_grid_memory_at_the_node_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 100 * 2**20
+    assert peak <= 80 * 2**20
 
 
 def test_grid_memory_stays_within_two_and_a_half_chunks():
     # thermal takes the folded DFT, massive the non-uniform FFT
     for s in (make_scenario(beta=1.0), _massive_scenario()):
-        n_k = _batch_k_grid(s, 12288.0).size
+        n_k = _batch_k_grid(s, 12288.0)[0].size
         tracemalloc.start()
         try:
             charfn_grid(s, mu_points=2**17, mu_max=12288.0)

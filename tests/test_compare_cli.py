@@ -46,3 +46,10 @@ def test_each_error_case_is_a_config_error_that_writes_nothing(case):
     out, err, code = compare_cli.run(compare_cli.ROOT, *case)
     assert (out, code) == (b"", 2)
     assert err.startswith(b"config error: ") and err.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("case", compare_cli.OVERRIDE_CASES, ids=lambda case: " ".join(case))
+def test_each_override_case_writes_a_csv(case):
+    out, err, code = compare_cli.run(compare_cli.ROOT, *case)
+    assert code == 0
+    assert out.count(b"\n") > 1

@@ -9,8 +9,9 @@ of the parent's configs/, at each revision with that revision's own src/ and
 configs/, and writes its CSV to stdout.  For each command x config pair one
 line reports whether the output bytes, stderr and exit code match; for a CSV
 that differs, also the largest absolute and relative move of a numeric cell.
-The invocations of ERROR_CASES, each meant to end in exit 2, are compared the
-same way.
+The invocations of OVERRIDE_CASES, which reach the mu-grid kernels and massive
+fields that the shipped configs leave out, and of ERROR_CASES, each meant to
+end in exit 2, are compared the same way.
 Paths into each checkout are masked in stderr, so a warning's file name does
 not count as a difference.  Exits 0 when every pair matches, 1 otherwise, and
 2 when a revision cannot be exported.
@@ -27,6 +28,19 @@ from pathlib import Path
 
 COMMANDS = ("charfn", "pdf", "moments", "check-crooks", "check-jarzynski", "ramsey", "sweep")
 ROOT = Path(__file__).resolve().parents[1]
+# (command, config, --set overrides...): a massive field in charfn (the
+# non-uniform FFT), pdf (the one-jump density), moments and on the delta
+# config; a cold field at the k-node cap; a window too fine for the folded DFT;
+# a window |mu| <= 2 l (the direct sum)
+OVERRIDE_CASES = (
+    ("charfn", "thermal_beta1.ini", "field.mass=0.6"),
+    ("charfn", "thermal_beta1.ini", "field.beta=1e6"),
+    ("charfn", "thermal_beta1.ini", "grids.mu_min=3", "grids.mu_max=3.01", "grids.mu_count=2001"),
+    ("charfn", "thermal_beta1.ini", "grids.mu_min=-1", "grids.mu_max=1"),
+    ("pdf", "thermal_beta1.ini", "field.mass=0.6"),
+    ("moments", "thermal_beta1.ini", "field.mass=0.6"),
+    ("charfn", "delta_coupling.ini", "field.mass=0.6"),
+)
 # (command, config, --set override): the config errors of parsing, of the
 # grid bounds and of an unwritable output path
 ERROR_CASES = (
@@ -128,14 +142,16 @@ def main(argv=None) -> int:
             trees.append(ROOT)
         configs = sorted(p.name for p in (trees[0] / "configs").glob("*.ini"))
         pairs = [(command, config) for config in configs for command in COMMANDS]
-        differing = [0, 0]
-        for i, cases in enumerate((pairs, ERROR_CASES)):
+        groups = (pairs, OVERRIDE_CASES, ERROR_CASES)
+        differing = [0, 0, 0]
+        for i, cases in enumerate(groups):
             for command, config, *overrides in cases:
                 ok, report = compare(*(run(tree, command, config, *overrides) for tree in trees))
                 differing[i] += not ok
                 print(" ".join([f"{command:16} {config:20}", *overrides, report]))
-    print(f"{len(pairs) - differing[0]} of {len(pairs)} command x config pairs and "
-          f"{len(ERROR_CASES) - differing[1]} of {len(ERROR_CASES)} error cases identical")
+    counts = [f"{len(cases) - n} of {len(cases)} {what}" for cases, n, what in
+              zip(groups, differing, ("command x config pairs", "override cases", "error cases"))]
+    print(f"{counts[0]}, {counts[1]} and {counts[2]} identical")
     return 1 if any(differing) else 0
 
 
