@@ -6,7 +6,9 @@ with sections ``[field]``, ``[switching]``, ``[smearing]``, ``[grids]`` and
 ``--set section.key=value`` overrides individual entries.  All commands emit
 RFC-4180-style CSV with LF line endings, a header row naming columns and
 units, and 17 significant digits, so identical configs yield byte-identical
-output.
+output.  Each cell is the text of ``%.17g``: a table of 4096 cells or more,
+such as the 16384 rows of `pdf`, is written from exact 17-digit decimals
+computed in numpy in blocks of 4096 cells, and a smaller one by one ``%``.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric-regime error,
 4 convergence failure.
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
+import itertools
 import math
 import sys
 
@@ -47,6 +51,10 @@ from .workdist import (
 __all__ = ["main"]
 
 _FMT = "%.17g"
+# a table of this many cells or more is formatted by _format_cells in blocks of
+# about this many cells, which bound its temporaries; below it one % is faster
+_BLOCK_CELLS = 4096
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 # grid counts (mu_count, fft_points, w_count, modes, each mode_counts entry)
 # above this bound are rejected before anything is allocated
 _MAX_GRID_POINTS = 2**22
@@ -184,20 +192,122 @@ def _build_scenario(config: dict) -> Scenario:
     return Scenario(field=field, switching=switching, smearing=smearing)
 
 
+@functools.cache
+def _format_tables() -> tuple:
+    """The tables of `_format_cells`, built on its first call: 10^k = hi + lo to
+    2^-106 for k = -264 .. 296 (hi split by _SPLIT), "%04d" % i for i < 10^4 as
+    four ASCII bytes read as one uint32, the exponent texts, and which of a
+    cell's 47 characters each layout keeps, as a void array indexed by
+    (layout * 18 + significant digits) * 2 + negative."""
+    hi, lo = [], []
+    for k in range(-264, 297):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h_num, h_den = (num / den).as_integer_ratio()  # int / int rounds correctly
+        hi.append(h_num / h_den)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, lo = np.array(hi), np.array(lo)
+    split = _SPLIT * hi
+    hi_h = split - (split - hi)
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    exponents = np.array([b"e%+03d" % e for e in range(-280, 281)], "S5").view(np.uint8)
+    # characters: 0 "-", 1-5 "0.000", 6-22 the 17 digits, 23 ".", 24-40 the digits
+    # again, 41-45 the exponent, 46 the separator.  Layouts 0-20 are fixed notation
+    # with exponent X = layout - 4, 21 and 22 scientific with a 2- or 3-digit
+    # exponent, 23 zero; a layout keeps a run of each part, so text[keep] is quick
+    keep = np.zeros((24, 18, 2, 47), bool)
+    keep[..., 1, 0] = keep[..., 46] = True
+    keep[23, :, :, 1] = True
+    for s in range(1, 18):  # significant digits once trailing zeros are stripped
+        for x in range(-4, 17):
+            row = keep[x + 4, s]
+            if x < 0:
+                row[:, 1:2 - x] = row[:, 6:6 + s] = True
+            else:  # every integer digit, then "." and the rest if any
+                row[:, 6:7 + x] = True
+                row[:, 23] = s > x + 1
+                row[:, 25 + x:24 + s] = True
+        for layout in (21, 22):
+            row = keep[layout, s]
+            row[:, 6] = row[:, 41:45 + (layout == 22)] = True
+            row[:, 23] = s > 1
+            row[:, 25:24 + s] = True
+    keep = keep.reshape(-1, 47).view(np.dtype((np.void, 47)))[:, 0]
+    return hi, hi_h, hi - hi_h, lo, digits.view(np.uint32)[:, 0], exponents.reshape(-1, 5), keep
+
+
+def _format_cells(cells: np.ndarray) -> str:
+    """The CSV lines of ``cells`` (2-D), the same text as _FMT of each cell.
+
+    For |x| in [1e-280, 1e281), e10 = floor(log10 |x|) and the 17 digits are
+    q = round(|x| 10^(16 - e10)): p = fl(|x| hi) plus its exact error (Dekker's
+    product) and |x| lo is within 1e-14 of the exact product.  A cell is left to %
+    when it is not finite or outside that range, when q is not 17 digits (e10 was
+    off by one) or when the product is within 1e-6 of a tie.  The text is then
+    read off one character row per cell by the layout of its e10 and sign."""
+    hi, hi_h, hi_l, lo, digits4, exponents, keep = _format_tables()
+    x = cells.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    inside = (a >= 1e-280) & (a < 1e281)
+    a = np.where(inside, a, 1.0)
+    e10 = np.clip(np.floor(np.log10(a)), -280, 280).astype(np.intp)
+    k = 280 - e10  # the row of 10^(16 - e10)
+    split = _SPLIT * a
+    a_h = split - (split - a)
+    a_l = a - a_h
+    p = a * hi[k]
+    tail = ((a_h * hi_h[k] - p) + a_h * hi_l[k] + a_l * hi_h[k]) + a_l * hi_l[k] + a * lo[k]
+    floor = np.floor(tail)
+    frac = tail - floor
+    whole = p.astype(np.int64) + floor.astype(np.int64)
+    q = whole + (frac > 0.5)
+    spill = ~zero & (~inside | (whole < 10**16) | (q >= 10**17) | (np.abs(frac - 0.5) < 1e-6))
+    q[spill] = 10**16
+    head, low = np.divmod(q, 10**8)
+    top, head = np.divmod(head, 10**8)
+    groups = np.empty((x.size, 4), np.intp)
+    groups[:, 0], groups[:, 1] = np.divmod(head, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(low, 10**4)
+    digits = np.empty((x.size, 17), np.uint8)
+    digits[:, 0] = top + 48
+    digits[:, 1:].view(np.uint32)[:] = digits4[groups]
+    significant = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)  # digits[:, 0] > 0
+    text = np.empty((x.size, 47), np.uint8)
+    text[:] = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+000,", np.uint8)
+    text[:, 6:23] = text[:, 24:41] = digits
+    text[:, 41:46] = exponents.take(e10 + 280, axis=0)
+    text.reshape(cells.shape + (47,))[:, -1, 46] = 10  # "\n" ends each row
+    layout = np.where((e10 >= -4) & (e10 < 17), e10 + 4, 21 + (np.abs(e10) >= 100))
+    layout[zero] = 23
+    mask = keep.take((layout * 18 + significant) * 2 + np.signbit(x)).view(bool).reshape(text.shape)
+    rows = np.flatnonzero(spill)
+    if rows.size:
+        texts = np.array([_FMT % v for v in x[rows].tolist()], "S24").view(np.uint8)
+        text[rows, :24] = texts.reshape(-1, 24)
+        mask[rows, :46] = False
+        mask[rows, :24] = text[rows, :24] != 0
+    return text[mask].tobytes().decode("ascii")
+
+
 def _write_csv(path: str | None, header: str, rows, comments=()) -> None:
     """Write the comment lines, the header and ``rows`` (a 2-D array or a sequence
     of equal-length rows of numbers; a bool prints as 0 or 1), every cell with
-    _FMT, by one % over all cells."""
+    _FMT: by one % over all cells below _BLOCK_CELLS cells, else by
+    `_format_cells` on blocks of rows, which gives the same bytes."""
     # the header names every column
     cells = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-    table = (",".join([_FMT] * cells.shape[1]) + "\n") * len(cells) % tuple(cells.ravel().tolist())
-    text = "".join(line + "\n" for line in [*comments, header]) + table
+    texts = ["".join(line + "\n" for line in [*comments, header])]
+    if cells.size < _BLOCK_CELLS:
+        texts.append((",".join([_FMT] * cells.shape[1]) + "\n") * len(cells) % tuple(cells.ravel().tolist()))
+    else:  # each block is written, and freed, before the next is formatted
+        step = max(1, _BLOCK_CELLS // cells.shape[1])
+        texts = itertools.chain(texts, (_format_cells(cells[i:i + step]) for i in range(0, len(cells), step)))
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(texts)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 
@@ -221,11 +331,15 @@ def _cmd_charfn(scenario: Scenario, grids: dict) -> tuple:
 
 
 def _cmd_pdf(scenario: Scenario, grids: dict) -> tuple:
-    dist = distribution_from_charfn(
-        scenario,
-        mu_points=grids.get("fft_points", DEFAULT_MU_POINTS),
-        mu_max=grids.get("fft_mu_max", DEFAULT_MU_MAX),
-    )
+    points = grids.get("fft_points", DEFAULT_MU_POINTS)
+    mu_max = grids.get("fft_mu_max", DEFAULT_MU_MAX)
+    if points < 8 or points % 2:
+        raise ConfigError(f"[grids] fft_points = {points}: must be even and >= 8")
+    dmu = 2.0 * mu_max / points  # the mu spacing, as special_math._dft_step forms it
+    if not (dmu > 0.0 and math.isfinite(math.pi / dmu)):
+        raise ConfigError(f"[grids] fft_mu_max = {mu_max:g}: the mu spacing 2 fft_mu_max / "
+                          "fft_points must be > 0 with pi / spacing finite")
+    dist = distribution_from_charfn(scenario, mu_points=points, mu_max=mu_max)
     return ("w [energy],density [1/energy]",
             np.column_stack((dist.w_grid, dist.density)),
             [f"# atom_weight = {_FMT % dist.atom_weight}"])

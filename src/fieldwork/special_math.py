@@ -245,12 +245,11 @@ def integrate_radial(f, k_max: float, *, step=None, endpoint=None, return_error:
     return (values, bounds) if return_error else values
 
 
-def _check_spacing(dmu: float) -> float:
-    """The mu grid step dmu, which must be > 0 with pi / dmu (the W grid's edge) finite."""
+def _check_spacing(dmu: float, name: str = "CharFnGrid: mu spacing") -> float:
+    """The mu grid step dmu, which must be > 0 with pi / dmu (the W grid's edge) finite;
+    the error names it ``name``."""
     if not (dmu > 0.0 and math.isfinite(math.pi / dmu)):
-        raise InvalidArgumentError(
-            f"CharFnGrid: mu spacing must be > 0 with pi / spacing finite, not {dmu:g}"
-        )
+        raise InvalidArgumentError(f"{name} must be > 0 with pi / spacing finite, not {dmu:g}")
     return dmu
 
 
@@ -306,8 +305,8 @@ def _dft_step(mu_points, mu_max: float) -> tuple:
     in [-mu_max, mu_max), whose half mu = n dmu, n = 0 .. N/2, `charfn_grid` samples."""
     n = int(mu_points)
     if n < 8 or n % 2 != 0:
-        raise InvalidArgumentError("charfn_grid: mu_points must be even and >= 8")
-    return n, _check_spacing(2.0 * mu_max / n)
+        raise InvalidArgumentError(f"mu_points must be even and >= 8, not {n}")
+    return n, _check_spacing(2.0 * mu_max / n, f"mu_max = {mu_max:g}: the spacing 2 mu_max / mu_points")
 
 
 def _dft_distribution(atom, density, dmu, mu_max, window_residual, clamped=0, worst=0.0,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,11 +15,14 @@ from hypothesis import given, seed, settings, strategies as st
 from fieldwork import (
     CharFnGrid,
     CrooksRow,
+    InvalidArgumentError,
     ModeSet,
     SmearingProfile,
     charfn_delta_closed,
+    charfn_grid,
     cli,
     delta_weight,
+    distribution_from_charfn,
     invert_charfn,
     simulate_delta_ramsey,
     tomography,
@@ -381,6 +385,78 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
         assert b"\r" not in out1.read_bytes()  # LF line endings
 
+    # cells whose 17 digits are near a tie, a power of ten or the ends of the
+    # double range, which the block formatter leaves to % or must place exactly
+    SPECIAL_CELLS = [1234567890123456.75, 1234567890123456.25, 9.9999999999999995e-5, 1e-4,
+                     1e16, 1e17, 99999999999999999.0, -0.0, 0.0, 5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308, math.nan, math.inf,
+                     -math.inf]
+
+    @staticmethod
+    def _per_row(rows):
+        """The lines of the per-row join of per-cell formats, as a list (a failing
+        comparison of lists names the first line that differs, and quickly)."""
+        return "".join(",".join("%.17g" % float(c) for c in row) + "\n" for row in rows).split("\n")
+
+    @staticmethod
+    def _every_decade(seed):
+        # 8 cells in each decade from 1e-320 to 1e308 of either sign, half of them
+        # cut to 1 .. 16 significant digits so that trailing zeros are stripped
+        rng = np.random.default_rng(seed)
+        decades = np.repeat(np.arange(-320, 309), 8)
+        cells = 10.0 ** (decades + 0.25 * rng.random(decades.size)) * rng.choice([-1, 1], decades.size)
+        cut = [float(f"{c:.{d}g}") for c, d in zip(cells[::2], rng.integers(1, 17, cells.size // 2))]
+        cells[::2] = cut
+        return cells
+
+    def test_every_decade_writes_the_per_cell_bytes(self, capsys):
+        cells = self._every_decade(35).reshape(-1, 4)  # 1258 rows: blocks of 1024 and 234
+        cli._write_csv(None, "a,b,c,d", cells)
+        assert capsys.readouterr().out.split("\n") == ["a,b,c,d", *self._per_row(cells)]
+
+    @pytest.mark.parametrize("n_rows", [1365, 1366, 2000, 2731])
+    def test_large_tables_write_the_per_cell_bytes(self, n_rows, capsys):
+        # three columns: blocks of 1365 rows, so 1366 and 2731 rows end in a block of
+        # one row and 2000 in one of 635; 1365 rows (4095 cells) stay under the line
+        decades = self._every_decade(n_rows)[::-1]
+        rows = [(self.SPECIAL_CELLS[i % len(self.SPECIAL_CELLS)], decades[i % decades.size],
+                 bool(i % 3)) for i in range(n_rows)]
+        cli._write_csv(None, "special,decade,flag [bool]", rows, comments=["# atom_weight = 1"])
+        expected = ["# atom_weight = 1", "special,decade,flag [bool]", *self._per_row(rows)]
+        assert capsys.readouterr().out.split("\n") == expected
+
+    def test_tables_from_4096_cells_take_the_block_formatter(self, monkeypatch, capsys):
+        blocks = []
+        format_cells = cli._format_cells
+        monkeypatch.setattr(cli, "_format_cells", lambda cells: blocks.append(cells.shape)
+                            or format_cells(cells))
+        cells = np.column_stack((self._every_decade(4), -self._every_decade(5)))
+        for n_rows, shapes in [(2047, []), (2048, [(2048, 2)]), (4097, [(2048, 2)] * 2 + [(1, 2)])]:
+            blocks.clear()
+            cli._write_csv(None, "a,b", cells[:n_rows])
+            assert capsys.readouterr().out.split("\n") == ["a,b", *self._per_row(cells[:n_rows])]
+            assert blocks == shapes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_floats_padded_past_the_line_write_the_per_cell_bytes(self, values):
+        cells = np.resize(np.array(values), 4100).reshape(-1, 2)
+        assert cli._format_cells(cells).split("\n") == self._per_row(cells)
+
+    def test_a_large_table_is_written_in_bounded_memory(self, tmp_path):
+        # 2^16 x 2 cells make 2.6 MiB of text; written block by block they peak
+        # near 1.3 MiB, joined first near 8 MiB, and as one block near 40 MiB
+        cells = np.column_stack((np.linspace(-50.0, 50.0, 2**16), np.geomspace(1e-300, 1e300, 2**16)))
+        cli._format_tables()
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path / "big.csv"), "w,density", cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert (tmp_path / "big.csv").read_text().split("\n") == ["w,density", *self._per_row(cells)]
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _RAMSEY_REGIME = (
@@ -527,6 +603,29 @@ def test_non_positive_fft_mu_max_is_a_configuration_error(mu_max, config, capsys
     assert code == 2
     assert "spacing" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("grids.fft_points=6", "config error: [grids] fft_points = 6: must be even and >= 8"),
+    ("grids.fft_points=16385", "config error: [grids] fft_points = 16385: must be even and >= 8"),
+    ("grids.fft_points=-8", "config error: [grids] fft_points = -8: must be even and >= 8"),
+    ("grids.fft_mu_max=0", "config error: [grids] fft_mu_max = 0: the mu spacing"),
+    ("grids.fft_mu_max=1e-310", "config error: [grids] fft_mu_max = 1e-310: the mu spacing"),
+])
+def test_pdf_grid_errors_name_the_grids_key(override, message, capsys):
+    code = main(["pdf", "--config", str(CONFIGS / "thermal_beta1.ini"), "--set", override])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "charfn_grid" not in err and "CharFnGrid" not in err
+
+
+def test_the_dft_grid_errors_name_the_argument_and_its_value():
+    scenario = cli._build_scenario(cli._load_ini(str(CONFIGS / "thermal_beta1.ini"), []))
+    with pytest.raises(InvalidArgumentError, match=r"^mu_points must be even and >= 8, not 6$"):
+        distribution_from_charfn(scenario, mu_points=6)
+    with pytest.raises(InvalidArgumentError, match=r"^mu_max = -1: the spacing 2 mu_max / mu_points"):
+        charfn_grid(scenario, mu_max=-1.0)
 
 
 def test_narrow_fft_window_prints_the_exact_atom(capsys):

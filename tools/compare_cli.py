@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # (command, config, --set overrides...): a massive field in charfn (the
 # non-uniform FFT), pdf (the one-jump density), moments and on the delta
 # config; a cold field at the k-node cap; a window too fine for the folded DFT;
-# a window |mu| <= 2 l (the direct sum)
+# a window |mu| <= 2 l (the direct sum); and tables that cli._format_cells
+# writes in many blocks of two, three and six columns
 OVERRIDE_CASES = (
     ("charfn", "thermal_beta1.ini", "field.mass=0.6"),
     ("charfn", "thermal_beta1.ini", "field.beta=1e6"),
@@ -40,6 +41,9 @@ OVERRIDE_CASES = (
     ("pdf", "thermal_beta1.ini", "field.mass=0.6"),
     ("moments", "thermal_beta1.ini", "field.mass=0.6"),
     ("charfn", "delta_coupling.ini", "field.mass=0.6"),
+    ("pdf", "thermal_beta1.ini", "grids.fft_points=65536"),
+    ("charfn", "thermal_beta1.ini", "grids.mu_count=5000"),
+    ("ramsey", "delta_coupling.ini", "grids.mu_count=1000"),
 )
 # (command, config, --set override): the config errors of parsing, of the
 # grid bounds and of an unwritable output path
