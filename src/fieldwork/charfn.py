@@ -5,9 +5,9 @@ lambda^2 Int_0^inf dk a(k) g(w_k), over the spectral weight
 
     a(k) = (1 / 4 pi^2) * (k^2 / w_k) * |chi~(w_k)|^2 * |F~(k)|^2
 
-(`_spectral_weight`); only the real factor g changes.  Each integral is a
-trapezoid rule: with a fast phase in g (`_bracket_parts`) on the k nodes of
-the mu-grid sums (`_batch_k_grid`), else (`_sinh_integral`) on the nodes
+(`_spectral_weight`); only the real factor g changes.  `_radial_integrals`
+takes any list of them, each by a trapezoid rule: with a fast phase in g on
+the k nodes of the mu-grid sums (`_batch_k_grid`), else on the nodes
 k = eps sinh t.  The phase integral of a massless vacuum or delta weight is
 taken in closed form instead (`_vacuum_exponent`), in the Faddeeva function of
 `special_math`, which needs numpy alone.  The angular reduction
@@ -27,7 +27,7 @@ axis, where the Jarzynski evaluation P~(i beta) = 1 relies on the cancellation
 (1+n)(e^{-bw}-1) + n(e^{bw}-1) = 0.  Where e^{Im(mu) w} overflows, the second
 term is taken as n(e^{-z} - 1) = e^{-z-bw} / (1 - e^{-bw}) - n, z = i mu w,
 which is bounded on the strip 0 <= Im mu <= beta.  Each part of the bracket is
-a real factor g; on the sinh nodes, parts share one stack (`_bracket_parts`).
+a real factor g, a row of `_radial_integrals` as each moment factor w^j is.
 
 Non-perturbative regime (instantaneous switching chi = delta, vacuum field),
 with a_F(k) the weight a(k) without |chi~|^2:
@@ -184,56 +184,6 @@ _SINH_STEP = 0.0625  # 2^-4
 _SINH_MU_MAX = 2.0
 
 
-def _sinh_integral(s: Scenario, g, at_zero=None):
-    """Int a(k) g(w_k) dk, or the list of them for each row of an (R, N) stack
-    g(w), by the trapezoid rule in t on k = eps sinh t, where a(k) g_r(w_k) is
-    ``at_zero[r]`` (or 0) at k = 0.  The coupling^2 is left to the caller, so
-    the tolerance applies on the same scale for every quantity."""
-    mass = s.field.mass
-    length = _decay_length(s)
-    eps = min(max(_nearest_singularity(s), 1e-16 / length), 1.0 / length)
-
-    def integrand(t):
-        k = eps * np.sinh(t)
-        w = dispersion(k, mass)
-        # from m ~ 1e154, (s w)^2 and w^j overflow where a(k) is 0, the last node (largest w) first
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = _spectral_weight(s, k, w)
-            out = a * g(w) * (eps * np.cosh(t))
-        return out if a[-1] else np.where(a == 0.0, 0.0, out)  # a(k) g is 0 where a(k) is
-
-    # the rule of step dt misses the half node at t = 0
-    endpoint = None if at_zero is None else (lambda dt: 0.5 * dt * eps * at_zero)
-    # t_max a multiple of 2 dt makes every node t = n dt exact: a rounded t
-    # near 37 (k l = 1 at eps l = 1e-16) would move k by 4e-15 of itself
-    t_max = 2.0 * _SINH_STEP * math.ceil(math.asinh(s.k_max / eps) / (2.0 * _SINH_STEP))
-    return integrate_radial(integrand, t_max, step=_SINH_STEP, endpoint=endpoint)
-
-
-def _moment_integral(s: Scenario, *powers: int) -> list:
-    """[Int a(k) w_k^j [(1 + n) + (-1)^j n] dk for j in powers], the bracket being
-    coth(beta w/2) for even j and 1 for odd j, as one stacked integral; the mass
-    (j = 0) of a massless vacuum or delta weight in closed form."""
-    closed = _nearest_singularity(s) == 0.0
-    rows = [j for j in powers if j or not closed]
-    beta, thermal = s.field.beta, not s.field.is_vacuum
-
-    def g(w):
-        coth = thermal_weight(w, beta)[0] if thermal else 1.0
-        out = [w**j * coth if j % 2 == 0 else w**j for j in rows]
-        return np.array(out) if len(out) > 1 else out[0]
-
-    # massless and thermal, a(k) coth(beta w/2) is 2 A0 / beta at k = 0
-    at_zero = np.array([2.0 * _weight_slope(s) / beta if thermal and j == 0 else 0.0 for j in rows])
-    if len(rows) > 1:
-        values = _sinh_integral(s, g, at_zero)
-    else:  # a lone row stays 1-D: a stack of one costs more
-        values = [_sinh_integral(s, g, at_zero[0])] if rows else []
-    if len(rows) < len(powers):
-        values.insert(powers.index(0), _vacuum_mass(s))
-    return values
-
-
 def _bracket(mu, omega, beta, part, weights=None):
     """part (np.real or np.imag) of the thermal phase bracket
     (1+n)(e^{i mu w}-1) + n(e^{-i mu w}-1); ``weights`` is thermal_weight(w, beta)
@@ -273,44 +223,83 @@ def _check_mu(mu, beta):
     return mu_c
 
 
-def _bracket_parts(s: Scenario, terms) -> list:
-    """[part(Int a(k) bracket(mu, w_k) dk) for mu, part in terms], part np.real or
-    np.imag: one `_vacuum_exponent` call on the distinct mu for kappa = 0; one stacked
-    `_sinh_integral`, coth and n once, where every |Re mu| <= _SINH_MU_MAX l; else each
-    term alone, a faster phase by the trapezoid rule on the k nodes of the mu-grid sums."""
-    beta = s.field.beta
-    if _nearest_singularity(s) == 0.0:
-        # complex, real mu too, so that each value equals its lone evaluation bit for bit
-        mus = list(dict.fromkeys(mu for mu, _ in terms))
-        values = dict(zip(mus, _vacuum_exponent(s, np.array(mus, dtype=complex)).tolist()))
-        return [float(part(values[mu])) for mu, part in terms]
-    if all(abs(mu.real) <= _SINH_MU_MAX * _decay_length(s) for mu, _ in terms):
-        thermal = not math.isinf(beta) and any(mu.imag or p is np.real for mu, p in terms)
+def _radial_integrals(s: Scenario, rows) -> list:
+    """[Int a(k) g(w_k) dk for each row], the coupling^2 left to the caller, so
+    that the tolerance applies on one scale.  A row j (an int) is the moment
+    factor w^j [(1 + n) + (-1)^j n], coth(beta w/2) for even j and 1 for odd j;
+    a row (mu, part) is part (np.real or np.imag) of `_bracket` at mu.  For
+    kappa = 0 the mass (j = 0) and every term come from closed forms, with one
+    `_vacuum_exponent` call on the distinct mu.  A term with |Re mu| >
+    _SINH_MU_MAX l is integrated alone on the k nodes of the mu-grid sums.  All
+    other rows share one stack on the sinh nodes, coth and n evaluated once; a
+    lone row stays 1-D, as a stack of one costs more."""
+    beta, length, kappa = s.field.beta, _decay_length(s), _nearest_singularity(s)
+    values, slots, thermal = [None] * len(rows), [], False  # thermal: a stacked row needs coth, n
+    for i, row in enumerate(rows):
+        if not isinstance(row, tuple):
+            if not (kappa or row):
+                values[i] = _vacuum_mass(s)
+                continue
+            thermal = thermal or row % 2 == 0
+        elif not kappa or abs(row[0].real) > _SINH_MU_MAX * length:
+            continue  # a closed form or the k nodes, below
+        else:
+            thermal = thermal or row[0].imag != 0.0 or row[1] is np.real
+        slots.append(i)
+    mus = [] if kappa else list(dict.fromkeys(row[0] for row in rows if isinstance(row, tuple)))
+    if mus:  # complex, real mu too, so that each value equals its lone evaluation bit for bit
+        exponent = dict(zip(mus, _vacuum_exponent(s, np.array(mus, dtype=complex)).tolist()))
+        values = [float(row[1](exponent[row[0]])) if isinstance(row, tuple) else value
+                  for row, value in zip(rows, values)]
+    if slots:
+        stack, eps = [rows[i] for i in slots], min(max(kappa, 1e-16 / length), 1.0 / length)
+        thermal = thermal and not math.isinf(beta)
 
-        def g(w):  # a lone term stays 1-D: a stack of one costs more
-            weights = thermal_weight(w, beta) if thermal else None
-            rows = [_bracket(mu, w, beta, part, weights) for mu, part in terms]
-            return np.array(rows) if len(rows) > 1 else rows[0]
+        def integrand(t):
+            k = eps * np.sinh(t)
+            w = dispersion(k, s.field.mass)
+            # from m ~ 1e154, (s w)^2 and w^j overflow where a(k) is 0, at the largest w first
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = _spectral_weight(s, k, w)
+                weights = thermal_weight(w, beta) if thermal else None
+                g = [_bracket(row[0], w, beta, row[1], weights) if isinstance(row, tuple)
+                     else w**row * weights[0] if thermal and row % 2 == 0 else w**row
+                     for row in stack]
+                out = a * (np.array(g) if len(g) > 1 else g[0]) * (eps * np.cosh(t))
+            return out if a[-1] else np.where(a == 0.0, 0.0, out)  # a(k) g is 0 where a(k) is
 
-        values = _sinh_integral(s, g)
-        return values if len(terms) > 1 else [values]
-    if len(terms) > 1:
-        return [_bracket_parts(s, [term])[0] for term in terms]
-    [(mu, part)] = terms
+        endpoint = None
+        if thermal and not s.field.mass and 0 in stack:
+            # the rule of step dt misses the half node at t = 0, where the mass
+            # row a(k) coth(beta w/2) of a massless thermal field is 2 A0 / beta
+            at_zero = [2.0 * _weight_slope(s) / beta if row == 0 else 0.0 for row in stack]
+            at_zero = np.array(at_zero) if len(stack) > 1 else at_zero[0]
+            endpoint = lambda dt: 0.5 * dt * eps * at_zero
+        # t_max a multiple of 2 dt makes every node t = n dt exact: a rounded t
+        # near 37 (k l = 1 at eps l = 1e-16) would move k by 4e-15 of itself
+        t_max = 2.0 * _SINH_STEP * math.ceil(math.asinh(s.k_max / eps) / (2.0 * _SINH_STEP))
+        stacked = integrate_radial(integrand, t_max, step=_SINH_STEP, endpoint=endpoint)
+        for i, value in zip(slots, stacked if len(slots) > 1 else [stacked]):
+            values[i] = value
+    for i, row in enumerate(rows):  # the fast phases, each alone on the k nodes
+        if values[i] is None:
+            mu, part = row
 
-    def integrand(k):
-        w = dispersion(k, s.field.mass)
-        return _spectral_weight(s, k, w) * _bracket(mu, w, beta, part)
+            def integrand(k, mu=mu, part=part):
+                w = dispersion(k, s.field.mass)
+                return _spectral_weight(s, k, w) * _bracket(mu, w, beta, part)
 
-    return [integrate_radial(integrand, s.k_max, step=_k_step(s, abs(mu), estimate=True))]
+            step = _k_step(s, abs(mu), estimate=True)
+            values[i] = integrate_radial(integrand, s.k_max, step=step)
+    return values
 
 
 def _bracket_integral(s: Scenario, mu) -> complex:
     """Int a(k) * bracket(mu, w_k) dk, its real and imaginary parts integrated apart;
-    for kappa = 0 both parts of one closed-form value, the one `_bracket_parts` takes."""
+    for kappa = 0 both parts of one closed-form value, the one `_radial_integrals` takes."""
     if _nearest_singularity(s) == 0.0:
         return complex(_vacuum_exponent(s, np.array([mu], dtype=complex))[0])
-    return _bracket_parts(s, [(mu, np.real)])[0] + 1j * _bracket_parts(s, [(mu, np.imag)])[0]
+    return _radial_integrals(s, [(mu, np.real)])[0] + 1j * _radial_integrals(s, [(mu, np.imag)])[0]
 
 
 def _lambda_sq(s: Scenario, b: complex) -> complex:

@@ -360,9 +360,12 @@ def _cmd_check_crooks(scenario: Scenario, grids: dict) -> tuple:
     count = grids.get("w_count", 20)
     if count < 1 or not hi >= lo:
         raise ConfigError("[grids] need w_max >= w_min and w_count >= 1")
+    w = np.linspace(lo, hi, count)
+    if not np.all(np.isfinite(w) & (w != 0.0)):  # rho(W) / rho(-W) is defined at finite W != 0
+        raise ConfigError(f"[grids] w_min = {lo:g}, w_max = {hi:g}: a W is 0 or not finite")
     return ("w [energy],log_ratio [dimensionless],beta_w [dimensionless],"
             "deviation [dimensionless],ok [bool]",
-            crooks_check(scenario, np.linspace(lo, hi, count)))  # ok prints as 0 or 1
+            crooks_check(scenario, w))  # ok prints as 0 or 1
 
 
 def _cmd_check_jarzynski(scenario: Scenario, grids: dict) -> tuple:
@@ -388,11 +391,18 @@ def _cmd_ramsey(scenario: Scenario, grids: dict) -> tuple:
         raise ConfigError(f"[grids] modes x mu_count = {n_modes} x {mu.size} > {_MAX_GRID_POINTS}")
     if sum(grids.get("mode_counts", ())) > _MAX_GRID_POINTS:
         raise ConfigError(f"[grids] mode_counts: more than {_MAX_GRID_POINTS} modes in all")
+    if n_modes < 1:
+        raise ConfigError(f"[grids] modes = {n_modes}: must be >= 1")
+    if min(grids.get("mode_counts", [1])) < 1:
+        raise ConfigError("[grids] mode_counts: every entry must be >= 1")
+    if not k_max > 0.0:
+        raise ConfigError(f"[grids] mode_k_max = {k_max:g}: must be > 0")
     modes = ModeSet.uniform_radial(n_modes, k_max)
     lam = scenario.field.coupling
+    # the closed form first: it refuses a sigma whose profile would overflow in the simulation
+    analytic = charfn_delta_closed(lam, scenario.smearing.sigma, mu).tolist()
     # tolist() gives Python complex: abs() of a numpy complex differs in the last bits
     simulated = tomography(simulate_delta_ramsey(modes, lam, scenario.smearing, mu)).tolist()
-    analytic = charfn_delta_closed(lam, scenario.smearing.sigma, mu).tolist()
     rows = [(m, s.real, s.imag, a.real, a.imag, abs(s - a))
             for m, s, a in zip(mu, simulated, analytic)]
     if "mode_counts" in grids:
@@ -416,6 +426,10 @@ def _cmd_sweep(scenario: Scenario, grids: dict) -> tuple:
     if switching.is_delta:
         raise RegimeError("sweep requires Gaussian switching and smearing profiles")
     pairs = [(c * switching.width, c * scenario.smearing.sigma) for c in scales]
+    for c, (s_w, sigma) in zip(scales, pairs):  # as the profiles require
+        if not (s_w > 0.0 and sigma > 0.0 and math.isfinite(s_w * s_w) and math.isfinite(sigma)):
+            raise ConfigError(f"[grids] widths: the scale {c:g} gives widths ({s_w:g}, {sigma:g}); "
+                              "each must be finite and > 0, with a finite square")
     return ("switch_width [time],smear_width [length],mean [energy],std [energy],"
             "std_over_mean [dimensionless],var_over_mean [energy]",
             localization_sweep(scenario, pairs))

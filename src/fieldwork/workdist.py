@@ -40,9 +40,8 @@ from .charfn import (
     DEFAULT_MU_MAX,
     DEFAULT_MU_POINTS,
     Scenario,
-    _bracket_parts,
     _lambda_sq,
-    _moment_integral,
+    _radial_integrals,
     _spectral_weight,
     _weight_slope,
     charfn_grid,
@@ -109,17 +108,12 @@ def work_density_analytic(s: Scenario, w):
     return float(out[0]) if np.ndim(w) == 0 else out.reshape(w_arr.shape)
 
 
-def _density_moment(s: Scenario, power: int) -> float:
-    """Int W^power rho(W) dW = lambda^2 Int a(k) w^power [(1 + n) + (-1)^power n] dk."""
-    lam = s.field.coupling
-    return lam * lam * _moment_integral(s, power)[0]
-
-
 def _perturbative_mass(s: Scenario, p=None) -> float:
     """Density mass p (unless given) of a perturbative scenario; p > 1 is a breakdown."""
     if s.switching.is_delta:
         raise RegimeError("the density mass p is defined for smooth switching only")
-    p = _density_moment(s, 0) if p is None else p
+    lam = s.field.coupling
+    p = lam * lam * _radial_integrals(s, [0])[0] if p is None else p
     if p > 1.0:
         raise RegimeError(
             f"perturbative breakdown: density mass p = {p:.3g} > 1; reduce the coupling"
@@ -154,7 +148,8 @@ def distribution_from_charfn(
     with the known atom exp(-lambda^2 Int a_F(k) dk), its large-mu level, which
     is exact at any strength."""
     if s.switching.is_delta:
-        atom = math.exp(-_density_moment(s, 0))
+        lam = s.field.coupling
+        atom = math.exp(-lam * lam * _radial_integrals(s, [0])[0])
         dist = invert_charfn(charfn_grid(s, mu_points=mu_points, mu_max=mu_max), atom)
     else:
         dist = _one_jump_distribution(s, mu_points, mu_max)
@@ -168,7 +163,7 @@ def _one_jump_distribution(s: Scenario, mu_points, mu_max: float) -> WorkDistrib
     n, dmu = _dft_step(mu_points, mu_max)
     lam = s.field.coupling
     if atom < 1.0:  # phi = (P~(dmu) - atom) / (1 - atom), as invert_charfn reads it
-        real_b = _bracket_parts(s, [(dmu, np.real)])[0]
+        real_b = _radial_integrals(s, [(dmu, np.real)])[0]
         _check_window((1.0 + lam * lam * real_b - atom) / (1.0 - atom), dmu)
     # the W grid is symmetric about W = 0 (index N/2): a(k) once per energy |W| = j dW
     half = n // 2
@@ -197,7 +192,7 @@ _FD_STEP = 0.1
 _FD_TOL = 1e-5
 
 
-def _moments_finite_difference(s: Scenario, w_scale: float, *extra) -> tuple:
+def _moments_finite_difference(s: Scenario, w_scale: float) -> tuple:
     """<W> and <W^2> from Richardson-extrapolated central differences of P~ at 0.
 
     The differences are taken on P~ - 1 = lambda^2 Int a(k) bracket(h, w_k) dk
@@ -206,16 +201,15 @@ def _moments_finite_difference(s: Scenario, w_scale: float, *extra) -> tuple:
     Going through the bracket keeps the check independent of the w^j moment
     integrals it is compared with.  The step is measured in units of the
     typical work value `w_scale`, keeping the truncation error scale
-    invariant when the localization widths shrink.  The (mu, part) terms
-    ``extra`` ride in the same `_bracket_parts` call; their parts follow.
+    invariant when the localization widths shrink.
     """
     lam = s.field.coupling
     h = _FD_STEP / max(w_scale, 1e-300)
     steps = (h / 2, h)
-    b = _bracket_parts(s, [(x, part) for part in (np.imag, np.real) for x in steps] + list(extra))
+    b = _radial_integrals(s, [(x, part) for part in (np.imag, np.real) for x in steps])
     d1 = [lam * lam * b[i] / x for i, x in enumerate(steps)]
     d2 = [-2.0 * (lam * lam * b[2 + i]) / (x * x) for i, x in enumerate(steps)]
-    return ((4.0 * d1[0] - d1[1]) / 3.0, (4.0 * d2[0] - d2[1]) / 3.0, *b[4:])
+    return (4.0 * d1[0] - d1[1]) / 3.0, (4.0 * d2[0] - d2[1]) / 3.0
 
 
 def moments(s: Scenario) -> MomentReport:
@@ -232,12 +226,13 @@ def moments(s: Scenario) -> MomentReport:
         raise RegimeError("moments: use the characteristic-function derivative path "
                           "for the delta coupling")
     lam, beta = s.field.coupling, s.field.beta
-    p, mean, second = (lam * lam * x for x in _moment_integral(s, 0, 1, 2))
+    # Jarzynski's P~(i beta) rides on the nodes of the moment integrals
+    jar = [] if math.isinf(beta) else [(complex(0.0, beta), np.real), (complex(0.0, beta), np.imag)]
+    values = _radial_integrals(s, [0, 1, 2, *jar])
+    p, mean, second = (lam * lam * x for x in values[:3])
     _perturbative_mass(s, p)
     w_scale = second / mean if mean > 0 else 1.0
-    # Jarzynski's P~(i beta) rides on the nodes of the differences
-    jar = [] if math.isinf(beta) else [(complex(0.0, beta), np.real), (complex(0.0, beta), np.imag)]
-    fd_mean, fd_second, *jar_parts = _moments_finite_difference(s, w_scale, *jar)
+    fd_mean, fd_second = _moments_finite_difference(s, w_scale)
     scale_1 = max(abs(mean), 1e-300)
     scale_2 = max(abs(second), 1e-300)
     if abs(fd_mean - mean) > _FD_TOL * scale_1 or abs(fd_second - second) > _FD_TOL * scale_2:
@@ -250,7 +245,7 @@ def moments(s: Scenario) -> MomentReport:
     if math.isinf(beta):
         jar = math.nan  # <e^{-beta W}> has no finite-beta meaning in the vacuum
     else:  # abs(charfn_kms(s, i beta)), bit for bit
-        jar = abs(1.0 + _lambda_sq(s, jar_parts[0] + 1j * jar_parts[1]))
+        jar = abs(1.0 + _lambda_sq(s, values[3] + 1j * values[4]))
     return MomentReport(
         mean=mean,
         second_moment=second,

@@ -620,6 +620,26 @@ def test_pdf_grid_errors_name_the_grids_key(override, message, capsys):
     assert "charfn_grid" not in err and "CharFnGrid" not in err
 
 
+@pytest.mark.parametrize("command, config, override, message", [
+    ("check-crooks", "thermal_beta1.ini", "grids.w_min=0", "[grids] w_min = 0, w_max = 3: a W is 0"),
+    ("check-crooks", "thermal_beta1.ini", "grids.w_min=-3 grids.w_count=3", "[grids] w_min = -3, w_max"),
+    ("ramsey", "delta_coupling.ini", "grids.modes=0", "[grids] modes = 0: must be >= 1"),
+    ("ramsey", "delta_coupling.ini", "grids.mode_counts=16,0", "[grids] mode_counts: every entry"),
+    ("ramsey", "delta_coupling.ini", "grids.mode_k_max=-1", "[grids] mode_k_max = -1: must be > 0"),
+    ("sweep", "vacuum.ini", "grids.widths=0", "[grids] widths: the scale 0 gives widths (0, 0)"),
+    ("sweep", "vacuum.ini", "grids.widths=1,-1", "[grids] widths: the scale -1 gives"),
+    ("sweep", "vacuum.ini", "grids.widths=1e200", "[grids] widths: the scale 1e+200 gives"),
+])
+def test_grid_keys_that_would_reach_a_library_check_are_named(command, config, override, message,
+                                                              capsys):
+    # each exited 2 with the message of a library check that names no [grids] key
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    code = main([command, "--config", str(CONFIGS / config), *sets])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: " + message) and err.count("\n") == 1
+
+
 def test_the_dft_grid_errors_name_the_argument_and_its_value():
     scenario = cli._build_scenario(cli._load_ini(str(CONFIGS / "thermal_beta1.ini"), []))
     with pytest.raises(InvalidArgumentError, match=r"^mu_points must be even and >= 8, not 6$"):
@@ -847,7 +867,8 @@ def test_ramsey_table_equals_a_per_point_scalar_reference(delta_config, override
     "drop_mode_counts, overrides, expected",
     [(True, ["grids.mode_k_max=1e120"], 2),  # the cell weights 4 pi k^2 dk overflow
      (False, ["grids.mode_k_max=1e300"], 2),  # k^2 itself overflows
-     (False, ["grids.mu_max=1e300"], 4)],  # (mu / 2 sigma)^2 overflows; mu = 1e300 misses
+     (False, ["grids.mu_max=1e300"], 4),  # (mu / 2 sigma)^2 overflows; mu = 1e300 misses
+     (False, ["smearing.sigma=1e300"], 2)],  # (sigma k)^2 of the simulated modes overflows
 )
 def test_ramsey_overflow_exits_with_a_documented_code_and_no_warning(
     tmp_path, drop_mode_counts, overrides, expected, capsys

@@ -29,14 +29,20 @@ from fieldwork import (
 )
 import fieldwork.charfn
 import fieldwork.workdist as workdist_module
-from fieldwork.charfn import DEFAULT_MU_MAX, _moment_integral, charfn_grid
+from fieldwork.charfn import DEFAULT_MU_MAX, _radial_integrals, charfn_grid
 from fieldwork.special_math import CLAMP_REL_FLOOR, integrate_radial, invert_charfn
-from fieldwork.workdist import _FD_STEP, _density_moment, _moments_finite_difference
+from fieldwork.workdist import _FD_STEP, _moments_finite_difference
 
 SWITCH_WIDTH = 1.0 / 12.0
 SWITCH_CENTER = 0.5
 SIGMA = 1.0
 LAM = 0.01
+
+
+def _density_mass(s):
+    """p = lambda^2 Int a(k) coth(beta w/2) dk, as the package forms it."""
+    lam = s.field.coupling
+    return lam * lam * _radial_integrals(s, [0])[0]
 
 
 def make_scenario(beta=1.0, coupling=LAM, mass=0.0):
@@ -152,7 +158,7 @@ class TestMassiveDensityOracle:
     @pytest.mark.parametrize("mass", [0.0, 0.2, 0.6, 1.0])
     def test_transform_of_rho_is_the_characteristic_function(self, mass, beta):
         s = make_scenario(beta=beta, mass=mass)
-        p = _density_moment(s, 0)
+        p = _density_mass(s)
         sides = (1,) if math.isinf(beta) else (1, -1)
         with mpmath.workdps(30):
             m = mpmath.mpf(mass)
@@ -189,7 +195,7 @@ class TestDeltaWeight:
 
     def test_any_mass_but_not_delta_switching(self):
         s = make_scenario(mass=0.6)
-        assert delta_weight(s) == 1.0 - _density_moment(s, 0)
+        assert delta_weight(s) == 1.0 - _density_mass(s)
         with pytest.raises(RegimeError):
             delta_weight(_state_scenario("delta"))
 
@@ -263,7 +269,7 @@ class TestDistributionFromCharfn:
         # the mass the W samples miss: the transform of rho at the multiples of
         # 2 mu_max, 1e-16 of p for the smooth thermal rho, 7e-7 for the vacuum's
         # kink at W = 0 and 2e-6 for the massive thresholds
-        p = _density_moment(s, 0)
+        p = _density_mass(s)
         n = dist.w_grid.size
         dw = 2.0 * math.pi / (n * (2.0 * DEFAULT_MU_MAX / n))  # as the W grid's step is formed
         assert meta["window_residual"] == abs(p - dw * dist.density.sum())
@@ -433,12 +439,12 @@ class TestMoments:
         "beta, mass", [(1.0, 0.0), (math.inf, 0.0), (1.0, 0.6), (math.inf, 0.6), (1e6, 3e-3)]
     )
     def test_stacked_moments_equal_the_per_integral_route(self, beta, mass):
-        # p, <W> and <W^2> share one stacked integral, the differences and
-        # Jarzynski's P~(i beta) another: every bit matches the separate integrals
+        # p, <W>, <W^2> and Jarzynski's P~(i beta) share one stacked integral, the
+        # differences another: every bit matches the separate integrals
         s = make_scenario(beta=beta, mass=mass)
         rep = moments(s)
-        assert rep.mean == LAM * LAM * _moment_integral(s, 1)[0]
-        assert rep.second_moment == LAM * LAM * _moment_integral(s, 2)[0]
+        assert rep.mean == LAM * LAM * _radial_integrals(s, [1])[0]
+        assert rep.second_moment == LAM * LAM * _radial_integrals(s, [2])[0]
         assert rep.variance == rep.second_moment - rep.mean * rep.mean
         if math.isinf(beta):
             assert math.isnan(rep.jarzynski_value)
@@ -447,12 +453,12 @@ class TestMoments:
 
     @pytest.mark.parametrize(
         "beta, mass, rows, exponents",
-        [(1.0, 0.0, [3, 6], []), (1.0, 0.6, [3, 6], []), (math.inf, 0.6, [3, 4], []),
+        [(1.0, 0.0, [5, 4], []), (1.0, 0.6, [5, 4], []), (math.inf, 0.6, [3, 4], []),
          (math.inf, 0.0, [2], [2])],
     )
     def test_moments_take_two_stacked_integrals(self, monkeypatch, beta, mass, rows, exponents):
-        # pass 1: p, <W>, <W^2> (p in closed form for the massless vacuum); pass 2: the
-        # four difference parts and, at finite beta, Re and Im of the bracket at i beta.
+        # pass 1: p, <W>, <W^2> and, at finite beta, Re and Im of the bracket at i beta
+        # (p in closed form for the massless vacuum); pass 2: the four difference parts.
         # The massless vacuum takes its four parts from the closed form at the two steps
         stacks, sizes = [], []
         vacuum_exponent = fieldwork.charfn._vacuum_exponent
@@ -475,21 +481,23 @@ class TestMoments:
         assert stacks == rows
         assert sizes == exponents
 
-    def test_a_repeated_mu_takes_the_closed_form_of_its_lone_evaluation(self):
-        # the massless vacuum evaluates each distinct mu once; every part of a repeated
-        # mu is the float its lone evaluation gives
-        s = make_scenario(beta=math.inf)
-        terms = [(0.5, np.imag), (1.0, np.imag), (0.5, np.real), (1.0, np.real),
-                 (complex(0.0, 2.0), np.real), (complex(0.0, 2.0), np.imag)]
-        lone = [fieldwork.charfn._bracket_parts(s, [term])[0] for term in terms]
-        assert fieldwork.charfn._bracket_parts(s, terms) == lone
-
-    @pytest.mark.parametrize("beta, mass", [(1.0, 0.0), (math.inf, 0.6), (1.0, 0.6)])
-    def test_a_lone_moment_integral_keeps_a_1d_integrand(self, monkeypatch, beta, mass):
-        # a stack of one row costs more than the row; the value is the stacked one, bit for bit
-        s = make_scenario(beta=beta, mass=mass)
-        stacked = _moment_integral(s, 0, 1, 2)
-        shapes = []
+    @pytest.mark.parametrize("state, mass", [("thermal", 0.0), ("vacuum", 0.0), ("thermal", 0.6),
+                                             ("vacuum", 0.6), ("delta", 0.6)])
+    def test_mixed_rows_equal_their_lone_evaluations(self, monkeypatch, state, mass):
+        # moments, brackets at slow phases, at mu = i beta (2i in the vacuum) and at
+        # fast phases (60 > 2 l), repeated mu among them: every value of the mixed
+        # list is the float of its lone evaluation, and a lone row hands
+        # integrate_radial a 1-D integrand, as a stack of one costs more.  The
+        # massless vacuum takes its mass and every bracket from closed forms, with
+        # one Faddeeva evaluation on the distinct mu
+        s = make_scenario(beta=1.0 if state == "thermal" else math.inf, mass=mass)
+        if state == "delta":
+            s = Scenario(s.field, SwitchingProfile.delta(), s.smearing)
+        slow = complex(0.0, 1.0 if state == "thermal" else 2.0)
+        rows = [0, (0.5, np.imag), 1, (1.0, np.imag), (0.5, np.real), 2, (1.0, np.real),
+                (slow, np.real), (slow, np.imag), (60.0, np.real), (60.0, np.imag)]
+        shapes, sizes = [], []
+        vacuum_exponent = fieldwork.charfn._vacuum_exponent
 
         def recording(f, k_max, **kwargs):
             def recorded(k):
@@ -499,10 +507,24 @@ class TestMoments:
 
             return integrate_radial(recorded, k_max, **kwargs)
 
+        def exponent(s, mu):
+            sizes.append(np.size(mu))
+            return vacuum_exponent(s, mu)
+
         monkeypatch.setattr(fieldwork.charfn, "integrate_radial", recording)
-        for power in (0, 1, 2):
-            assert _moment_integral(s, power) == [stacked[power]]
-        assert [len(shape) for shape in shapes] == [1, 1, 1]
+        monkeypatch.setattr(fieldwork.charfn, "_vacuum_exponent", exponent)
+        mixed = _radial_integrals(s, rows)
+        closed = state == "vacuum" and mass == 0.0
+        assert sizes == ([4] if closed else [])
+        # one stack of the slow rows (only j = 1, 2 for the massless vacuum), then each
+        # fast phase alone
+        assert [len(shape) for shape in shapes] == ([2] if closed else [2, 1, 1])
+        assert shapes[0][0] == (2 if closed else 9)
+        shapes.clear()
+        lone = [_radial_integrals(s, [row])[0] for row in rows]
+        assert mixed == lone
+        assert all(len(shape) == 1 for shape in shapes)
+        assert len(shapes) == (2 if closed else len(rows))
 
     @pytest.mark.parametrize("beta", [1.0, 1e4, 1e6, math.inf])
     @pytest.mark.parametrize("mass", [0.0, 1e-6, 3e-3])
@@ -514,7 +536,7 @@ class TestMoments:
         # point mu = i beta needs more than 2^20 of its nodes
         s = make_scenario(beta=beta, mass=mass)
         rep = moments(s)
-        got = (_density_moment(s, 0), rep.mean, rep.second_moment)
+        got = (_density_mass(s), rep.mean, rep.second_moment)
         for power, value in enumerate(got):
             assert value == pytest.approx(_moment_reference(mass, beta, power), rel=1e-13)
         if math.isfinite(beta):

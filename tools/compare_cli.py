@@ -31,8 +31,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # (command, config, --set overrides...): a massive field in charfn (the
 # non-uniform FFT), pdf (the one-jump density), moments and on the delta
 # config; a cold field at the k-node cap; a window too fine for the folded DFT;
-# a window |mu| <= 2 l (the direct sum); and tables that cli._format_cells
-# writes in many blocks of two, three and six columns
+# a window |mu| <= 2 l (the direct sum); tables that cli._format_cells writes
+# in many blocks of two, three and six columns; and the radial integrals that
+# the shipped configs leave out: the sinh-node mass of a massive delta atom,
+# a massive vacuum (no closed form) in moments and sweep, and p = 0 in pdf
 OVERRIDE_CASES = (
     ("charfn", "thermal_beta1.ini", "field.mass=0.6"),
     ("charfn", "thermal_beta1.ini", "field.beta=1e6"),
@@ -44,15 +46,25 @@ OVERRIDE_CASES = (
     ("pdf", "thermal_beta1.ini", "grids.fft_points=65536"),
     ("charfn", "thermal_beta1.ini", "grids.mu_count=5000"),
     ("ramsey", "delta_coupling.ini", "grids.mu_count=1000"),
+    ("pdf", "delta_coupling.ini", "field.mass=0.6"),
+    ("moments", "vacuum.ini", "field.mass=0.6"),
+    ("sweep", "vacuum.ini", "field.mass=0.3"),
+    ("pdf", "vacuum.ini", "field.coupling=0"),
 )
 # (command, config, --set override): the config errors of parsing, of the
-# grid bounds and of an unwritable output path
+# grid bounds, of grid keys that would reach a library check and of an
+# unwritable output path
 ERROR_CASES = (
     ("moments", "thermal_beta1.ini", "field.coupling=strong"),
     ("moments", "thermal_beta1.ini", "field.temperature=1"),
     ("moments", "thermal_beta1.ini", "detector.gain=1"),
     ("moments", "thermal_beta1.ini", "coupling=2"),
     ("charfn", "vacuum.ini", "grids.mu_count=1000000000"),
+    ("check-crooks", "thermal_beta1.ini", "grids.w_min=0"),
+    ("ramsey", "delta_coupling.ini", "grids.modes=0"),
+    ("ramsey", "delta_coupling.ini", "grids.mode_counts=0, 16"),
+    ("ramsey", "delta_coupling.ini", "grids.mode_k_max=-1"),
+    ("sweep", "vacuum.ini", "grids.widths=0"),
     ("moments", "thermal_beta1.ini", "output.path="),
 )
 
